@@ -251,10 +251,20 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
     pair. ``structure`` may be a StructureSet, a PixelMask (treated as a
     localized structure) or a parsed structure spec. A precomputed MAP
     estimate can be passed to skip the first stage. Stage failures are
-    re-raised as :class:`BuqoError` with the stage label.
+    re-raised as :class:`BuqoError` with the stage label; so are
+    tolerances <= 0 and iteration limits < 1, before any solve starts
+    ("map" for the ``map_*`` settings, "engine" for the others).
     """
     if mode not in ("pocs", "fb"):
         raise BuqoError("engine", f"unknown mode {mode!r}")
+    for name, value in (("map_tol", map_tol), ("map_max_iters", map_max_iters),
+                        ("outer_tol", outer_tol), ("outer_max_iters", outer_max_iters),
+                        ("inner_tol", inner_tol), ("inner_max_iters", inner_max_iters)):
+        stage = "map" if name.startswith("map") else "engine"
+        if name.endswith("_tol") and not value > 0:
+            raise BuqoError(stage, f"{name} must be positive, got {value!r}")
+        if name.endswith("_iters") and not value >= 1:
+            raise BuqoError(stage, f"{name} must be at least 1, got {value!r}")
 
     try:
         if x_map is None:

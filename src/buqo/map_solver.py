@@ -43,7 +43,10 @@ class MapProblem:
 
     def feasibility_gap(self, x: np.ndarray) -> float:
         """max(0, ||Phi x - y|| - epsilon)."""
-        r = np.linalg.norm(self.phi.forward(x) - self.data)
+        return self._gap_of_measurements(self.phi.forward(x))
+
+    def _gap_of_measurements(self, phi_x: np.ndarray) -> float:
+        r = np.linalg.norm(phi_x - self.data)
         return max(0.0, float(r - self.epsilon))
 
 
@@ -85,6 +88,9 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     gap_tol = 1e-6 * eps
 
     x = project_box(np.real(phi.adjoint(y)), box)
+    # x_new = (bar + x) / 2, so Psi x and Phi x follow by linearity
+    psi_x = psi.forward(x)
+    phi_x = phi.forward(x)
     v1 = np.zeros(psi.out_dim)
     v2 = np.zeros(phi.out_dim, dtype=complex)
 
@@ -97,15 +103,19 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
         grad = psi.adjoint(v1) + np.real(phi.adjoint(v2))
         x_new = project_box(x - sigma * grad, box)
         bar = 2.0 * x_new - x
-        vt1 = v1 + gamma * psi.forward(bar)
+        psi_bar = psi.forward(bar)
+        phi_bar = phi.forward(bar)
+        vt1 = v1 + gamma * psi_bar
         v1 = vt1 - gamma * _soft_threshold(vt1 / gamma, l1_weight / gamma)
-        vt2 = v2 + gamma * phi.forward(bar)
+        vt2 = v2 + gamma * phi_bar
         v2 = vt2 - gamma * project_l2_ball(vt2 / gamma, ball)
 
         change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), 1e-300)
         x = x_new
-        gap = problem.feasibility_gap(x)
-        objective = float(np.sum(np.abs(psi.forward(x))))
+        psi_x = 0.5 * (psi_bar + psi_x)
+        phi_x = 0.5 * (phi_bar + phi_x)
+        gap = problem._gap_of_measurements(phi_x)
+        objective = float(np.sum(np.abs(psi_x)))
         residuals.append(change)
         objectives.append(objective)
         score = (0.0, objective) if gap <= gap_tol else (gap, np.inf)
@@ -113,15 +123,20 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
             best = (*score, x)
         # iteration 1 cannot move the primal (duals start at zero)
         if it >= 2 and change <= tol and gap <= gap_tol:
-            converged = True
-            break
+            # the tracked Phi x carries rounding; certify on the exact gap
+            phi_x = phi.forward(x)
+            gap = problem._gap_of_measurements(phi_x)
+            if gap <= gap_tol:
+                converged = True
+                break
 
     if not converged:
         x = best[2]
+        gap = problem.feasibility_gap(x)
     diag = SolverDiagnostics(
         iterations=it,
         primal_residuals=np.asarray(residuals),
-        feasibility_gap=problem.feasibility_gap(x),
+        feasibility_gap=gap,
         objective_series=np.asarray(objectives),
         converged=converged,
     )

@@ -9,6 +9,7 @@ the inpainting-residual map.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -311,58 +312,31 @@ _DB8_LO = _daubechies_lowpass(8)
 _DB8_HI = (_DB8_LO[::-1] * np.where(np.arange(16) % 2 == 0, 1.0, -1.0))
 
 
-_DWT_TABLES: dict = {}
+@functools.cache
+def _dwt_level(n: int) -> np.ndarray:
+    """Orthogonal n x n matrix of one periodic filter-bank level (read-only).
 
-
-def _dwt_tables(n: int):
-    """Gather indices and tap weights for one periodic filter-bank level.
-
-    Analysis: coefficient k reads the window (2k + t) mod n. Synthesis is
-    the transpose, regathered: output j collects the taps t of matching
-    parity, reading approx/detail position ((j - t) mod n) / 2.
+    Row k < n/2 holds the lowpass taps at columns (2k + t) mod n, row
+    n/2 + k the highpass taps; taps that wrap onto one column add up.
     """
-    if n in _DWT_TABLES:
-        return _DWT_TABLES[n]
-    lo, hi = _DB8_LO, _DB8_HI
-    taps = lo.size
-    aidx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    j = np.arange(n)[:, None]
-    t = (j % 2) + 2 * np.arange(taps // 2)[None, :]
-    sidx = ((j - t) % n) // 2
-    wlo = lo[t]
-    whi = hi[t]
-    _DWT_TABLES[n] = (aidx, sidx, wlo, whi)
-    return _DWT_TABLES[n]
-
-
-def _analysis_axis(a: np.ndarray) -> np.ndarray:
-    """One analysis level along the last axis with periodic wrapping."""
-    n = a.shape[-1]
-    aidx, _, _, _ = _dwt_tables(n)
-    windows = a[..., aidx]
-    out = np.empty_like(a)
-    out[..., : n // 2] = windows @ _DB8_LO
-    out[..., n // 2:] = windows @ _DB8_HI
-    return out
-
-
-def _synthesis_axis(c: np.ndarray) -> np.ndarray:
-    """Transpose of :func:`_analysis_axis` (equals its inverse)."""
-    n = c.shape[-1]
-    half = n // 2
-    _, sidx, wlo, whi = _dwt_tables(n)
-    approx = c[..., :half]
-    detail = c[..., half:]
-    return (approx[..., sidx] * wlo).sum(-1) + (detail[..., sidx] * whi).sum(-1)
+    w = np.zeros((n, n))
+    k = np.arange(n // 2)[:, None]
+    cols = (2 * k + np.arange(_DB8_LO.size)[None, :]) % n
+    np.add.at(w, (k, cols), _DB8_LO)
+    np.add.at(w, (n // 2 + k, cols), _DB8_HI)
+    w.flags.writeable = False
+    return w
 
 
 def db8_analysis(rows: int, cols: int, levels: int) -> LinearMap:
     """Multilevel separable orthonormal Db8 transform with periodic boundary.
 
-    Both dimensions must be divisible by 2**levels. The adjoint equals
-    the inverse (synthesis), so the spectral norm is exactly 1. The
-    coefficient layout is the usual in-place quadrant nesting, flattened
-    row-major.
+    Both dimensions must be divisible by 2**levels. Each level applies
+    one orthogonal matrix per axis to the current r x c block,
+    W_r @ block @ W_c.T; the matrices are built on first use and cached
+    per axis size. The adjoint equals the inverse (synthesis), so the
+    spectral norm is exactly 1. The coefficient layout is the usual
+    in-place quadrant nesting, flattened row-major.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -371,30 +345,18 @@ def db8_analysis(rows: int, cols: int, levels: int) -> LinearMap:
             f"image dims ({rows}, {cols}) not divisible by 2^{levels}"
         )
     n = rows * cols
+    sizes = [(rows >> lv, cols >> lv) for lv in range(levels)]
 
     def forward(x):
         a = np.array(np.asarray(x, dtype=float).reshape(rows, cols))
-        r, c = rows, cols
-        for _ in range(levels):
-            block = a[:r, :c]
-            block = _analysis_axis(block)
-            block = _analysis_axis(block.swapaxes(0, 1)).swapaxes(0, 1)
-            a[:r, :c] = block
-            r //= 2
-            c //= 2
+        for r, c in sizes:
+            a[:r, :c] = _dwt_level(r) @ a[:r, :c] @ _dwt_level(c).T
         return a.ravel()
 
     def adjoint(w):
         a = np.array(np.asarray(w, dtype=float).reshape(rows, cols))
-        r = rows >> levels
-        c = cols >> levels
-        for _ in range(levels):
-            r *= 2
-            c *= 2
-            block = a[:r, :c]
-            block = _synthesis_axis(block.swapaxes(0, 1)).swapaxes(0, 1)
-            block = _synthesis_axis(block)
-            a[:r, :c] = block
+        for r, c in reversed(sizes):
+            a[:r, :c] = _dwt_level(r).T @ a[:r, :c] @ _dwt_level(c)
         return a.ravel()
 
     return LinearMap(n, n, forward, adjoint, norm_bound=1.0)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the algorithms used by the package: the l1
 projection is reproduced by dual bisection and by a batched alternating
-projected-subgradient method; intersection projections by a per-instance
+projected-subgradient method; the Db8 transform by an explicit tap loop
+over the periodic filter bank; intersection projections by a per-instance
 projected-subgradient method on dense operators, optionally polished by
 a generic trust-region NLP solve (still independent of the package's
 primal-dual iterations).
@@ -59,6 +60,48 @@ def l1_projection_subgradient_batch(X, betas, iters=200000):
             k_obj[feas] += 1.0
             U[feas] -= (1.0 / (k_obj[feas] + 1.0))[:, None] * diff
     return best
+
+
+def _filter_bank_axis(block, lo, hi, adjoint):
+    """One periodic two-channel level along the last axis, tap by tap.
+
+    Analysis: approx[k] = sum_t lo[t] x[(2k + t) mod n] and
+    detail[k] = sum_t hi[t] x[(2k + t) mod n], stored as [approx, detail].
+    The adjoint scatters each coefficient back along the same taps.
+    """
+    n = block.shape[-1]
+    half = n // 2
+    out = np.zeros_like(block)
+    for k in range(half):
+        for t in range(len(lo)):
+            j = (2 * k + t) % n
+            if adjoint:
+                out[..., j] += lo[t] * block[..., k] + hi[t] * block[..., half + k]
+            else:
+                out[..., k] += lo[t] * block[..., j]
+                out[..., half + k] += hi[t] * block[..., j]
+    return out
+
+
+def filter_bank_2d(x, rows, cols, levels, lo, hi, adjoint=False):
+    """Multilevel separable periodic wavelet transform (or its adjoint).
+
+    Each level filters the current top-left r x c block along rows, then
+    along columns, and the next level recurses into the approximation
+    quadrant; the adjoint undoes the levels and axes in reverse order.
+    """
+    a = np.asarray(x, dtype=float).reshape(rows, cols).copy()
+    sizes = [(rows >> lv, cols >> lv) for lv in range(levels)]
+    for r, c in (reversed(sizes) if adjoint else sizes):
+        block = a[:r, :c]
+        if adjoint:
+            block = _filter_bank_axis(block.T, lo, hi, adjoint).T
+            block = _filter_bank_axis(block, lo, hi, adjoint)
+        else:
+            block = _filter_bank_axis(block, lo, hi, adjoint)
+            block = _filter_bank_axis(block.T, lo, hi, adjoint).T
+        a[:r, :c] = block
+    return a.ravel()
 
 
 def dense_matrix(op):

@@ -164,6 +164,12 @@ def test_stage_exit_codes(tmp_path):
     code = main(["test", "--config", str(cfg_bad_set),
                  "--out", str(tmp_path / "s")])
     assert code == 5
+    # engine stage: an inner iteration limit that cannot project
+    cfg_bad_engine = write_cfg(tmp_path, name="e.cfg",
+                               **{**base, "inner.max.iters": 0})
+    code = main(["test", "--config", str(cfg_bad_engine),
+                 "--out", str(tmp_path / "e")])
+    assert code == 6
 
 
 def test_missing_input_paths_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import buqo.engine
 from buqo.credible_region import build_region
 from buqo.engine import (
     BuqoError,
@@ -251,3 +252,26 @@ def test_run_buqo_bad_mode_raises_engine_stage():
     with pytest.raises(BuqoError) as err:
         run_buqo(problem, mask, mode="dykstra")
     assert err.value.stage == "engine"
+
+
+@pytest.mark.parametrize("name, value, stage", [
+    ("map_tol", 0.0, "map"),
+    ("map_max_iters", 0, "map"),
+    ("outer_tol", -1e-5, "engine"),
+    ("outer_max_iters", 0, "engine"),
+    ("inner_tol", 0.0, "engine"),
+    ("inner_max_iters", 0, "engine"),
+])
+def test_run_buqo_rejects_bad_solver_settings_before_solving(
+        monkeypatch, name, value, stage):
+    # a zero inner budget would decide on unprojected points
+    problem, mask, _ = pipeline_16(seed=55)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the settings were checked")
+
+    monkeypatch.setattr(buqo.engine, "solve_map", no_solve)
+    with pytest.raises(BuqoError) as err:
+        run_buqo(problem, mask, **{name: value})
+    assert err.value.stage == stage
+    assert name in str(err.value)

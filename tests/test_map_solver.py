@@ -32,8 +32,13 @@ def test_solve_map_feasibility_with_loose_ball():
     problem = MapProblem(phi, psi, y, epsilon=2.0)
     x, diag = solve_map(problem, tol=1e-8, max_iters=20000)
     assert diag.converged
+    assert diag.feasibility_gap <= 1e-6 * 2.0
+    assert diag.feasibility_gap == problem.feasibility_gap(x)
     assert np.linalg.norm(phi.forward(x) - y) <= 2.0 * (1 + 1e-6)
     assert x.min() >= 0.0
+    # the logged objective (tracked by linearity) is the one of x itself
+    exact = np.abs(psi.forward(x)).sum()
+    assert diag.objective_series[-1] == pytest.approx(exact, rel=1e-12)
 
 
 def test_solve_map_recovers_truth_noiseless_tiny_ball():
@@ -74,6 +79,40 @@ def test_solve_map_flags_nonconvergence():
     assert diag.iterations == 5
     assert len(diag.primal_residuals) == 5
     assert len(diag.objective_series) == 5
+
+
+def counting(op):
+    """``op`` with its forward and adjoint calls counted."""
+    calls = {"forward": 0, "adjoint": 0}
+
+    def forward(x):
+        calls["forward"] += 1
+        return op.forward(x)
+
+    def adjoint(y):
+        calls["adjoint"] += 1
+        return op.adjoint(y)
+
+    wrapped = LinearMap(op.in_dim, op.out_dim, forward, adjoint, op.norm_bound,
+                        op.complex_input, op.complex_output)
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("iters", [5, 12])
+def test_solve_map_operator_budget_per_iteration(iters):
+    rows = cols = 8
+    phi, phi_calls = counting(full_dft(rows, cols))
+    truth, psi = sparse_truth(rows, cols, seed=5)
+    psi, psi_calls = counting(psi)
+    y = phi.forward(truth) + 0.3
+    phi_calls["forward"] = 0
+    problem = MapProblem(phi, psi, y, epsilon=1e-3)
+    _, diag = solve_map(problem, tol=1e-12, max_iters=iters)
+    assert not diag.converged and diag.iterations == iters
+    # one adjoint and one forward (of the extrapolated point) per iteration;
+    # set-up: Phi* y, then Psi x0 and Phi x0; the end: the best iterate's gap
+    assert psi_calls == {"forward": iters + 1, "adjoint": iters}
+    assert phi_calls == {"forward": iters + 2, "adjoint": iters + 1}
 
 
 def test_solve_map_deterministic():

@@ -15,7 +15,10 @@ from buqo.operators import (
     op_norm,
     residual_map,
 )
+from buqo.operators import _DB8_HI, _DB8_LO
 from buqo.sim import coil_sensitivities, gaussian_random_pattern
+
+from oracles import filter_bank_2d
 
 
 def dense_from_map(op: LinearMap) -> np.ndarray:
@@ -226,6 +229,34 @@ def test_db8_perfect_reconstruction():
 def test_db8_dot_test():
     op = db8_analysis(16, 16, 2)
     assert dot_test(op, n_probes=20, seed=3) < 1e-10
+
+
+@pytest.mark.parametrize("rows, cols, levels", [
+    (2, 2, 1),     # the 16 taps wrap 8 times around each axis
+    (8, 8, 3),
+    (16, 32, 2),
+    (32, 16, 3),
+])
+def test_db8_matches_filter_bank_oracle(rows, cols, levels):
+    op = db8_analysis(rows, cols, levels)
+    rng = np.random.default_rng(rows * 100 + cols)
+    x = rng.standard_normal(rows * cols)
+    w = rng.standard_normal(rows * cols)
+    want_fwd = filter_bank_2d(x, rows, cols, levels, _DB8_LO, _DB8_HI)
+    want_adj = filter_bank_2d(w, rows, cols, levels, _DB8_LO, _DB8_HI,
+                              adjoint=True)
+    np.testing.assert_allclose(op.forward(x), want_fwd, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.adjoint(w), want_adj, rtol=0, atol=1e-12)
+
+
+def test_db8_filters_moments_and_dc_gain():
+    t = np.arange(_DB8_HI.size, dtype=float)
+    for p in range(8):
+        moment = np.sum(t ** p * _DB8_HI)
+        assert abs(moment) <= 1e-9 * np.sum(t ** p * np.abs(_DB8_HI)), p
+    assert np.sum(_DB8_LO) == pytest.approx(np.sqrt(2.0), abs=1e-13)
+    # the 8th moment does not vanish: exactly eight vanishing moments
+    assert abs(np.sum(t ** 8 * _DB8_HI)) > 1e-6 * np.sum(t ** 8 * np.abs(_DB8_HI))
 
 
 def test_db8_rejects_indivisible_dims():
