@@ -22,11 +22,10 @@ from .operators import db8_analysis, masked_dft
 from .sim import (
     ExperimentSpec,
     add_noise,
-    cartesian_pattern,
-    gaussian_random_pattern,
     make_phantom,
     run_grid,
     sample_noise,
+    sampling_pattern,
 )
 
 STAGE_EXIT_CODES = {"map": 3, "region": 4, "set": 5, "engine": 6}
@@ -171,21 +170,17 @@ class _AtomicWriter:
             tmp.unlink(missing_ok=True)
 
 
-def _make_pattern(cfg: RunConfig, seed: int):
-    if cfg.pattern_kind == "gaussian":
-        return gaussian_random_pattern(cfg.rows, cfg.cols, cfg.ratio, seed)
-    if cfg.pattern_kind == "cartesian":
-        return cartesian_pattern(cfg.rows, cfg.cols, phase_factor=1.0 / cfg.ratio)
-    raise ConfigError(f"unsupported pattern kind {cfg.pattern_kind!r}")
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     """Emit phantom, sampling pattern, noisy measurements and a manifest."""
+    seeds = np.random.SeedSequence([cfg.seed]).generate_state(2)
+    try:
+        pattern = sampling_pattern(cfg.pattern_kind, cfg.rows, cfg.cols,
+                                   cfg.ratio, int(seeds[0]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     writer = _AtomicWriter(Path(cfg.out))
     try:
-        seeds = np.random.SeedSequence([cfg.seed]).generate_state(2)
         truth = make_phantom(cfg.phantom, cfg.rows, cfg.cols, cfg.seed)
-        pattern = _make_pattern(cfg, int(seeds[0]))
         phi = masked_dft(pattern)
         variance, epsilon = sample_noise(cfg.sigma2, pattern.rows * pattern.cols,
                                          phi.out_dim)
@@ -224,8 +219,11 @@ def _load_problem(cfg: RunConfig) -> tuple[MapProblem, int, int]:
 def cmd_map(cfg: RunConfig) -> int:
     """Compute and write the MAP estimate for stored measurements."""
     problem, rows, cols = _load_problem(cfg)
-    x_map, diag = solve_map(problem, tol=cfg.map_tol,
-                            max_iters=cfg.map_max_iters)
+    try:
+        x_map, diag = solve_map(problem, tol=cfg.map_tol,
+                                max_iters=cfg.map_max_iters)
+    except ValueError as exc:
+        raise BuqoError("map", str(exc)) from exc
     if not diag.converged:
         raise BuqoError("map", f"no convergence in {diag.iterations} iterations")
     writer = _AtomicWriter(Path(cfg.out))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pd import DualBlock, project_intersection
+from ._pd import DualBlock, WarmProjector
 from .map_solver import MapProblem
 from .operators import LinearMap
 from .prox import (
@@ -105,56 +105,23 @@ class CredibleRegion:
                   gamma: float = 4.0) -> "RegionProjector":
         return RegionProjector(self, tol=tol, max_iters=max_iters, gamma=gamma)
 
-    def project(self, x: np.ndarray, tol: float = 1e-8,
-                max_iters: int = 5000, gamma: float = 4.0) -> np.ndarray:
-        """One-shot projection onto the region (cold-started duals)."""
-        return self.projector(tol=tol, max_iters=max_iters, gamma=gamma)(x)
 
+class RegionProjector(WarmProjector):
+    """Warm-started projection onto a credible region.
 
-class RegionProjector:
-    """Stateful projection onto a credible region.
-
-    Keeps the dual variables of the primal-dual sub-solver between calls,
-    so successive projections along a slowly-moving outer iteration are
-    warm-started. Each call still iterates to its own tolerance. The
-    dual step ``gamma`` trades primal against dual progress; 4.0 is a
-    robust default for the ball + level-set pair (several times faster
+    The dual step ``gamma`` trades primal against dual progress; 4.0 is
+    a robust default for the ball + level-set pair (several times faster
     than 1.0 on hard geometries, same fixed point).
     """
 
     def __init__(self, region: CredibleRegion, tol: float = 1e-8,
                  max_iters: int = 5000, gamma: float = 4.0):
-        self.region = region
-        self.tol = tol
-        self.max_iters = max_iters
-        self.gamma = gamma
         ball = L2Ball(region.data, region.epsilon)
         levelset = L1Levelset(region.eta_tilde / region.lam)
-        self.blocks = [
+        super().__init__(region.constraint, [
             DualBlock(region.psi, lambda z: project_l1_levelset(z, levelset)),
             DualBlock(region.phi, lambda z: project_l2_ball(z, ball)),
-        ]
-        self.duals: list[np.ndarray] | None = None
-        self.last_point: np.ndarray | None = None
-        self.converged = True
-        self.inner_iterations = 0
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        point, duals, ok, its = project_intersection(
-            np.asarray(x, dtype=float).ravel(),
-            self.region.constraint,
-            self.blocks,
-            tol=self.tol,
-            max_iters=self.max_iters,
-            duals=self.duals,
-            gamma=self.gamma,
-            u0=self.last_point,
-        )
-        self.duals = duals
-        self.last_point = point
-        self.converged = ok
-        self.inner_iterations += its
-        return point
+        ], tol, max_iters, gamma)
 
 
 def build_region(x_map: np.ndarray, lam: float, alpha: float,
@@ -193,4 +160,4 @@ def build_region(x_map: np.ndarray, lam: float, alpha: float,
 def project_region(region: CredibleRegion, x: np.ndarray, tol: float = 1e-8,
                    max_iters: int = 5000, gamma: float = 4.0) -> np.ndarray:
     """Closest point of the region to x (fresh dual variables)."""
-    return region.project(x, tol=tol, max_iters=max_iters, gamma=gamma)
+    return region.projector(tol=tol, max_iters=max_iters, gamma=gamma)(x)

@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .credible_region import CredibleRegion, build_region
+from ._pd import check_limits
+from .credible_region import build_region
 from .map_solver import MapProblem, compute_lambda, solve_map
 from .operators import PixelMask
 from .structure_sets import StructureSet, build_background_set, build_localized_set
@@ -60,8 +61,6 @@ class TestOutcome:
 
 
 def _as_projector(obj, tol: float, max_iters: int) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(obj, (CredibleRegion, StructureSet)):
-        return obj.projector(tol=tol, max_iters=max_iters)
     if hasattr(obj, "projector"):
         return obj.projector(tol=tol, max_iters=max_iters)
     if hasattr(obj, "project"):
@@ -85,7 +84,9 @@ def run_pocs(region, sset, x0: np.ndarray | None = None, tol: float = 1e-5,
     and stops when both relative iterate changes fall below ``tol``, or
     when the relative change of the gap delta_k does, whichever happens
     first. Returns (x_region, x_set, iterations, stop_reason, deltas).
+    Raises ValueError for a ``tol`` <= 0 or a ``max_iters`` < 1.
     """
+    check_limits(tol, max_iters)
     proj_region = _as_projector(region, inner_tol, inner_max_iters)
     proj_set = _as_projector(sset, inner_tol, inner_max_iters)
     if x0 is None:
@@ -139,6 +140,7 @@ def run_fb_distance(region, sset, gamma: float = 0.5, tol: float = 1e-5,
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie strictly between 0 and 1")
+    check_limits(tol, max_iters)
     proj_region = _as_projector(region, inner_tol, inner_max_iters)
     proj_set = _as_projector(sset, inner_tol, inner_max_iters)
     if x0_region is None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pd import DualBlock, check_limits, pd_steps
 from .operators import LinearMap
 from .prox import IntervalBox, L2Ball, project_box, project_l2_ball
 
@@ -72,7 +73,8 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     feasibility gap is at most 1e-6 * epsilon. If ``max_iters`` is reached
     first, the best iterate seen (feasible with lowest objective, else
     smallest gap) is returned with ``converged`` False. The output lies in
-    the constraint box exactly.
+    the constraint box exactly. Raises ValueError for a ``tol`` <= 0 or a
+    ``max_iters`` < 1.
 
     ``l1_weight`` scales the objective; since the rest of the problem is
     a pair of hard constraints, the minimizer does not depend on it (it
@@ -80,38 +82,30 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     """
     if l1_weight <= 0:
         raise ValueError("l1_weight must be positive")
+    check_limits(tol, max_iters)
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
     box = problem.constraint
     ball = L2Ball(y, eps)
     gamma = 1.0
-    sigma = 0.99 / (0.5 + gamma * (psi.norm_bound ** 2 + phi.norm_bound ** 2))
+    blocks = [
+        DualBlock(psi, lambda z: _soft_threshold(z, l1_weight / gamma)),
+        DualBlock(phi, lambda z: project_l2_ball(z, ball)),
+    ]
     gap_tol = 1e-6 * eps
 
     x = project_box(np.real(phi.adjoint(y)), box)
     # x_new = (bar + x) / 2, so Psi x and Phi x follow by linearity
     psi_x = psi.forward(x)
     phi_x = phi.forward(x)
-    v1 = np.zeros(psi.out_dim)
-    v2 = np.zeros(phi.out_dim, dtype=complex)
+    steps = pd_steps(x, box, blocks, [b.zero_dual() for b in blocks], gamma)
 
     residuals = []
     objectives = []
     best = (np.inf, np.inf, x)
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
-        grad = psi.adjoint(v1) + np.real(phi.adjoint(v2))
-        x_new = project_box(x - sigma * grad, box)
-        bar = 2.0 * x_new - x
-        psi_bar = psi.forward(bar)
-        phi_bar = phi.forward(bar)
-        vt1 = v1 + gamma * psi_bar
-        v1 = vt1 - gamma * _soft_threshold(vt1 / gamma, l1_weight / gamma)
-        vt2 = v2 + gamma * phi_bar
-        v2 = vt2 - gamma * project_l2_ball(vt2 / gamma, ball)
-
-        change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), 1e-300)
-        x = x_new
+    for it, (x, x_prev, (psi_bar, phi_bar)) in zip(range(1, max_iters + 1), steps):
+        change = np.linalg.norm(x - x_prev) / max(np.linalg.norm(x), 1e-300)
         psi_x = 0.5 * (psi_bar + psi_x)
         phi_x = 0.5 * (phi_bar + phi_x)
         gap = problem._gap_of_measurements(phi_x)

@@ -25,6 +25,7 @@ __all__ = [
     "GridReport",
     "gaussian_random_pattern",
     "cartesian_pattern",
+    "sampling_pattern",
     "add_noise",
     "sample_noise",
     "make_phantom",
@@ -111,6 +112,16 @@ def cartesian_pattern(rows: int, cols: int, freq_factor: float = 1.0 / 1.3,
     line_rows = np.unique((np.arange(n_lines) * rows // n_lines).astype(np.int64))
     flat = (line_rows[:, None] * cols + line_cols[None, :]).ravel()
     return SamplingPattern(rows, cols, flat)
+
+
+def sampling_pattern(kind: str, rows: int, cols: int, ratio: float,
+                     seed: int) -> SamplingPattern:
+    """Single-coil pattern of ``kind``, "gaussian" or "cartesian", at ``ratio``."""
+    if kind == "gaussian":
+        return gaussian_random_pattern(rows, cols, ratio, seed)
+    if kind == "cartesian":
+        return cartesian_pattern(rows, cols, phase_factor=1.0 / ratio)
+    raise ValueError(f"unknown pattern kind {kind!r}")
 
 
 def add_noise(clean: np.ndarray, sigma2: float, seed: int) -> np.ndarray:
@@ -362,20 +373,15 @@ def build_problem(spec: ExperimentSpec, truth: np.ndarray, ratio: float,
     """
     rows, cols = spec.rows, spec.cols
     n_full = rows * cols
-    if spec.pattern_kind == "gaussian":
-        pattern = gaussian_random_pattern(rows, cols, ratio, pattern_seed)
-        phi = masked_dft(pattern)
-    elif spec.pattern_kind == "cartesian":
-        pattern = cartesian_pattern(rows, cols, phase_factor=1.0 / ratio)
-        phi = masked_dft(pattern)
-    elif spec.pattern_kind == "multicoil":
+    if spec.pattern_kind == "multicoil":
         child = np.random.SeedSequence(pattern_seed).generate_state(spec.n_coils)
         patterns = [gaussian_random_pattern(rows, cols, ratio, int(s))
                     for s in child]
         phi = multicoil_map(patterns, coil_sensitivities(rows, cols, spec.n_coils))
         n_full *= spec.n_coils
     else:
-        raise ValueError(f"unknown pattern kind {spec.pattern_kind!r}")
+        phi = masked_dft(sampling_pattern(spec.pattern_kind, rows, cols, ratio,
+                                          pattern_seed))
     variance, epsilon = sample_noise(sigma2, n_full, phi.out_dim)
     y = add_noise(phi.forward(truth), variance, noise_seed)
     psi = db8_analysis(rows, cols, spec.wavelet_levels)

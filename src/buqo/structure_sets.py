@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 import scipy.ndimage as ndi
 
-from ._pd import DualBlock, project_intersection
+from ._pd import DualBlock, WarmProjector
 from .operators import (
     LinearMap,
     PixelMask,
@@ -87,54 +87,21 @@ class StructureSet:
         return StructureProjector(self, tol=tol, max_iters=max_iters,
                                   gamma=gamma)
 
-    def project(self, x: np.ndarray, tol: float = 1e-8,
-                max_iters: int = 5000, gamma: float = 1.0) -> np.ndarray:
-        if self.kind == "background":
-            return project_background(self, x)
-        return project_localized(self, x, tol=tol, max_iters=max_iters,
-                                 gamma=gamma)
 
-
-class StructureProjector:
-    """Stateful primal-dual projection onto a localized structure set."""
+class StructureProjector(WarmProjector):
+    """Warm-started primal-dual projection onto a localized structure set."""
 
     def __init__(self, sset: StructureSet, tol: float = 1e-8,
                  max_iters: int = 5000, gamma: float = 1.0):
         if sset.kind != "localized":
             raise ValueError("primal-dual projector is for localized sets")
-        self.sset = sset
-        self.tol = tol
-        self.max_iters = max_iters
-        self.gamma = gamma
-        select = mask_select(sset.mask)
         ball = sset.energy_ball
-        self.blocks = [
+        super().__init__(IntervalBox(0.0, np.inf), [
             DualBlock(sset.residual_op,
                       lambda z: project_box(z, sset.interval)),
-            DualBlock(select, lambda z: project_l2_ball(z, ball)),
-        ]
-        self.box = IntervalBox(0.0, np.inf)
-        self.duals: list[np.ndarray] | None = None
-        self.last_point: np.ndarray | None = None
-        self.converged = True
-        self.inner_iterations = 0
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        point, duals, ok, its = project_intersection(
-            np.asarray(x, dtype=float).ravel(),
-            self.box,
-            self.blocks,
-            tol=self.tol,
-            max_iters=self.max_iters,
-            duals=self.duals,
-            gamma=self.gamma,
-            u0=self.last_point,
-        )
-        self.duals = duals
-        self.last_point = point
-        self.converged = ok
-        self.inner_iterations += its
-        return point
+            DualBlock(mask_select(sset.mask),
+                      lambda z: project_l2_ball(z, ball)),
+        ], tol, max_iters, gamma)
 
 
 def build_localized_set(x_map: np.ndarray, mask: PixelMask,
@@ -256,8 +223,7 @@ def build_background_set(x_map: np.ndarray, rows: int, cols: int,
 def project_localized(sset: StructureSet, x: np.ndarray, tol: float = 1e-8,
                       max_iters: int = 5000, gamma: float = 1.0) -> np.ndarray:
     """Closest point of a localized structure set to x."""
-    return StructureProjector(sset, tol=tol, max_iters=max_iters,
-                              gamma=gamma)(x)
+    return sset.projector(tol=tol, max_iters=max_iters, gamma=gamma)(x)
 
 
 def project_background(sset: StructureSet, x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ projected-subgradient method; the Db8 transform by an explicit tap loop
 over the periodic filter bank; intersection projections by a per-instance
 projected-subgradient method on dense operators, optionally polished by
 a generic trust-region NLP solve (still independent of the package's
-primal-dual iterations).
+primal-dual iterations). The MAP oracle is the opposite kind: the
+primal-dual iteration written out operation by operation, so that a
+refactoring of the solver can be held to the same iterates bit for bit.
 """
 
 import numpy as np
@@ -102,6 +104,47 @@ def filter_bank_2d(x, rows, cols, levels, lo, hi, adjoint=False):
             block = _filter_bank_axis(block.T, lo, hi, adjoint).T
         a[:r, :c] = block
     return a.ravel()
+
+
+def map_iterations(problem, iters, gamma=1.0):
+    """``iters`` steps of the MAP's Condat–Vũ iteration, one loop.
+
+    Starts, like ``solve_map``, from the box-clipped back-projection of
+    the data with zero duals, and tracks Psi x and Phi x by linearity
+    (x_new = (bar + x) / 2). Returns per-iteration lists of the iterates,
+    relative primal changes, objectives ||Psi x||_1 and feasibility gaps
+    max(0, ||Phi x - y|| - epsilon).
+    """
+    phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
+    lo, hi = problem.constraint.lo, problem.constraint.hi
+    sigma = 0.99 / (0.5 + gamma * (psi.norm_bound ** 2 + phi.norm_bound ** 2))
+    x = np.clip(np.real(phi.adjoint(y)), lo, hi)
+    psi_x, phi_x = psi.forward(x), phi.forward(x)
+    v_psi = np.zeros(psi.out_dim)
+    v_phi = np.zeros(phi.out_dim, dtype=complex)
+    xs, changes, objectives, gaps = [], [], [], []
+    for _ in range(iters):
+        grad = psi.adjoint(v_psi) + np.real(phi.adjoint(v_phi))
+        x_new = np.clip(x - sigma * grad, lo, hi)
+        bar = 2.0 * x_new - x
+        psi_bar, phi_bar = psi.forward(bar), phi.forward(bar)
+        # dual steps by the Moreau identity: soft threshold at 1 / gamma
+        # for the l1 term, radial projection onto the data ball
+        w = v_psi + gamma * psi_bar
+        z = w / gamma
+        v_psi = w - gamma * (np.sign(z) * np.maximum(np.abs(z) - 1.0 / gamma, 0.0))
+        w = v_phi + gamma * phi_bar
+        z = w / gamma
+        r = np.linalg.norm(z - y)
+        v_phi = w - gamma * (z if r <= eps else y + (z - y) * (eps / r))
+        changes.append(np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), 1e-300))
+        x = x_new
+        psi_x = 0.5 * (psi_bar + psi_x)
+        phi_x = 0.5 * (phi_bar + phi_x)
+        xs.append(x)
+        objectives.append(float(np.sum(np.abs(psi_x))))
+        gaps.append(max(0.0, float(np.linalg.norm(phi_x - y) - eps)))
+    return xs, changes, objectives, gaps
 
 
 def dense_matrix(op):

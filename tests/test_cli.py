@@ -61,6 +61,15 @@ def test_bad_alpha_is_exit_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--alpha", "2.0"]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"pattern.kind": "spiral"}, {"pattern.kind": "multicoil"}, {"ratio": 1.5}])
+def test_bad_sampling_pattern_is_exit_2(tmp_path, overrides):
+    cfg = write_cfg(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_writes_files_and_is_deterministic(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out1 = tmp_path / "ns1/out1"  # missing directories get created
@@ -164,6 +173,13 @@ def test_stage_exit_codes(tmp_path):
     code = main(["test", "--config", str(cfg_bad_set),
                  "--out", str(tmp_path / "s")])
     assert code == 5
+    # map stage from `buqo map`: a tolerance no solve can meet, refused
+    # before iterating
+    cfg_bad_tol = write_cfg(tmp_path, name="t.cfg", **{**base, "map.tol": 0})
+    code = main(["map", "--config", str(cfg_bad_tol),
+                 "--out", str(tmp_path / "t")])
+    assert code == 3
+    assert not (tmp_path / "t").exists()
     # engine stage: an inner iteration limit that cannot project
     cfg_bad_engine = write_cfg(tmp_path, name="e.cfg",
                                **{**base, "inner.max.iters": 0})

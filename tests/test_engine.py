@@ -100,6 +100,19 @@ def test_pocs_requires_start_when_no_surrogate():
         run_pocs(a, b, x0=np.zeros(2))
 
 
+@pytest.mark.parametrize("run", [run_pocs, run_fb_distance])
+@pytest.mark.parametrize("limits", [
+    {"max_iters": 0}, {"max_iters": -1},
+    {"tol": 0.0}, {"tol": -1e-5}, {"tol": float("nan")},
+])
+def test_outer_loops_reject_bad_limits(run, limits):
+    # a zero budget would return a None or an unprojected point
+    a = Ball([0.0, 0.0], 1.0)
+    b = Ball([3.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match=next(iter(limits))):
+        run(a, b, **limits)
+
+
 # ---------------------------------------------------------------------------
 # FB distance on analytic disks
 

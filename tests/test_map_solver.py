@@ -5,6 +5,8 @@ from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import LinearMap, db8_analysis, masked_dft, SamplingPattern
 from buqo.sim import add_noise, gaussian_random_pattern
 
+from oracles import map_iterations
+
 
 def identity_map(n):
     return LinearMap(n, n, lambda x: np.asarray(x, dtype=float).copy(),
@@ -113,6 +115,42 @@ def test_solve_map_operator_budget_per_iteration(iters):
     # set-up: Phi* y, then Psi x0 and Phi x0; the end: the best iterate's gap
     assert psi_calls == {"forward": iters + 1, "adjoint": iters}
     assert phi_calls == {"forward": iters + 2, "adjoint": iters + 1}
+
+
+@pytest.mark.parametrize("epsilon, tol, max_iters", [
+    (1e-3, 1e-12, 5), (1e-3, 1e-12, 40), (0.5, 1e-8, 20000)])
+def test_solve_map_matches_loop_oracle(epsilon, tol, max_iters):
+    rows = cols = 8
+    phi = full_dft(rows, cols)
+    truth, psi = sparse_truth(rows, cols, seed=5)
+    problem = MapProblem(phi, psi, phi.forward(truth) + 0.3, epsilon=epsilon)
+    x, diag = solve_map(problem, tol=tol, max_iters=max_iters)
+    xs, changes, objectives, gaps = map_iterations(problem, diag.iterations)
+    np.testing.assert_array_equal(diag.primal_residuals, changes)
+    np.testing.assert_array_equal(diag.objective_series, objectives)
+    if diag.converged:
+        assert diag.iterations < max_iters
+        np.testing.assert_array_equal(x, xs[-1])
+    else:
+        # the first feasible iterate of lowest objective, else the first
+        # one of smallest gap
+        feasible = [k for k, gap in enumerate(gaps) if gap <= 1e-6 * epsilon]
+        best = (min(feasible, key=objectives.__getitem__) if feasible
+                else int(np.argmin(gaps)))
+        np.testing.assert_array_equal(x, xs[best])
+
+
+@pytest.mark.parametrize("limits", [
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+    {"max_iters": 0}, {"max_iters": -5},
+])
+def test_solve_map_rejects_bad_limits(limits):
+    rows = cols = 8
+    phi = full_dft(rows, cols)
+    truth, psi = sparse_truth(rows, cols, seed=5)
+    problem = MapProblem(phi, psi, phi.forward(truth), epsilon=1e-3)
+    with pytest.raises(ValueError, match=next(iter(limits))):
+        solve_map(problem, **limits)
 
 
 def test_solve_map_deterministic():

@@ -178,6 +178,20 @@ def test_localized_convexity_witness():
         assert sset.residual(t * u + (1 - t) * v) <= 1e-8
 
 
+def test_structure_projector_warm_start_reuses_duals():
+    sset, x_map, _ = small_localized_set(seed=28)
+    rng = np.random.default_rng(4)
+    z = x_map + rng.standard_normal(16) * 2.0
+    proj = sset.projector(tol=1e-10, max_iters=100000)
+    proj(z)
+    cold_total = proj.inner_iterations
+    second = proj(z + 1e-3 * rng.standard_normal(16))
+    warm_iters = proj.inner_iterations - cold_total
+    assert warm_iters < cold_total
+    assert proj.converged
+    assert sset.residual(second) <= 1e-6
+
+
 def test_project_background_idempotent_on_member():
     rng = np.random.default_rng(4)
     x = np.abs(rng.standard_normal(64 * 64)) * 1e-5
