@@ -63,8 +63,6 @@ def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
         grad = None if anchor is None else u - anchor
         for b, v in zip(blocks, duals):
             adj = b.op.adjoint(v)
-            if b.op.complex_output:
-                adj = np.real(adj)
             grad = adj if grad is None else grad + adj
         u_new = project_box(u - sigma * grad, box)
         bar = 2.0 * u_new - u

@@ -173,17 +173,19 @@ class _AtomicWriter:
 def cmd_simulate(cfg: RunConfig) -> int:
     """Emit phantom, sampling pattern, noisy measurements and a manifest."""
     seeds = np.random.SeedSequence([cfg.seed]).generate_state(2)
+    # bad grid sizes, ratios and noise levels are config errors, reported
+    # before the output directory exists
     try:
         pattern = sampling_pattern(cfg.pattern_kind, cfg.rows, cfg.cols,
                                    cfg.ratio, int(seeds[0]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    writer = _AtomicWriter(Path(cfg.out))
-    try:
         truth = make_phantom(cfg.phantom, cfg.rows, cfg.cols, cfg.seed)
         phi = masked_dft(pattern)
         variance, epsilon = sample_noise(cfg.sigma2, pattern.rows * pattern.cols,
                                          phi.out_dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    writer = _AtomicWriter(Path(cfg.out))
+    try:
         y = add_noise(phi.forward(truth), variance, int(seeds[1]))
 
         bio.write_image(writer.path("phantom.img"), truth, cfg.rows, cfg.cols)

@@ -93,7 +93,7 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     ]
     gap_tol = 1e-6 * eps
 
-    x = project_box(np.real(phi.adjoint(y)), box)
+    x = project_box(phi.adjoint(y), box)
     # x_new = (bar + x) / 2, so Psi x and Phi x follow by linearity
     psi_x = psi.forward(x)
     phi_x = phi.forward(x)

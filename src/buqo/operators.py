@@ -39,9 +39,12 @@ class LinearMap:
 
     ``forward`` maps vectors of length ``in_dim`` to vectors of length
     ``out_dim``; ``adjoint`` maps the other way and satisfies
-    <A u, v> = <u, A* v> (complex inner product where applicable).
-    ``norm_bound`` is an upper bound on the spectral norm, used by the
-    solvers' step-size conditions.
+    <A u, v> = <u, A* v> (complex inner product where applicable). The
+    Fourier operators take real images to complex data
+    (``complex_output`` without ``complex_input``); on R^N x C^M the
+    identity is Re<A u, v> = <u, A* v>, so their adjoint returns a real
+    image. ``norm_bound`` is an upper bound on the spectral norm, used by
+    the solvers' step-size conditions.
     """
 
     in_dim: int
@@ -144,7 +147,10 @@ def dot_test(op: LinearMap, n_probes: int = 20, seed: int = 0) -> float:
     """Maximum relative adjoint defect over random probes.
 
     Returns max over probes of |<A u, v> - <u, A* v>| divided by
-    (|A u||v| + |u||A* v|).
+    (|A u||v| + |u||A* v|). For an operator on real inputs
+    (``complex_input`` False) with complex outputs, the adjoint is taken
+    on R^N x C^M, where the inner product of the data space is the real
+    part of the complex one, so Re<A u, v> is compared with <u, A* v>.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -158,6 +164,8 @@ def dot_test(op: LinearMap, n_probes: int = 20, seed: int = 0) -> float:
         au = op.forward(u)
         atv = op.adjoint(v)
         lhs = np.vdot(v, au)
+        if not op.complex_input:
+            lhs = lhs.real
         rhs = np.vdot(atv, u)
         scale = (
             np.linalg.norm(au) * np.linalg.norm(v)
@@ -212,40 +220,72 @@ def attach_norm_bound(op: LinearMap, tol: float = 1e-9,
 
 
 def masked_dft(pattern: SamplingPattern) -> LinearMap:
-    """Unitary 2-D DFT restricted to the selected frequencies.
+    """Unitary 2-D DFT of a real image, restricted to the selected frequencies.
 
-    The forward map takes a flat image (real or complex), applies the
-    orthonormal FFT and keeps the selected bins; the adjoint zero-fills
-    and applies the orthonormal inverse FFT. The spectral norm is at
-    most 1 (restriction of a unitary map).
+    Maps flat real images to complex measurements. The forward map applies
+    the orthonormal real FFT and gathers the selected bins from the half
+    spectrum (columns kx <= cols // 2); a bin k outside it is read as
+    conj(half[-k]), by the Hermitian symmetry of a real image's spectrum.
+    A complex image raises TypeError. The adjoint, on R^N x C^M with the
+    inner product Re<u, v>, is the real image Re(F* M* y): it folds y into
+    the half spectrum as 0.5 * (y_k + conj(y_-k)) and applies the inverse
+    real FFT. The spectral norm is at most 1 (restriction of a unitary map).
     """
     if pattern.n_selected == 0:
         raise ValueError("sampling pattern is empty")
-    rows, cols = pattern.rows, pattern.cols
-    n = rows * cols
-    idx = pattern.indices
+    rows, cols, m = pattern.rows, pattern.cols, pattern.n_selected
+    half_cols = cols // 2 + 1
+    ky, kx = np.divmod(pattern.indices, cols)
+    neg_ky, neg_kx = -ky % rows, -kx % cols
+    # each bin k or its mirror -k (or both) lies in the stored half
+    stored = kx < half_cols
+    gather = np.where(stored, ky * half_cols + kx, neg_ky * half_cols + neg_kx)
+    imag_sign = np.where(stored, 1.0, -1.0)
+    # half-spectrum slot j of the fold takes y at fold_direct[j] (bin j
+    # selected) and conj(y) at fold_mirror[j] (bin -j selected); index m
+    # reads a zero appended to y
+    fold_direct = np.full(rows * half_cols, m)
+    fold_direct[gather[stored]] = np.flatnonzero(stored)
+    mirror = np.flatnonzero(neg_kx < half_cols)
+    fold_mirror = np.full(rows * half_cols, m)
+    fold_mirror[neg_ky[mirror] * half_cols + neg_kx[mirror]] = mirror
 
+    # rfft2 and irfft2 written as their two 1-D passes, so that the
+    # complex pass runs in place on the half spectrum
     def forward(x):
-        spec = np.fft.fft2(np.asarray(x).reshape(rows, cols), norm="ortho")
-        return spec.ravel()[idx]
+        half = np.fft.rfft(np.asarray(x).reshape(rows, cols), axis=1,
+                           norm="ortho")
+        np.fft.fft(half, axis=0, norm="ortho", out=half)
+        out = half.ravel()[gather]
+        out.imag *= imag_sign
+        return out
 
     def adjoint(y):
-        spec = np.zeros(n, dtype=complex)
-        spec[idx] = y
-        return np.fft.ifft2(spec.reshape(rows, cols), norm="ortho").ravel()
+        padded = np.empty(m + 1, dtype=complex)
+        np.multiply(y, 0.5, out=padded[:m])
+        padded[m] = 0.0
+        half = padded[fold_mirror]
+        np.conjugate(half, out=half)
+        half += padded[fold_direct]
+        half = half.reshape(rows, half_cols)
+        np.fft.ifft(half, axis=0, norm="ortho", out=half)
+        return np.fft.irfft(half, n=cols, axis=1, norm="ortho").ravel()
 
-    return LinearMap(n, idx.size, forward, adjoint, norm_bound=1.0,
-                     complex_input=True, complex_output=True)
+    return LinearMap(rows * cols, m, forward, adjoint, norm_bound=1.0,
+                     complex_output=True)
 
 
 def multicoil_map(patterns: Sequence[SamplingPattern],
                   sensitivities: Sequence[np.ndarray]) -> LinearMap:
-    """Stacked per-coil masked DFTs of sensitivity-weighted images.
+    """Stacked per-coil masked DFTs of sensitivity-weighted real images.
 
     Coil c measures the masked spectrum of ``sens_c * x``; the outputs
-    are concatenated. The adjoint sums the conjugate-sensitivity-weighted
-    coil adjoints. With sensitivities normalized so that the pointwise
-    sum of |sens_c|^2 is 1, the spectral norm is at most 1.
+    are concatenated. Since x is real, ``sens_c * x`` splits into the
+    real images Re(sens_c) x and Im(sens_c) x, each measured by
+    :func:`masked_dft`, so the map takes real images to complex data and
+    its adjoint, the sum over coils of Re(conj(sens_c) F* M_c* y_c), is
+    real. With sensitivities normalized so that the pointwise sum of
+    |sens_c|^2 is 1, the spectral norm is at most 1.
     """
     if len(patterns) != len(sensitivities):
         raise ValueError("need one sensitivity profile per coil")
@@ -261,8 +301,12 @@ def multicoil_map(patterns: Sequence[SamplingPattern],
     for p in patterns:
         if (p.rows, p.cols) != (rows, cols):
             raise ValueError("all coil patterns must share one grid")
-    coils = [masked_dft(p) for p in patterns]
-    offsets = np.cumsum([0] + [c.out_dim for c in coils])
+    # (dft, [(weight, phase)]): coil c's data is sum of phase * dft(weight * x);
+    # an all-zero part (the imaginary one of a real profile) is left out
+    coils = [(masked_dft(p), [(w, phase) for w, phase in
+                              ((s.real, 1.0), (s.imag, 1j)) if np.any(w)])
+             for p, s in zip(patterns, sens)]
+    offsets = np.cumsum([0] + [op.out_dim for op, _ in coils])
     n = rows * cols
     m_total = int(offsets[-1])
     # ||A x||^2 <= max_i sum_c |s_c,i|^2 * ||x||^2
@@ -270,20 +314,22 @@ def multicoil_map(patterns: Sequence[SamplingPattern],
 
     def forward(x):
         x = np.asarray(x).ravel()
-        out = np.empty(m_total, dtype=complex)
-        for c, (op, s) in enumerate(zip(coils, sens)):
-            out[offsets[c]:offsets[c + 1]] = op.forward(s * x)
+        out = np.zeros(m_total, dtype=complex)
+        for (op, parts), lo, hi in zip(coils, offsets[:-1], offsets[1:]):
+            for w, phase in parts:
+                out[lo:hi] += phase * op.forward(w * x)
         return out
 
     def adjoint(y):
         y = np.asarray(y).ravel()
-        acc = np.zeros(n, dtype=complex)
-        for c, (op, s) in enumerate(zip(coils, sens)):
-            acc += np.conj(s) * op.adjoint(y[offsets[c]:offsets[c + 1]])
+        acc = np.zeros(n)
+        for (op, parts), lo, hi in zip(coils, offsets[:-1], offsets[1:]):
+            for w, phase in parts:
+                acc += w * op.adjoint(np.conj(phase) * y[lo:hi])
         return acc
 
     return LinearMap(n, m_total, forward, adjoint, norm_bound=bound,
-                     complex_input=True, complex_output=True)
+                     complex_output=True)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,12 @@ def cartesian_pattern(rows: int, cols: int, freq_factor: float = 1.0 / 1.3,
 
 def sampling_pattern(kind: str, rows: int, cols: int, ratio: float,
                      seed: int) -> SamplingPattern:
-    """Single-coil pattern of ``kind``, "gaussian" or "cartesian", at ``ratio``."""
+    """Single-coil pattern of ``kind``, "gaussian" or "cartesian", at ``ratio``.
+
+    Raises ValueError for an unknown kind or a ratio outside (0, 1].
+    """
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
     if kind == "gaussian":
         return gaussian_random_pattern(rows, cols, ratio, seed)
     if kind == "cartesian":

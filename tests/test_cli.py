@@ -62,7 +62,8 @@ def test_bad_alpha_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"pattern.kind": "spiral"}, {"pattern.kind": "multicoil"}, {"ratio": 1.5}])
+    {"pattern.kind": "spiral"}, {"pattern.kind": "multicoil"}, {"ratio": 1.5},
+    {"rows": 16}, {"sigma2": 0}, {"pattern.kind": "cartesian", "ratio": 0}])
 def test_bad_sampling_pattern_is_exit_2(tmp_path, overrides):
     cfg = write_cfg(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg),

@@ -149,6 +149,79 @@ def test_masked_dft_nonexpansive():
         assert np.linalg.norm(op.forward(x)) <= np.linalg.norm(x) + 1e-10
 
 
+def reference_pattern(kind, rows, cols, rng):
+    """Full, partial, DC/Nyquist-column or mirror-closed frequency set."""
+    n = rows * cols
+    ky, kx = np.divmod(np.arange(n), cols)
+    if kind == "full":
+        return full_pattern(rows, cols)
+    if kind == "partial":
+        return SamplingPattern(rows, cols, rng.choice(n, n // 3, replace=False))
+    if kind == "dc_nyquist":
+        # DC plus half the bins of column 0 and of column cols // 2 (the
+        # Nyquist column for even cols): both ends of the stored half
+        edge = np.flatnonzero((kx == 0) | (kx == cols // 2))
+        pick = rng.choice(edge, edge.size // 2, replace=False)
+        return SamplingPattern(rows, cols, np.append(pick, 0))
+    # random bins k together with their mirrors -k
+    pick = rng.choice(n, n // 4, replace=False)
+    mirror = (-ky[pick] % rows) * cols + (-kx[pick] % cols)
+    return SamplingPattern(rows, cols, np.concatenate([pick, mirror]))
+
+
+@pytest.mark.parametrize("rows, cols", [(8, 8), (7, 9), (16, 10), (9, 16)])
+@pytest.mark.parametrize("kind", ["full", "partial", "dc_nyquist", "mirrored"])
+def test_masked_dft_matches_complex_fft_reference(rows, cols, kind):
+    rng = np.random.default_rng(rows * cols)
+    pattern = reference_pattern(kind, rows, cols, rng)
+    op = masked_dft(pattern)
+    m = pattern.n_selected
+    x = rng.standard_normal(rows * cols)
+    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    expected = np.fft.fft2(x.reshape(rows, cols), norm="ortho").ravel()[pattern.indices]
+    np.testing.assert_allclose(op.forward(x), expected, rtol=0, atol=1e-12)
+    zero_filled = np.zeros(rows * cols, dtype=complex)
+    zero_filled[pattern.indices] = y
+    expected = np.real(np.fft.ifft2(zero_filled.reshape(rows, cols), norm="ortho"))
+    back = op.adjoint(y)
+    assert back.dtype == np.float64
+    np.testing.assert_allclose(back, expected.ravel(), rtol=0, atol=1e-12)
+    with pytest.raises(TypeError):
+        op.forward(x + 1j * x)
+
+
+def folded_adjoint(pattern, conj):
+    """Real adjoint of the masked DFT, folding y into the half spectrum."""
+    rows, cols = pattern.rows, pattern.cols
+    half_cols = cols // 2 + 1
+    ky, kx = np.divmod(pattern.indices, cols)
+    direct = kx < half_cols
+    mirror = -kx % cols < half_cols
+    assert mirror.any() and not mirror.all()
+
+    def adjoint(y):
+        half = np.zeros((rows, half_cols), dtype=complex)
+        half[ky[direct], kx[direct]] = 0.5 * y[direct]
+        folded = np.conj(y[mirror]) if conj else y[mirror]
+        half[-ky[mirror] % rows, -kx[mirror] % cols] += 0.5 * folded
+        return np.fft.irfft2(half, s=(rows, cols), norm="ortho").ravel()
+
+    return adjoint
+
+
+@pytest.mark.parametrize("conj", [True, False])
+def test_dot_test_on_real_images_catches_a_missing_conj(conj):
+    pattern = gaussian_random_pattern(8, 8, 0.5, seed=11)
+    op = masked_dft(pattern)
+    folded = LinearMap(op.in_dim, op.out_dim, op.forward,
+                       folded_adjoint(pattern, conj), complex_output=True)
+    defect = dot_test(folded, n_probes=20, seed=5)
+    if conj:
+        assert defect < 1e-10
+    else:
+        assert defect > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # multicoil
 
@@ -175,6 +248,29 @@ def test_multicoil_dot_test_four_coils():
     patterns = [gaussian_random_pattern(8, 8, 0.4, seed=s) for s in range(4)]
     op = multicoil_map(patterns, coil_sensitivities(8, 8, 4))
     assert dot_test(op, n_probes=20, seed=9) < 1e-10
+
+
+def test_multicoil_complex_sensitivities_match_fft_reference():
+    rng = np.random.default_rng(21)
+    patterns = [gaussian_random_pattern(8, 8, 0.5, seed=s) for s in range(2)]
+    sens = [rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
+            1j * rng.standard_normal((8, 8))]
+    op = multicoil_map(patterns, sens)
+    x = rng.standard_normal(64)
+    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+    expected_fwd, expected_adj, start = [], np.zeros(64), 0
+    for p, s in zip(patterns, sens):
+        spec = np.fft.fft2(s * x.reshape(8, 8), norm="ortho")
+        expected_fwd.append(spec.ravel()[p.indices])
+        zero_filled = np.zeros(64, dtype=complex)
+        zero_filled[p.indices] = y[start:start + p.n_selected]
+        start += p.n_selected
+        back = np.conj(s) * np.fft.ifft2(zero_filled.reshape(8, 8), norm="ortho")
+        expected_adj += np.real(back).ravel()
+    np.testing.assert_allclose(op.forward(x), np.concatenate(expected_fwd),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.adjoint(y), expected_adj, rtol=0, atol=1e-12)
+    assert dot_test(op, n_probes=20, seed=4) < 1e-10
 
 
 def test_multicoil_dimension_mismatch():
