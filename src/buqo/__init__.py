@@ -15,6 +15,7 @@ from .credible_region import (
 )
 from .engine import (
     BuqoError,
+    SolverSettings,
     TestOutcome,
     compute_rho,
     decide,

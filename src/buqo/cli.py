@@ -3,20 +3,22 @@
 Configuration comes from a flat dotted-key text file plus overriding
 flags; every command is deterministic given identical inputs and seed.
 Exit codes: 0 success, 2 config error, 3 MAP stage, 4 region stage,
-5 set stage, 6 engine stage.
+5 set stage, 6 engine stage. Inputs are checked before anything is
+written (a bad solver setting exits with its stage's code, 3 or 6).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import io as bio
-from .engine import BuqoError, run_buqo
+from .engine import BuqoError, SolverSettings, run_buqo
 from .map_solver import MapProblem, solve_map
 from .operators import db8_analysis, masked_dft
 from .sim import (
@@ -36,8 +38,8 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    """Typed view of the flat config file plus command-line overrides."""
+class RunConfig(SolverSettings):
+    """Typed view of the config file plus flag overrides, checked when built."""
 
     command: str = ""
     out: str = "."
@@ -60,48 +62,38 @@ class RunConfig:
     structure_file: str = ""
     outcome_file: str = ""
     epsilon: float = 0.0
-    map_tol: float = 1e-6
-    map_max_iters: int = 20000
-    outer_tol: float = 1e-5
-    outer_max_iters: int = 2000
-    inner_tol: float = 1e-8
-    inner_max_iters: int = 5000
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 < self.alpha < 1.0):
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.mode not in ("pocs", "fb"):
+            raise ConfigError(f"mode must be 'pocs' or 'fb', got {self.mode!r}")
 
 
-_INT_KEYS = {"seed", "rows", "cols", "levels", "map_max_iters",
-             "outer_max_iters", "inner_max_iters"}
-_FLOAT_KEYS = {"alpha", "eta", "ratio", "sigma2", "epsilon", "map_tol",
-               "outer_tol", "inner_tol"}
-_TUPLE_FLOAT_KEYS = {"grid_ratios", "grid_variances"}
-_TUPLE_STR_KEYS = {"structures"}
-
-
-def _coerce(key: str, raw):
-    if isinstance(raw, str):
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _TUPLE_FLOAT_KEYS:
-            return tuple(float(v) for v in raw.split(",") if v)
-        if key in _TUPLE_STR_KEYS:
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
-    return raw
+def _coerce(default, raw):
+    """Parse a config-file string as the type of the field's default."""
+    if not isinstance(raw, str):
+        return raw
+    if isinstance(default, tuple):
+        item = type(default[0]) if default else str
+        return tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+    return type(default)(raw)
 
 
 def config_from_dict(values: dict) -> RunConfig:
-    """Build a RunConfig from flat dotted keys (dots map to underscores)."""
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    """Build a validated RunConfig from flat keys (dots map to underscores)."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    kwargs = {}
     for key, raw in values.items():
         name = key.replace(".", "_")
-        if name not in known:
+        if name not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            setattr(cfg, name, _coerce(name, raw))
-        except (TypeError, ValueError) as exc:
+            kwargs[name] = _coerce(defaults[name], raw)
+        except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    return cfg
+    return RunConfig(**kwargs)
 
 
 def config_to_dict(cfg: RunConfig, volatile: bool = True) -> dict:
@@ -124,25 +116,24 @@ def config_to_dict(cfg: RunConfig, volatile: bool = True) -> dict:
     return out
 
 
+@contextmanager
+def _config_errors():
+    """Turn the ValueError of unparseable or inconsistent input into ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config(args) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        try:
-            values = bio.read_config(args.config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        values = {k.replace(".", "_"): v for k, v in values.items()}
-    cfg = config_from_dict(values)
+    """The config file overridden by the flags, as one validated RunConfig."""
+    with _config_errors():
+        values = bio.read_config(args.config) if args.config else {}
     for flag in ("seed", "alpha", "eta", "mode", "out"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, flag, value)
-    cfg.command = args.command
-    if not (0.0 < cfg.alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1), got {cfg.alpha}")
-    if cfg.mode not in ("pocs", "fb"):
-        raise ConfigError(f"mode must be 'pocs' or 'fb', got {cfg.mode!r}")
-    return cfg
+        if getattr(args, flag, None) is not None:
+            values[flag] = getattr(args, flag)
+    values["command"] = args.command
+    return config_from_dict(values)
 
 
 class _AtomicWriter:
@@ -175,15 +166,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     seeds = np.random.SeedSequence([cfg.seed]).generate_state(2)
     # bad grid sizes, ratios and noise levels are config errors, reported
     # before the output directory exists
-    try:
+    with _config_errors():
         pattern = sampling_pattern(cfg.pattern_kind, cfg.rows, cfg.cols,
                                    cfg.ratio, int(seeds[0]))
         truth = make_phantom(cfg.phantom, cfg.rows, cfg.cols, cfg.seed)
         phi = masked_dft(pattern)
         variance, epsilon = sample_noise(cfg.sigma2, pattern.rows * pattern.cols,
                                          phi.out_dim)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     writer = _AtomicWriter(Path(cfg.out))
     try:
         y = add_noise(phi.forward(truth), variance, int(seeds[1]))
@@ -207,25 +196,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def _load_problem(cfg: RunConfig) -> tuple[MapProblem, int, int]:
     if not cfg.measurements or not cfg.pattern_file:
         raise ConfigError("map/test need 'measurements' and 'pattern.file' paths")
-    y = bio.read_measurements(cfg.measurements)
-    pattern = bio.read_pattern(cfg.pattern_file)
-    phi = masked_dft(pattern)
-    epsilon = cfg.epsilon
-    if epsilon <= 0.0:
-        _, epsilon = sample_noise(cfg.sigma2, pattern.rows * pattern.cols,
-                                  phi.out_dim)
-    psi = db8_analysis(pattern.rows, pattern.cols, cfg.levels)
-    return MapProblem(phi, psi, y, epsilon), pattern.rows, pattern.cols
+    # measurements that do not fit the pattern are a config error too
+    with _config_errors():
+        y = bio.read_measurements(cfg.measurements)
+        pattern = bio.read_pattern(cfg.pattern_file)
+        phi = masked_dft(pattern)
+        epsilon = cfg.epsilon
+        if epsilon <= 0.0:
+            _, epsilon = sample_noise(cfg.sigma2, pattern.rows * pattern.cols,
+                                      phi.out_dim)
+        psi = db8_analysis(pattern.rows, pattern.cols, cfg.levels)
+        return MapProblem(phi, psi, y, epsilon), pattern.rows, pattern.cols
 
 
 def cmd_map(cfg: RunConfig) -> int:
     """Compute and write the MAP estimate for stored measurements."""
     problem, rows, cols = _load_problem(cfg)
-    try:
-        x_map, diag = solve_map(problem, tol=cfg.map_tol,
-                                max_iters=cfg.map_max_iters)
-    except ValueError as exc:
-        raise BuqoError("map", str(exc)) from exc
+    x_map, diag = solve_map(problem, tol=cfg.map_tol, max_iters=cfg.map_max_iters)
     if not diag.converged:
         raise BuqoError("map", f"no convergence in {diag.iterations} iterations")
     writer = _AtomicWriter(Path(cfg.out))
@@ -250,14 +237,10 @@ def cmd_test(cfg: RunConfig) -> int:
     if not cfg.structure_file:
         raise ConfigError("test needs a 'structure.file' path")
     problem, rows, cols = _load_problem(cfg)
-    structure = bio.read_structure_spec(cfg.structure_file)
-    outcome = run_buqo(
-        problem, structure, alpha=cfg.alpha, mode=cfg.mode, eta=cfg.eta,
-        rows=rows, cols=cols, map_tol=cfg.map_tol,
-        map_max_iters=cfg.map_max_iters, outer_tol=cfg.outer_tol,
-        outer_max_iters=cfg.outer_max_iters, inner_tol=cfg.inner_tol,
-        inner_max_iters=cfg.inner_max_iters,
-    )
+    with _config_errors():
+        structure = bio.read_structure_spec(cfg.structure_file)
+    outcome = run_buqo(problem, structure, alpha=cfg.alpha, mode=cfg.mode,
+                       eta=cfg.eta, rows=rows, cols=cols, **cfg.limits())
     writer = _AtomicWriter(Path(cfg.out))
     try:
         bio.write_image(writer.path("x_region.img"), outcome.x_region, rows, cols)
@@ -275,18 +258,16 @@ def cmd_grid(cfg: RunConfig) -> int:
     """Run the sampling-ratio x noise-variance grid and write the table."""
     if not cfg.structures:
         raise ConfigError("grid needs a 'structures' list of spec files")
-    structures = [bio.read_structure_spec(p) for p in cfg.structures]
-    spec = ExperimentSpec(
-        rows=cfg.rows, cols=cfg.cols, phantom=cfg.phantom,
-        pattern_kind=cfg.pattern_kind, sampling_ratios=cfg.grid_ratios,
-        noise_variances=cfg.grid_variances, structures=structures,
-        alpha=cfg.alpha, eta=cfg.eta, mode=cfg.mode, seed=cfg.seed,
-        wavelet_levels=cfg.levels, map_tol=cfg.map_tol,
-        map_max_iters=cfg.map_max_iters, outer_tol=cfg.outer_tol,
-        outer_max_iters=cfg.outer_max_iters, inner_tol=cfg.inner_tol,
-        inner_max_iters=cfg.inner_max_iters,
-    )
-    report = run_grid(spec)
+    # bad grid axes and phantom sizes raise before any cell runs (run_grid
+    # records cell failures), so before the output directory exists
+    with _config_errors():
+        structures = [bio.read_structure_spec(p) for p in cfg.structures]
+        report = run_grid(ExperimentSpec(
+            rows=cfg.rows, cols=cfg.cols, phantom=cfg.phantom,
+            pattern_kind=cfg.pattern_kind, sampling_ratios=cfg.grid_ratios,
+            noise_variances=cfg.grid_variances, structures=structures,
+            alpha=cfg.alpha, eta=cfg.eta, mode=cfg.mode, seed=cfg.seed,
+            wavelet_levels=cfg.levels, **cfg.limits()))
     writer = _AtomicWriter(Path(cfg.out))
     try:
         with open(writer.path("grid_table.tsv"), "w", encoding="ascii") as fh:
@@ -318,7 +299,8 @@ def cmd_report(cfg: RunConfig) -> int:
     """Render a stored outcome file and re-emit its normalized form."""
     if not cfg.outcome_file:
         raise ConfigError("report needs an 'outcome.file' path")
-    values = bio.read_outcome(cfg.outcome_file)
+    with _config_errors():
+        values = bio.read_outcome(cfg.outcome_file)
     rho = values["rho_alpha"]
     print(f"decision: {values['decision']}")
     print(f"rho_alpha = {100.0 * rho:.2f}% (eta = {100.0 * values['eta']:.2f}%)")
@@ -355,11 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     handlers = {
         "simulate": cmd_simulate,
         "map": cmd_map,
@@ -368,6 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         "report": cmd_report,
     }
     try:
+        cfg = load_config(args)
         return handlers[cfg.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

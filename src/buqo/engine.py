@@ -8,7 +8,7 @@ distance is then compared against the decision threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .structure_sets import StructureSet, build_background_set, build_localized_
 __all__ = [
     "TestOutcome",
     "BuqoError",
+    "SolverSettings",
     "run_pocs",
     "run_fb_distance",
     "compute_rho",
@@ -43,6 +44,37 @@ class BuqoError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+@dataclass
+class SolverSettings:
+    """Tolerance and iteration limit of the MAP, outer and inner solvers.
+
+    A tolerance <= 0 (or NaN) or an iteration limit < 1 raises
+    :class:`BuqoError` with stage "map" for the ``map_*`` fields and
+    "engine" for the others, naming the field.
+    """
+
+    map_tol: float = 1e-6
+    map_max_iters: int = 20000
+    outer_tol: float = 1e-5
+    outer_max_iters: int = 2000
+    inner_tol: float = 1e-8
+    inner_max_iters: int = 5000
+
+    def __post_init__(self):
+        for prefix in ("map", "outer", "inner"):
+            try:
+                check_limits(getattr(self, f"{prefix}_tol"),
+                             getattr(self, f"{prefix}_max_iters"))
+            except ValueError as exc:
+                # "tol must ..." / "max_iters must ..." gain the field prefix
+                stage = "map" if prefix == "map" else "engine"
+                raise BuqoError(stage, f"{prefix}_{exc}") from None
+
+    def limits(self) -> dict:
+        """The six settings as keyword arguments, e.g. for :func:`run_buqo`."""
+        return {f.name: getattr(self, f.name) for f in fields(SolverSettings)}
 
 
 @dataclass
@@ -75,9 +107,10 @@ def _rel_below(numerator: float, denominator: float, tol: float) -> bool:
     return numerator < tol * denominator or numerator == 0.0
 
 
-def run_pocs(region, sset, x0: np.ndarray | None = None, tol: float = 1e-5,
-             max_iters: int = 2000, inner_tol: float = 1e-8,
-             inner_max_iters: int = 5000):
+def run_pocs(region, sset, x0: np.ndarray | None = None,
+             tol=SolverSettings.outer_tol, max_iters=SolverSettings.outer_max_iters,
+             inner_tol=SolverSettings.inner_tol,
+             inner_max_iters=SolverSettings.inner_max_iters):
     """Alternate projections between the region and the structure set.
 
     Starts from a point of the structure set (the surrogate by default)
@@ -126,9 +159,11 @@ def run_pocs(region, sset, x0: np.ndarray | None = None, tol: float = 1e-5,
     return half_prev, x, it, stop, np.asarray(deltas)
 
 
-def run_fb_distance(region, sset, gamma: float = 0.5, tol: float = 1e-5,
-                    max_iters: int = 2000, inner_tol: float = 1e-8,
-                    inner_max_iters: int = 5000,
+def run_fb_distance(region, sset, gamma: float = 0.5,
+                    tol=SolverSettings.outer_tol,
+                    max_iters=SolverSettings.outer_max_iters,
+                    inner_tol=SolverSettings.inner_tol,
+                    inner_max_iters=SolverSettings.inner_max_iters,
                     x0_region: np.ndarray | None = None,
                     x0_set: np.ndarray | None = None):
     """Forward-backward iteration on the squared distance between the sets.
@@ -241,11 +276,8 @@ def _build_structure(problem: MapProblem, x_map: np.ndarray, spec,
 def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
              mode: str = "pocs", eta: float = 0.03,
              rows: int | None = None, cols: int | None = None,
-             map_tol: float = 1e-6, map_max_iters: int = 20000,
-             outer_tol: float = 1e-5, outer_max_iters: int = 2000,
-             inner_tol: float = 1e-8, inner_max_iters: int = 5000,
-             gamma: float = 0.5,
-             x_map: np.ndarray | None = None) -> TestOutcome:
+             gamma: float = 0.5, x_map: np.ndarray | None = None,
+             **limits) -> TestOutcome:
     """Full uncertainty-quantification pipeline for one structure.
 
     Runs the four stages (MAP estimate, credible region, structure set,
@@ -253,24 +285,18 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
     pair. ``structure`` may be a StructureSet, a PixelMask (treated as a
     localized structure) or a parsed structure spec. A precomputed MAP
     estimate can be passed to skip the first stage. Stage failures are
-    re-raised as :class:`BuqoError` with the stage label; so are
-    tolerances <= 0 and iteration limits < 1, before any solve starts
-    ("map" for the ``map_*`` settings, "engine" for the others).
+    re-raised as :class:`BuqoError` with the stage label. ``limits``
+    are the :class:`SolverSettings` fields (defaults for those left
+    out), checked before any solve starts.
     """
     if mode not in ("pocs", "fb"):
         raise BuqoError("engine", f"unknown mode {mode!r}")
-    for name, value in (("map_tol", map_tol), ("map_max_iters", map_max_iters),
-                        ("outer_tol", outer_tol), ("outer_max_iters", outer_max_iters),
-                        ("inner_tol", inner_tol), ("inner_max_iters", inner_max_iters)):
-        stage = "map" if name.startswith("map") else "engine"
-        if name.endswith("_tol") and not value > 0:
-            raise BuqoError(stage, f"{name} must be positive, got {value!r}")
-        if name.endswith("_iters") and not value >= 1:
-            raise BuqoError(stage, f"{name} must be at least 1, got {value!r}")
+    settings = SolverSettings(**limits)
 
     try:
         if x_map is None:
-            x_map, diag = solve_map(problem, tol=map_tol, max_iters=map_max_iters)
+            x_map, diag = solve_map(problem, tol=settings.map_tol,
+                                    max_iters=settings.map_max_iters)
             if not diag.converged:
                 raise ValueError(
                     f"MAP solver did not converge in {diag.iterations} iterations "
@@ -298,15 +324,14 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
         raise BuqoError("set", str(exc)) from exc
 
     try:
+        outer = dict(tol=settings.outer_tol, max_iters=settings.outer_max_iters,
+                     inner_tol=settings.inner_tol,
+                     inner_max_iters=settings.inner_max_iters)
         if mode == "pocs":
-            x_region, x_set, iters, stop, deltas = run_pocs(
-                region, sset, tol=outer_tol, max_iters=outer_max_iters,
-                inner_tol=inner_tol, inner_max_iters=inner_max_iters)
+            x_region, x_set, iters, stop, deltas = run_pocs(region, sset, **outer)
         else:
             x_region, x_set, iters, stop, deltas = run_fb_distance(
-                region, sset, gamma=gamma, tol=outer_tol,
-                max_iters=outer_max_iters, inner_tol=inner_tol,
-                inner_max_iters=inner_max_iters)
+                region, sset, gamma=gamma, **outer)
         rho = compute_rho(x_region, x_set, x_map, sset.surrogate)
         decision, narrative = decide(rho, eta, alpha)
     except BuqoError:

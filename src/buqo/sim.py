@@ -15,7 +15,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .credible_region import compute_epsilon_bound
-from .engine import TestOutcome, run_buqo
+from .engine import SolverSettings, TestOutcome, run_buqo
 from .map_solver import MapProblem
 from .operators import SamplingPattern, db8_analysis, masked_dft, multicoil_map
 
@@ -282,13 +282,14 @@ def coil_sensitivities(rows: int, cols: int, n_coils: int = 4) -> list[np.ndarra
 
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(SolverSettings):
     """Grid-experiment description (all randomness flows from ``seed``).
 
     Each entry of ``noise_variances`` is the per-part noise variance at
     full sampling; the total noise energy is the same at every entry of
     ``sampling_ratios`` (see :func:`sample_noise`), so the two grid axes
-    vary sampling and input SNR independently.
+    vary sampling and input SNR independently. Bad grid axes raise
+    ValueError, bad solver settings BuqoError (see SolverSettings).
     """
 
     rows: int = 64
@@ -304,14 +305,9 @@ class ExperimentSpec:
     seed: int = 0
     wavelet_levels: int = 3
     n_coils: int = 4
-    map_tol: float = 1e-6
-    map_max_iters: int = 20000
-    outer_tol: float = 1e-5
-    outer_max_iters: int = 2000
-    inner_tol: float = 1e-8
-    inner_max_iters: int = 5000
 
     def __post_init__(self):
+        super().__post_init__()
         if any(not (0.0 < r <= 1.0) for r in self.sampling_ratios):
             raise ValueError("sampling ratios must lie in (0, 1]")
         if any(v <= 0 for v in self.noise_variances):
@@ -416,12 +412,7 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
                     outcome = run_buqo(
                         problem, structure, alpha=spec.alpha, mode=spec.mode,
                         eta=spec.eta, rows=spec.rows, cols=spec.cols,
-                        map_tol=spec.map_tol, map_max_iters=spec.map_max_iters,
-                        outer_tol=spec.outer_tol,
-                        outer_max_iters=spec.outer_max_iters,
-                        inner_tol=spec.inner_tol,
-                        inner_max_iters=spec.inner_max_iters,
-                    )
+                        **spec.limits())
                     cells.append(GridCell(
                         ratio=ratio, sigma2=sigma2, structure=name,
                         rho_percent=100.0 * outcome.rho_alpha,

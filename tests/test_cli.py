@@ -41,7 +41,9 @@ def bright_mask_file(tmp_path):
 
 def test_config_round_trip_through_file(tmp_path):
     cfg = RunConfig(rows=48, alpha=0.05, grid_ratios=(0.5, 1.0),
-                    structures=("a.struct",))
+                    structures=("a.struct",), map_tol=2.5e-7,
+                    map_max_iters=12345, outer_tol=3e-6, outer_max_iters=77,
+                    inner_tol=1e-9, inner_max_iters=4321)
     path = tmp_path / "c.cfg"
     bio.write_config(path, config_to_dict(cfg))
     raw = {k.replace(".", "_"): v for k, v in bio.read_config(path).items()}
@@ -59,6 +61,14 @@ def test_unknown_config_key_is_exit_2(tmp_path):
 def test_bad_alpha_is_exit_2(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["simulate", "--config", str(cfg), "--alpha", "2.0"]) == 2
+
+
+def test_config_line_without_equals_is_exit_2(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("rows = 32\nno equals sign here\n")
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -187,6 +197,64 @@ def test_stage_exit_codes(tmp_path):
     code = main(["test", "--config", str(cfg_bad_engine),
                  "--out", str(tmp_path / "e")])
     assert code == 6
+    # `buqo grid` refuses the same settings before running any cell
+    for key, value, expected in (("map.tol", 0, 3), ("inner.max.iters", 0, 6)):
+        cfg_grid = write_cfg(tmp_path, name="g.cfg", structures=str(struct),
+                             **{key: value})
+        code = main(["grid", "--config", str(cfg_grid),
+                     "--out", str(tmp_path / "g")])
+        assert code == expected
+        assert not (tmp_path / "g").exists()
+
+
+def simulated(tmp_path, name, **overrides):
+    """Run ``buqo simulate`` on the default test config into ``tmp_path/name``."""
+    cfg = write_cfg(tmp_path, name=f"{name}.cfg", **overrides)
+    out = tmp_path / name
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def test_measurements_not_fitting_the_pattern_are_exit_2(tmp_path):
+    half = simulated(tmp_path, "half", ratio=0.5)
+    full = simulated(tmp_path, "full", ratio=1.0)
+    cfg = write_cfg(tmp_path, name="mix.cfg",
+                    measurements=str(half / "measurements.meas"),
+                    **{"pattern.file": str(full / "pattern.freq"),
+                       "structure.file": str(bright_mask_file(tmp_path))})
+    for command in ("map", "test"):
+        out = tmp_path / f"{command}_out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key", [
+    "measurements", "pattern.file", "structure.file", "outcome.file"])
+def test_unparseable_input_file_is_exit_2(tmp_path, key):
+    sim = simulated(tmp_path, "sim")
+    garbage = tmp_path / "garbage"
+    garbage.write_bytes(b"not a buqo file\n")
+    inputs = {"measurements": str(sim / "measurements.meas"),
+              "pattern.file": str(sim / "pattern.freq"),
+              "structure.file": str(bright_mask_file(tmp_path)),
+              "outcome.file": ""}
+    inputs[key] = str(garbage)
+    command = {"outcome.file": "report", "measurements": "map",
+               "pattern.file": "map", "structure.file": "test"}[key]
+    cfg = write_cfg(tmp_path, name="g.cfg", **inputs)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"grid.ratios": 1.5}, {"grid.variances": 0}, {"rows": 16}])
+def test_bad_grid_is_exit_2(tmp_path, overrides):
+    cfg = write_cfg(tmp_path, structures=str(bright_mask_file(tmp_path)),
+                    **overrides)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_missing_input_paths_exit_2(tmp_path):

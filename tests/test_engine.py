@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import buqo.engine
+from buqo.cli import RunConfig
 from buqo.credible_region import build_region
 from buqo.engine import (
     BuqoError,
+    SolverSettings,
     compute_rho,
     decide,
     run_buqo,
@@ -13,7 +15,7 @@ from buqo.engine import (
 )
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import PixelMask, SamplingPattern, db8_analysis, masked_dft
-from buqo.sim import add_noise
+from buqo.sim import ExperimentSpec, add_noise
 from buqo.structure_sets import build_localized_set
 
 from instances import small_localized_set, small_region
@@ -288,3 +290,9 @@ def test_run_buqo_rejects_bad_solver_settings_before_solving(
         run_buqo(problem, mask, **{name: value})
     assert err.value.stage == stage
     assert name in str(err.value)
+    # the settings, the grid spec and the CLI config refuse the same value
+    for cls in (SolverSettings, ExperimentSpec, RunConfig):
+        with pytest.raises(BuqoError) as err:
+            cls(**{name: value})
+        assert err.value.stage == stage
+        assert name in str(err.value)
