@@ -56,6 +56,8 @@ from .sim import (
     run_grid,
 )
 from .structure_sets import (
+    BackgroundSet,
+    LocalizedSet,
     StructureSet,
     background_mask,
     build_background_set,

@@ -137,7 +137,7 @@ def load_config(args) -> RunConfig:
 
 
 class _AtomicWriter:
-    """Stage files under temporary names; commit renames them all at once."""
+    """Files staged under temporary names, to be renamed into ``out_dir``."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -151,14 +151,24 @@ class _AtomicWriter:
         self.staged.append((tmp, final))
         return tmp
 
-    def commit(self) -> list[Path]:
-        for tmp, final in self.staged:
-            tmp.replace(final)
+    @property
+    def files(self) -> list[Path]:
         return [final for _, final in self.staged]
 
-    def abort(self) -> None:
-        for tmp, _ in self.staged:
+
+@contextmanager
+def _atomic_writer(out_dir):
+    """Stage files in ``out_dir``: all of them are renamed into place when
+    the block succeeds, and deleted when it raises."""
+    writer = _AtomicWriter(Path(out_dir))
+    try:
+        yield writer
+        for tmp, final in writer.staged:
+            tmp.replace(final)
+    except Exception:
+        for tmp, _ in writer.staged:
             tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -173,8 +183,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         phi = masked_dft(pattern)
         variance, epsilon = sample_noise(cfg.sigma2, pattern.rows * pattern.cols,
                                          phi.out_dim)
-    writer = _AtomicWriter(Path(cfg.out))
-    try:
+    with _atomic_writer(cfg.out) as writer:
         y = add_noise(phi.forward(truth), variance, int(seeds[1]))
 
         bio.write_image(writer.path("phantom.img"), truth, cfg.rows, cfg.cols)
@@ -184,12 +193,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         meta["epsilon"] = epsilon
         meta["n.measurements"] = phi.out_dim
         bio.write_config(writer.path("metadata.txt"), meta)
-        emitted = writer.commit()
-    except Exception:
-        writer.abort()
-        raise
-    bio.write_manifest(Path(cfg.out) / "manifest.txt", emitted, cfg.seed)
-    print(f"simulate: wrote {len(emitted) + 1} files to {cfg.out}")
+    bio.write_manifest(Path(cfg.out) / "manifest.txt", writer.files, cfg.seed)
+    print(f"simulate: wrote {len(writer.files) + 1} files to {cfg.out}")
     return 0
 
 
@@ -215,20 +220,15 @@ def cmd_map(cfg: RunConfig) -> int:
     x_map, diag = solve_map(problem, tol=cfg.map_tol, max_iters=cfg.map_max_iters)
     if not diag.converged:
         raise BuqoError("map", f"no convergence in {diag.iterations} iterations")
-    writer = _AtomicWriter(Path(cfg.out))
-    try:
+    with _atomic_writer(cfg.out) as writer:
         bio.write_image(writer.path("x_map.img"), x_map, rows, cols)
         bio.write_config(writer.path("map_diagnostics.txt"), {
             "iterations": diag.iterations,
             "feasibility.gap": diag.feasibility_gap,
             "objective": float(diag.objective_series[-1]),
         })
-        emitted = writer.commit()
-    except Exception:
-        writer.abort()
-        raise
     print(f"map: converged in {diag.iterations} iterations; "
-          f"wrote {len(emitted)} files to {cfg.out}")
+          f"wrote {len(writer.files)} files to {cfg.out}")
     return 0
 
 
@@ -241,15 +241,10 @@ def cmd_test(cfg: RunConfig) -> int:
         structure = bio.read_structure_spec(cfg.structure_file)
     outcome = run_buqo(problem, structure, alpha=cfg.alpha, mode=cfg.mode,
                        eta=cfg.eta, rows=rows, cols=cols, **cfg.limits())
-    writer = _AtomicWriter(Path(cfg.out))
-    try:
+    with _atomic_writer(cfg.out) as writer:
         bio.write_image(writer.path("x_region.img"), outcome.x_region, rows, cols)
         bio.write_image(writer.path("x_set.img"), outcome.x_set, rows, cols)
         bio.write_outcome(writer.path("outcome.txt"), outcome)
-        writer.commit()
-    except Exception:
-        writer.abort()
-        raise
     print(outcome.narrative)
     return 0
 
@@ -268,8 +263,7 @@ def cmd_grid(cfg: RunConfig) -> int:
             noise_variances=cfg.grid_variances, structures=structures,
             alpha=cfg.alpha, eta=cfg.eta, mode=cfg.mode, seed=cfg.seed,
             wavelet_levels=cfg.levels, **cfg.limits()))
-    writer = _AtomicWriter(Path(cfg.out))
-    try:
+    with _atomic_writer(cfg.out) as writer:
         with open(writer.path("grid_table.tsv"), "w", encoding="ascii") as fh:
             fh.write(report.table())
         for cell in report.cells:
@@ -280,14 +274,10 @@ def cmd_grid(cfg: RunConfig) -> int:
                             cell.outcome.x_region, cfg.rows, cfg.cols)
             bio.write_image(writer.path(f"cells/{tag}_set.img"),
                             cell.outcome.x_set, cfg.rows, cfg.cols)
-        emitted = writer.commit()
-    except Exception:
-        writer.abort()
-        raise
     # wall-clock log kept outside the deterministic byte-identity contract
     with open(Path(cfg.out) / "grid_timing.log", "w", encoding="ascii") as fh:
         fh.write(report.timing())
-    bio.write_manifest(Path(cfg.out) / "manifest.txt", emitted, cfg.seed)
+    bio.write_manifest(Path(cfg.out) / "manifest.txt", writer.files, cfg.seed)
     failures = [c for c in report.cells if c.error is not None]
     print(report.table(), end="")
     print(f"grid: {len(report.cells) - len(failures)} cells ok, "
@@ -306,16 +296,8 @@ def cmd_report(cfg: RunConfig) -> int:
     print(f"rho_alpha = {100.0 * rho:.2f}% (eta = {100.0 * values['eta']:.2f}%)")
     print(f"distance = {values['distance']:.6e} after {values['iterations']} "
           f"iterations ({values['stop_reason']})")
-    out = Path(cfg.out) / "report_outcome.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="ascii") as fh:
-        for key in ("rho_alpha", "distance"):
-            fh.write(f"{key} = {values[key]!r}\n")
-        fh.write(f"decision = {values['decision']}\n")
-        fh.write(f"alpha = {values['alpha']!r}\n")
-        fh.write(f"eta = {values['eta']!r}\n")
-        fh.write(f"iterations = {values['iterations']}\n")
-        fh.write(f"stop_reason = {values['stop_reason']}\n")
+    with _atomic_writer(cfg.out) as writer:
+        bio.write_outcome(writer.path("report_outcome.txt"), values)
     return 0
 
 

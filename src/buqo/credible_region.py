@@ -20,6 +20,7 @@ from .prox import (
     IntervalBox,
     L1Levelset,
     L2Ball,
+    box_violation,
     project_l1_levelset,
     project_l2_ball,
 )
@@ -92,10 +93,7 @@ class CredibleRegion:
         lower bound (the solvers keep it exactly zero).
         """
         x = np.asarray(x).ravel()
-        lo = np.asarray(self.constraint.lo)
-        hi = np.asarray(self.constraint.hi)
-        box = max(float(np.max(lo - x, initial=0.0)),
-                  float(np.max(x - hi, initial=0.0)))
+        box = box_violation(x, self.constraint)
         ball = np.linalg.norm(self.phi.forward(x) - self.data) - self.epsilon
         lev = self.lam * np.sum(np.abs(self.psi.forward(x))) - self.eta_tilde
         return max(box, float(ball) / self.epsilon,

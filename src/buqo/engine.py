@@ -16,8 +16,7 @@ import numpy as np
 from ._pd import check_limits
 from .credible_region import build_region
 from .map_solver import MapProblem, compute_lambda, solve_map
-from .operators import PixelMask
-from .structure_sets import StructureSet, build_background_set, build_localized_set
+from .structure_sets import build_structure_set
 
 __all__ = [
     "TestOutcome",
@@ -242,37 +241,6 @@ def decide(rho: float, eta: float, alpha: float) -> tuple[str, str]:
     )
 
 
-def _build_structure(problem: MapProblem, x_map: np.ndarray, spec,
-                     rows: int, cols: int) -> StructureSet:
-    if isinstance(spec, StructureSet):
-        return spec
-    if isinstance(spec, PixelMask):
-        return build_localized_set(x_map, spec)
-    # duck-typed structure spec (see buqo.io.StructureSpec)
-    kind = getattr(spec, "kind")
-    params = dict(getattr(spec, "params", {}) or {})
-    if kind == "localized":
-        mask = getattr(spec, "mask")
-        return build_localized_set(
-            x_map, mask,
-            kernel_sizes=params.get("kernel_sizes", (3, 7, 11)),
-            tau=params.get("tau"),
-            theta=params.get("theta"),
-        )
-    if kind == "background":
-        mask = getattr(spec, "mask", None)
-        if mask is not None and mask.n_selected == 0:
-            mask = None
-        return build_background_set(
-            x_map, rows, cols,
-            threshold_frac=params.get("threshold_frac", 1e-3),
-            dilation_radius=int(params.get("dilation_radius", 7)),
-            vartheta=params.get("vartheta", 1e-2),
-            mask=mask,
-        )
-    raise ValueError(f"unknown structure kind {kind!r}")
-
-
 def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
              mode: str = "pocs", eta: float = 0.03,
              rows: int | None = None, cols: int | None = None,
@@ -283,7 +251,8 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
     Runs the four stages (MAP estimate, credible region, structure set,
     feasibility loop) and returns the decision with the counter-example
     pair. ``structure`` may be a StructureSet, a PixelMask (treated as a
-    localized structure) or a parsed structure spec. A precomputed MAP
+    localized structure) or a parsed structure spec; see
+    :func:`~buqo.structure_sets.build_structure_set`. A precomputed MAP
     estimate can be passed to skip the first stage. Stage failures are
     re-raised as :class:`BuqoError` with the stage label. ``limits``
     are the :class:`SolverSettings` fields (defaults for those left
@@ -319,7 +288,7 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
             if side * side != problem.n_pixels:
                 raise ValueError("rows/cols required for non-square grids")
             rows = cols = side
-        sset = _build_structure(problem, x_map, structure, rows, cols)
+        sset = build_structure_set(x_map, structure, rows, cols)
     except Exception as exc:
         raise BuqoError("set", str(exc)) from exc
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .engine import TestOutcome
 from .operators import PixelMask, SamplingPattern
+from .structure_sets import STRUCTURE_KINDS
 
 __all__ = [
     "StructureSpec",
@@ -168,7 +169,7 @@ def read_structure_spec(path) -> StructureSpec:
         if len(header) != 2 or header[0] != "BUQOSTRUCT1":
             raise ValueError(f"{path}: not a BUQOSTRUCT1 file")
         kind = header[1]
-        if kind not in ("localized", "background"):
+        if kind not in STRUCTURE_KINDS:
             raise ValueError(f"{path}: unknown structure kind {kind!r}")
         mask_header = fh.readline().split()
         if len(mask_header) != 4 or mask_header[0] != "BUQOMASK1":
@@ -190,34 +191,44 @@ def read_structure_spec(path) -> StructureSpec:
 
 _OUTCOME_KEYS = ("rho_alpha", "distance", "decision", "alpha", "eta",
                  "iterations", "stop_reason")
+_OUTCOME_TYPES = {"decision": str, "stop_reason": str, "iterations": int}
 
 
-def write_outcome(path, outcome: TestOutcome) -> None:
+def _key_value_lines(path):
+    """(``path:line``, key, raw value) of each ``key = value`` line.
+
+    Blank lines and ``#`` comments are skipped; a line without ``=``
+    raises ValueError naming the file and the line.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        for n, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, raw = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}:{n}: line without '=': {line!r}")
+            yield f"{path}:{n}", key.strip(), raw.strip()
+
+
+def write_outcome(path, outcome: TestOutcome | dict) -> None:
+    """One ``key = value`` line per outcome key, from a TestOutcome or
+    from the dict :func:`read_outcome` returns (same bytes for both)."""
+    if isinstance(outcome, TestOutcome):
+        outcome = {key: getattr(outcome, "eta_threshold" if key == "eta" else key)
+                   for key in _OUTCOME_KEYS}
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"rho_alpha = {outcome.rho_alpha!r}\n")
-        fh.write(f"distance = {outcome.distance!r}\n")
-        fh.write(f"decision = {outcome.decision}\n")
-        fh.write(f"alpha = {outcome.alpha!r}\n")
-        fh.write(f"eta = {outcome.eta_threshold!r}\n")
-        fh.write(f"iterations = {outcome.iterations}\n")
-        fh.write(f"stop_reason = {outcome.stop_reason}\n")
+        for key in _OUTCOME_KEYS:
+            fh.write(f"{key} = {_format_param(outcome[key])}\n")
 
 
 def read_outcome(path) -> dict:
     values: dict = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key in ("decision", "stop_reason"):
-                values[key] = raw
-            elif key == "iterations":
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
+    for where, key, raw in _key_value_lines(path):
+        try:
+            values[key] = _OUTCOME_TYPES.get(key, float)(raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
     missing = [k for k in _OUTCOME_KEYS if k not in values]
     if missing:
         raise ValueError(f"{path}: outcome file missing keys {missing}")
@@ -232,17 +243,7 @@ def write_config(path, config: dict) -> None:
 
 
 def read_config(path) -> dict:
-    values: dict = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, raw = line.partition("=")
-            if not sep:
-                raise ValueError(f"config line without '=': {line!r}")
-            values[key.strip()] = raw.strip()
-    return values
+    return {key: raw for _, key, raw in _key_value_lines(path)}
 
 
 def file_sha256(path) -> str:

@@ -11,6 +11,7 @@ __all__ = [
     "L2Ball",
     "L1Levelset",
     "project_box",
+    "box_violation",
     "project_l2_ball",
     "project_l1_levelset",
 ]
@@ -54,6 +55,13 @@ class L1Levelset:
 def project_box(x: np.ndarray, box: IntervalBox) -> np.ndarray:
     """Componentwise clip of x into [lo, hi]."""
     return np.clip(np.asarray(x, dtype=float), box.lo, box.hi)
+
+
+def box_violation(x: np.ndarray, box: IntervalBox) -> float:
+    """Largest distance of a component of x outside [lo, hi] (0 inside)."""
+    x = np.asarray(x)
+    return max(float(np.max(np.asarray(box.lo) - x, initial=0.0)),
+               float(np.max(x - np.asarray(box.hi), initial=0.0)))
 
 
 def project_l2_ball(x: np.ndarray, ball: L2Ball) -> np.ndarray:

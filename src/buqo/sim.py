@@ -393,12 +393,16 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
     """Run the full (ratio, variance, structure) grid of hypothesis tests.
 
     Per-cell failures are recorded in the report and do not stop the
-    remaining cells. Per-cell seeds derive deterministically from the
-    master seed and the cell index.
+    remaining cells. Inputs that would fail every cell alike (no
+    structures, a bad phantom, pattern kind or wavelet depth) raise
+    ValueError before the first cell. Per-cell seeds derive
+    deterministically from the master seed and the cell index.
     """
     if not spec.structures:
         raise ValueError("experiment spec declares no structures")
     truth = make_phantom(spec.phantom, spec.rows, spec.cols, spec.seed)
+    # a fully sampled trial problem: only spec-wide inputs can make it fail
+    build_problem(spec, truth, 1.0, 1.0, 0, 0)
     cells: list[GridCell] = []
     for i, ratio in enumerate(spec.sampling_ratios):
         for j, sigma2 in enumerate(spec.noise_variances):

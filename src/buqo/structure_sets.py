@@ -1,10 +1,11 @@
 """Hypothesis sets encoding "the structure is absent", and projections.
 
-A localized set replaces the masked region by a normalized-convolution
-inpainting band with an energy cap; a background set pins the masked
-(background) pixels into a low-intensity interval. Both carry a
-surrogate image: the MAP estimate with the structure replaced, a
-canonical member of the set.
+A :class:`LocalizedSet` replaces the masked region by a
+normalized-convolution inpainting band with an energy cap; a
+:class:`BackgroundSet` pins the masked (background) pixels into a
+low-intensity interval. Both carry a surrogate image: the MAP estimate
+with the structure replaced, a canonical member of the set.
+:func:`build_structure_set` builds either from a parsed structure spec.
 """
 
 from __future__ import annotations
@@ -24,13 +25,17 @@ from .operators import (
     mask_select,
     residual_map,
 )
-from .prox import IntervalBox, L2Ball, project_box, project_l2_ball
+from .prox import IntervalBox, L2Ball, box_violation, project_box, project_l2_ball
 
 __all__ = [
+    "STRUCTURE_KINDS",
     "StructureSet",
+    "LocalizedSet",
+    "BackgroundSet",
     "StructureProjector",
     "build_localized_set",
     "build_background_set",
+    "build_structure_set",
     "background_mask",
     "project_localized",
     "project_background",
@@ -41,60 +46,63 @@ __all__ = [
 class StructureSet:
     """Convex structure-absent set with its surrogate member.
 
-    ``kind`` is "localized" (inpainting band plus energy ball plus
-    nonnegativity) or "background" (interval on the masked pixels plus
-    nonnegativity). ``interval`` constrains the inpainting residual for
-    localized sets and the masked pixel values for background sets.
+    ``interval`` constrains the inpainting residual of a
+    :class:`LocalizedSet` and the masked pixel values of a
+    :class:`BackgroundSet`; members of either are also nonnegative.
     """
 
-    kind: str
     mask: PixelMask
     interval: IntervalBox
     surrogate: np.ndarray = field(repr=False)
-    inpaint: LinearMap | None = field(default=None, repr=False)
-    residual_op: LinearMap | None = field(default=None, repr=False)
-    energy_ball: L2Ball | None = field(default=None, repr=False)
 
     @property
     def n_pixels(self) -> int:
         return self.mask.n_pixels
 
+
+@dataclass
+class LocalizedSet(StructureSet):
+    """Inpainting band plus energy ball plus nonnegativity."""
+
+    inpaint: LinearMap = field(repr=False)
+    residual_op: LinearMap = field(repr=False)
+    energy_ball: L2Ball = field(repr=False)
+
     def residual(self, x: np.ndarray) -> float:
         """Worst constraint violation of x in intensity units."""
         x = np.asarray(x).ravel()
-        worst = float(np.max(-x, initial=0.0))
-        if self.kind == "localized":
-            r = self.residual_op.forward(x)
-            lo = np.asarray(self.interval.lo)
-            hi = np.asarray(self.interval.hi)
-            worst = max(worst, float(np.max(lo - r, initial=0.0)),
-                        float(np.max(r - hi, initial=0.0)))
-            ball = self.energy_ball
-            over = np.linalg.norm(x[self.mask.indices] - ball.center) - ball.radius
-            worst = max(worst, float(over) / max(1.0, ball.radius))
-        else:
-            v = x[self.mask.indices]
-            lo = np.asarray(self.interval.lo)
-            hi = np.asarray(self.interval.hi)
-            worst = max(worst, float(np.max(lo - v, initial=0.0)),
-                        float(np.max(v - hi, initial=0.0)))
-        return max(worst, 0.0)
+        ball = self.energy_ball
+        over = np.linalg.norm(x[self.mask.indices] - ball.center) - ball.radius
+        return max(float(np.max(-x, initial=0.0)),
+                   box_violation(self.residual_op.forward(x), self.interval),
+                   float(over) / max(1.0, ball.radius), 0.0)
 
     def projector(self, tol: float = 1e-8, max_iters: int = 5000,
                   gamma: float = 1.0):
-        if self.kind == "background":
-            return lambda x: project_background(self, x)
         return StructureProjector(self, tol=tol, max_iters=max_iters,
                                   gamma=gamma)
+
+
+@dataclass
+class BackgroundSet(StructureSet):
+    """Interval on the masked pixels plus nonnegativity."""
+
+    def residual(self, x: np.ndarray) -> float:
+        """Worst constraint violation of x in intensity units."""
+        x = np.asarray(x).ravel()
+        return max(float(np.max(-x, initial=0.0)),
+                   box_violation(x[self.mask.indices], self.interval))
+
+    def projector(self, tol: float = 1e-8, max_iters: int = 5000,
+                  gamma: float = 1.0):
+        return lambda x: project_background(self, x)
 
 
 class StructureProjector(WarmProjector):
     """Warm-started primal-dual projection onto a localized structure set."""
 
-    def __init__(self, sset: StructureSet, tol: float = 1e-8,
+    def __init__(self, sset: LocalizedSet, tol: float = 1e-8,
                  max_iters: int = 5000, gamma: float = 1.0):
-        if sset.kind != "localized":
-            raise ValueError("primal-dual projector is for localized sets")
         ball = sset.energy_ball
         super().__init__(IntervalBox(0.0, np.inf), [
             DualBlock(sset.residual_op,
@@ -107,7 +115,7 @@ class StructureProjector(WarmProjector):
 def build_localized_set(x_map: np.ndarray, mask: PixelMask,
                         kernel_sizes: Sequence[int] = (3, 7, 11),
                         tau: float | None = None,
-                        theta: float | None = None) -> StructureSet:
+                        theta: float | None = None) -> LocalizedSet:
     """Structure-absent set for a spatially localized structure.
 
     The inpainting operator predicts the masked pixels from the rest of
@@ -136,19 +144,13 @@ def build_localized_set(x_map: np.ndarray, mask: PixelMask,
     surrogate = x_map.copy()
     surrogate[mask.indices] = inpainted
     ball = L2Ball(0.0, theta)
-    sset = StructureSet(
-        kind="localized",
-        mask=mask,
-        interval=IntervalBox(-tau, tau),
-        surrogate=surrogate,
-        inpaint=inpaint,
-        residual_op=res_op,
-        energy_ball=ball,
-    )
     # the energy cap may need widening when tau/theta were overridden
-    gap = np.linalg.norm(surrogate[mask.indices] - ball.center) - ball.radius
+    gap = np.linalg.norm(inpainted) - theta
     if gap > 0:
-        sset.energy_ball = L2Ball(0.0, theta + gap * (1.0 + 1e-6))
+        ball = L2Ball(0.0, theta + gap * (1.0 + 1e-6))
+    sset = LocalizedSet(mask=mask, interval=IntervalBox(-tau, tau),
+                        surrogate=surrogate, inpaint=inpaint,
+                        residual_op=res_op, energy_ball=ball)
     bad = sset.residual(surrogate)
     if bad > 1e-8:
         raise ValueError(
@@ -186,7 +188,7 @@ def build_background_set(x_map: np.ndarray, rows: int, cols: int,
                          threshold_frac: float = 1e-3,
                          dilation_radius: int = 7,
                          vartheta: float = 1e-2,
-                         mask: PixelMask | None = None) -> StructureSet:
+                         mask: PixelMask | None = None) -> BackgroundSet:
     """Structure-absent set for the low-intensity background.
 
     The background mask is derived from the MAP estimate (threshold then
@@ -206,12 +208,8 @@ def build_background_set(x_map: np.ndarray, rows: int, cols: int,
     tau_hi = vartheta * float(np.linalg.norm(values)) / mask.n_selected
     surrogate = x_map.copy()
     surrogate[mask.indices] = 0.0
-    sset = StructureSet(
-        kind="background",
-        mask=mask,
-        interval=IntervalBox(0.0, tau_hi),
-        surrogate=surrogate,
-    )
+    sset = BackgroundSet(mask=mask, interval=IntervalBox(0.0, tau_hi),
+                         surrogate=surrogate)
     bad = sset.residual(surrogate)
     if bad > 1e-8:
         raise ValueError(
@@ -220,19 +218,51 @@ def build_background_set(x_map: np.ndarray, rows: int, cols: int,
     return sset
 
 
-def project_localized(sset: StructureSet, x: np.ndarray, tol: float = 1e-8,
+# kind -> builder; the builders are looked up when called, so rebinding
+# one (e.g. with a tracing wrapper) takes effect. An empty background
+# mask means "derive it from the MAP estimate".
+_BUILDERS = {
+    "localized": lambda x_map, mask, rows, cols, **params:
+        build_localized_set(x_map, mask, **params),
+    "background": lambda x_map, mask, rows, cols, **params:
+        build_background_set(x_map, rows, cols, mask=mask if mask and
+                             mask.n_selected else None, **params),
+}
+STRUCTURE_KINDS = tuple(_BUILDERS)
+
+
+def build_structure_set(x_map: np.ndarray, spec, rows: int,
+                        cols: int) -> StructureSet:
+    """Set for a StructureSet (returned as is), a PixelMask (a localized
+    structure) or a parsed structure spec (see ``buqo.io.StructureSpec``).
+
+    The spec's kind picks the builder and its ``params`` are that
+    builder's keywords: a key the builder does not take raises
+    TypeError naming the key.
+    """
+    if isinstance(spec, StructureSet):
+        return spec
+    if isinstance(spec, PixelMask):
+        return build_localized_set(x_map, spec)
+    if spec.kind not in _BUILDERS:
+        raise ValueError(f"unknown structure kind {spec.kind!r}")
+    return _BUILDERS[spec.kind](x_map, getattr(spec, "mask", None), rows, cols,
+                                **(getattr(spec, "params", None) or {}))
+
+
+def project_localized(sset: LocalizedSet, x: np.ndarray, tol: float = 1e-8,
                       max_iters: int = 5000, gamma: float = 1.0) -> np.ndarray:
     """Closest point of a localized structure set to x."""
     return sset.projector(tol=tol, max_iters=max_iters, gamma=gamma)(x)
 
 
-def project_background(sset: StructureSet, x: np.ndarray) -> np.ndarray:
+def project_background(sset: BackgroundSet, x: np.ndarray) -> np.ndarray:
     """Closed-form projection onto a background set.
 
     Masked pixels clip into [max(lo, 0), hi]; the remaining pixels clip
     to the nonnegative half-line.
     """
-    if sset.kind != "background":
+    if not isinstance(sset, BackgroundSet):
         raise ValueError("closed-form projection is for background sets")
     x = np.asarray(x, dtype=float).ravel()
     out = np.maximum(x, 0.0)

@@ -63,12 +63,13 @@ def test_bad_alpha_is_exit_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--alpha", "2.0"]) == 2
 
 
-def test_config_line_without_equals_is_exit_2(tmp_path):
+def test_config_line_without_equals_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("rows = 32\nno equals sign here\n")
     assert main(["simulate", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+    assert f"{path}:2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides", [
@@ -154,9 +155,11 @@ def test_full_test_command_and_report_round_trip(tmp_path, capsys):
     assert main(["report", "--config", str(cfg3), "--out", str(rep_out)]) == 0
     again = bio.read_outcome(rep_out / "report_outcome.txt")
     assert again == values
+    assert ((rep_out / "report_outcome.txt").read_bytes()
+            == (test_out / "outcome.txt").read_bytes())
 
 
-def test_stage_exit_codes(tmp_path):
+def test_stage_exit_codes(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
@@ -184,6 +187,18 @@ def test_stage_exit_codes(tmp_path):
     code = main(["test", "--config", str(cfg_bad_set),
                  "--out", str(tmp_path / "s")])
     assert code == 5
+    # set stage: a spec key the localized builder does not take
+    typo_spec = bio.read_structure_spec(struct)
+    typo_spec.params["tua"] = 0.05
+    typo_path = tmp_path / "typo.struct"
+    bio.write_structure_spec(typo_path, typo_spec)
+    cfg_typo = write_cfg(tmp_path, name="k.cfg",
+                         **{**base, "structure.file": str(typo_path)})
+    capsys.readouterr()
+    code = main(["test", "--config", str(cfg_typo),
+                 "--out", str(tmp_path / "k")])
+    assert code == 5
+    assert "'tua'" in capsys.readouterr().err
     # map stage from `buqo map`: a tolerance no solve can meet, refused
     # before iterating
     cfg_bad_tol = write_cfg(tmp_path, name="t.cfg", **{**base, "map.tol": 0})
@@ -230,7 +245,7 @@ def test_measurements_not_fitting_the_pattern_are_exit_2(tmp_path):
 
 @pytest.mark.parametrize("key", [
     "measurements", "pattern.file", "structure.file", "outcome.file"])
-def test_unparseable_input_file_is_exit_2(tmp_path, key):
+def test_unparseable_input_file_is_exit_2(tmp_path, capsys, key):
     sim = simulated(tmp_path, "sim")
     garbage = tmp_path / "garbage"
     garbage.write_bytes(b"not a buqo file\n")
@@ -243,12 +258,15 @@ def test_unparseable_input_file_is_exit_2(tmp_path, key):
                "pattern.file": "map", "structure.file": "test"}[key]
     cfg = write_cfg(tmp_path, name="g.cfg", **inputs)
     out = tmp_path / "out"
+    capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+    assert str(garbage) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides", [
-    {"grid.ratios": 1.5}, {"grid.variances": 0}, {"rows": 16}])
+    {"grid.ratios": 1.5}, {"grid.variances": 0}, {"rows": 16},
+    {"pattern.kind": "spiral"}, {"levels": 9}])
 def test_bad_grid_is_exit_2(tmp_path, overrides):
     cfg = write_cfg(tmp_path, structures=str(bright_mask_file(tmp_path)),
                     **overrides)

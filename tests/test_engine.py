@@ -3,6 +3,7 @@ import pytest
 
 import buqo.engine
 from buqo.cli import RunConfig
+from buqo.io import StructureSpec
 from buqo.credible_region import build_region
 from buqo.engine import (
     BuqoError,
@@ -296,3 +297,17 @@ def test_run_buqo_rejects_bad_solver_settings_before_solving(
             cls(**{name: value})
         assert err.value.stage == stage
         assert name in str(err.value)
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("localized", {"tua": 0.05}, "tua"),          # misspelled tau
+    ("localized", {"vartheta": 1e-2}, "vartheta"),  # a background key
+    ("background", {"tau": 0.1}, "tau"),          # a localized key
+])
+def test_run_buqo_unknown_spec_key_fails_set_stage(kind, params, key):
+    region, problem, _ = small_region(seed=33)
+    spec = StructureSpec(kind, PixelMask(4, 4, [5, 6]), params)
+    with pytest.raises(BuqoError) as err:
+        run_buqo(problem, spec, alpha=0.1, x_map=region.x_map, rows=4, cols=4)
+    assert err.value.stage == "set"
+    assert repr(key) in str(err.value)

@@ -3,12 +3,16 @@ import inspect
 import numpy as np
 import pytest
 
+from buqo.io import StructureSpec
 from buqo.operators import PixelMask
 from buqo.structure_sets import (
+    BackgroundSet,
+    LocalizedSet,
     StructureSet,
     background_mask,
     build_background_set,
     build_localized_set,
+    build_structure_set,
     project_background,
     project_localized,
 )
@@ -243,3 +247,46 @@ def test_project_background_nonexpansive():
         assert (np.linalg.norm(project_background(sset, a)
                                - project_background(sset, b))
                 <= np.linalg.norm(a - b) + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one class per kind of set
+
+def bright_spot_image(rows=64, cols=64, seed=7):
+    rng = np.random.default_rng(seed)
+    x = np.abs(rng.standard_normal(rows * cols)) * 1e-5
+    x[(rows // 2) * cols + cols // 2] = 1.0
+    return x
+
+
+def test_builders_return_their_set_class():
+    localized, _, _ = small_localized_set(seed=29)
+    background = build_background_set(bright_spot_image(), 64, 64)
+    assert type(localized) is LocalizedSet
+    assert type(background) is BackgroundSet
+    assert isinstance(localized, StructureSet)
+    assert isinstance(background, StructureSet)
+
+
+def test_background_set_has_no_localized_fields():
+    sset = build_background_set(bright_spot_image(), 64, 64)
+    for name in ("residual_op", "inpaint", "energy_ball"):
+        assert not hasattr(sset, name)
+
+
+def test_project_background_refuses_a_localized_set():
+    sset, x_map, _ = small_localized_set(seed=30)
+    with pytest.raises(ValueError, match="background"):
+        project_background(sset, x_map)
+
+
+def test_background_spec_builds_the_builder_set():
+    x = bright_spot_image()
+    params = {"threshold_frac": 0.05, "dilation_radius": 3}
+    spec = StructureSpec("background", PixelMask(64, 64, []), dict(params))
+    got = build_structure_set(x, spec, 64, 64)
+    want = build_background_set(x, 64, 64, **params)
+    assert type(got) is BackgroundSet
+    np.testing.assert_array_equal(got.mask.indices, want.mask.indices)
+    assert got.interval == want.interval
+    np.testing.assert_array_equal(got.surrogate, want.surrogate)
