@@ -2,9 +2,14 @@
 
 Solves min_u h(u) + i_box(u) + sum_i f_i(A_i u) where each f_i has a
 closed-form prox. For a projection onto the box and the sets
-{A_i u in C_i}, h is 1/2 ||u - anchor||^2; the MAP estimate has no h.
+{A_i u in C_i}, h is 1/2 ||u - anchor||^2, whose gradient is
+beta-Lipschitz with beta = 1; the MAP estimate has no h (beta = 0).
 The dual updates use the Moreau identity, so each block only needs the
 primal prox of its function.
+
+The iteration converges when the primal step sigma and the dual step
+gamma satisfy sigma * (beta/2 + gamma * sum ||A_i||^2) < 1; for a given
+gamma, :func:`pd_step_sizes` takes the largest such sigma (times 0.99).
 """
 
 from __future__ import annotations
@@ -42,11 +47,15 @@ def check_limits(tol: float, max_iters: int) -> None:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
 
 
-def pd_step_sizes(blocks: list[DualBlock], gamma: float = 1.0) -> tuple[float, float]:
-    """Step sizes saturating sigma * (1/2 + gamma * sum ||A_i||^2) < 1."""
+def pd_step_sizes(blocks: list[DualBlock], gamma: float, beta: float) -> float:
+    """The primal step sigma = 0.99 / (beta/2 + gamma * sum ||A_i||^2).
+
+    It saturates, up to the factor 0.99, the step condition
+    sigma * (beta/2 + gamma * sum ||A_i||^2) < 1, where beta is the
+    Lipschitz constant of the smooth term's gradient (0 without one).
+    """
     total = sum(b.op.norm_bound ** 2 for b in blocks)
-    sigma = 0.99 / (0.5 + gamma * total)
-    return sigma, gamma
+    return 0.99 / (0.5 * beta + gamma * total)
 
 
 def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
@@ -56,9 +65,10 @@ def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
 
     Each step yields (new point, previous point, [A_i bar]), where bar is
     the extrapolated point 2 * new - previous. Without ``anchor`` there
-    is no smooth term.
+    is no smooth term (beta = 0); with it, h = 1/2 ||u - anchor||^2
+    (beta = 1).
     """
-    sigma, gamma = pd_step_sizes(blocks, gamma)
+    sigma = pd_step_sizes(blocks, gamma, beta=0.0 if anchor is None else 1.0)
     while True:
         grad = None if anchor is None else u - anchor
         for b, v in zip(blocks, duals):

@@ -226,8 +226,10 @@ def cmd_map(cfg: RunConfig) -> int:
             "iterations": diag.iterations,
             "feasibility.gap": diag.feasibility_gap,
             "objective": float(diag.objective_series[-1]),
+            "gamma": diag.gamma,
         })
-    print(f"map: converged in {diag.iterations} iterations; "
+    print(f"map: converged in {diag.iterations} iterations "
+          f"(dual step gamma = {diag.gamma:.6g}); "
           f"wrote {len(writer.files)} files to {cfg.out}")
     return 0
 

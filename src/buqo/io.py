@@ -90,9 +90,24 @@ def _read_index_list(path, magic: str) -> tuple[int, int, np.ndarray]:
         if len(header) != 4 or header[0] != magic:
             raise ValueError(f"{path}: expected a {magic} file")
         rows, cols, n = int(header[1]), int(header[2]), int(header[3])
-        indices = np.array([int(fh.readline()) for _ in range(n)],
-                           dtype=np.int64)
+        indices = _read_indices(fh, path, n, first=2)
     return rows, cols, indices
+
+
+def _read_indices(fh, path, n: int, first: int) -> np.ndarray:
+    """The next ``n`` lines of ``fh``, one integer each, starting at line
+    ``first``; a missing or non-integer line raises ValueError naming
+    ``path:line``."""
+    indices = np.empty(n, dtype=np.int64)
+    for k in range(n):
+        line = fh.readline()
+        try:
+            indices[k] = int(line)
+        except ValueError:
+            what = repr(line.strip()) if line else "end of file"
+            raise ValueError(f"{path}:{first + k}: expected a pixel index, "
+                             f"got {what}") from None
+    return indices
 
 
 def write_mask(path, mask: PixelMask) -> None:
@@ -175,15 +190,13 @@ def read_structure_spec(path) -> StructureSpec:
         if len(mask_header) != 4 or mask_header[0] != "BUQOMASK1":
             raise ValueError(f"{path}: expected an embedded BUQOMASK1 block")
         rows, cols, n = (int(v) for v in mask_header[1:])
-        indices = np.array([int(fh.readline()) for _ in range(n)],
-                           dtype=np.int64)
-        params = {}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            params[key.strip()] = _parse_param(key.strip(), raw.strip())
+        indices = _read_indices(fh, path, n, first=3)
+    params = {}
+    for where, key, raw in _key_value_lines(path, first=n + 3):
+        try:
+            params[key] = _parse_param(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
     name = Path(path).stem
     return StructureSpec(kind=kind, mask=PixelMask(rows, cols, indices),
                          params=params, name=name)
@@ -194,14 +207,17 @@ _OUTCOME_KEYS = ("rho_alpha", "distance", "decision", "alpha", "eta",
 _OUTCOME_TYPES = {"decision": str, "stop_reason": str, "iterations": int}
 
 
-def _key_value_lines(path):
-    """(``path:line``, key, raw value) of each ``key = value`` line.
+def _key_value_lines(path, first: int = 1):
+    """(``path:line``, key, raw value) of each ``key = value`` line from
+    line ``first`` on.
 
     Blank lines and ``#`` comments are skipped; a line without ``=``
     raises ValueError naming the file and the line.
     """
     with open(path, "r", encoding="ascii") as fh:
         for n, line in enumerate(fh, 1):
+            if n < first:
+                continue
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

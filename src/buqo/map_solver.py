@@ -8,6 +8,7 @@ regularization weight is computed afterwards from the estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,10 +59,18 @@ class SolverDiagnostics:
     feasibility_gap: float
     objective_series: np.ndarray
     converged: bool
+    gamma: float
 
 
 def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+
+def _dual_step(x0: np.ndarray, problem: MapProblem, l1_weight: float) -> float:
+    """gamma = 8 * l1_weight * sqrt(n_coeffs) / ||x0|| (see solve_map)."""
+    primal_scale = (float(np.linalg.norm(x0))
+                    or max(float(np.linalg.norm(problem.data)), problem.epsilon))
+    return 8.0 * float(l1_weight) * math.sqrt(problem.psi.out_dim) / primal_scale
 
 
 def solve_map(problem: MapProblem, tol: float = 1e-6,
@@ -77,8 +86,28 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     ``max_iters`` < 1.
 
     ``l1_weight`` scales the objective; since the rest of the problem is
-    a pair of hard constraints, the minimizer does not depend on it (it
-    only reweights the dual dynamics), which tests can verify directly.
+    a pair of hard constraints, the minimizer does not depend on it.
+
+    The iteration starts from x0, the box-clipped back-projection
+    Phi^T y, with zero duals. Its dual step is
+
+        gamma = 8 * l1_weight * sqrt(n_coeffs) / ||x0||,
+
+    n_coeffs being the length of Psi x; the primal step follows from it
+    (``_pd.pd_step_sizes``). The l1 dual is bounded by ``l1_weight`` per
+    coefficient whatever the data, while the primal scales with the data,
+    so gamma balances the dual scale against the primal one. The factor 8
+    is measured: on the benchmark and acceptance instances the iteration
+    count is flat for gamma in 32..128, and the rule lands at 45..64.
+
+    The iteration is invariant to scale: scaling y and epsilon by c
+    scales x0 by c and gamma by 1/c, and scaling ``l1_weight`` by c
+    scales the duals and gamma by c. Either way the iterates are the same
+    up to rounding, so the iteration count is the same and the estimate
+    is c x (or x). If ||x0|| is 0 (zero data, or a back-projection that
+    the box clips away), the primal scale falls back to
+    max(||y||, epsilon), which is positive and scales with the data too,
+    so gamma stays finite. ``diag.gamma`` reports the step taken.
     """
     if l1_weight <= 0:
         raise ValueError("l1_weight must be positive")
@@ -86,14 +115,14 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
     box = problem.constraint
     ball = L2Ball(y, eps)
-    gamma = 1.0
+    x = project_box(phi.adjoint(y), box)
+    gamma = _dual_step(x, problem, l1_weight)
     blocks = [
         DualBlock(psi, lambda z: _soft_threshold(z, l1_weight / gamma)),
         DualBlock(phi, lambda z: project_l2_ball(z, ball)),
     ]
     gap_tol = 1e-6 * eps
 
-    x = project_box(phi.adjoint(y), box)
     # x_new = (bar + x) / 2, so Psi x and Phi x follow by linearity
     psi_x = psi.forward(x)
     phi_x = phi.forward(x)
@@ -133,6 +162,7 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
         feasibility_gap=gap,
         objective_series=np.asarray(objectives),
         converged=converged,
+        gamma=gamma,
     )
     return x, diag
 

@@ -106,19 +106,23 @@ def filter_bank_2d(x, rows, cols, levels, lo, hi, adjoint=False):
     return a.ravel()
 
 
-def map_iterations(problem, iters, gamma=1.0):
+def map_iterations(problem, iters):
     """``iters`` steps of the MAP's Condat–Vũ iteration, one loop.
 
-    Starts, like ``solve_map``, from the box-clipped back-projection of
-    the data with zero duals, and tracks Psi x and Phi x by linearity
-    (x_new = (bar + x) / 2). Returns per-iteration lists of the iterates,
-    relative primal changes, objectives ||Psi x||_1 and feasibility gaps
+    Starts, like ``solve_map``, from the box-clipped back-projection x0
+    of the data with zero duals, takes the dual step
+    gamma = 8 sqrt(len(Psi x)) / ||x0|| (unit l1 weight) and the primal
+    step 0.99 / (gamma (||Psi||^2 + ||Phi||^2)) (no smooth term), and
+    tracks Psi x and Phi x by linearity (x_new = (bar + x) / 2). Returns
+    per-iteration lists of the iterates, relative primal changes,
+    objectives ||Psi x||_1 and feasibility gaps
     max(0, ||Phi x - y|| - epsilon).
     """
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
     lo, hi = problem.constraint.lo, problem.constraint.hi
-    sigma = 0.99 / (0.5 + gamma * (psi.norm_bound ** 2 + phi.norm_bound ** 2))
     x = np.clip(np.real(phi.adjoint(y)), lo, hi)
+    gamma = 8.0 * np.sqrt(psi.out_dim) / np.linalg.norm(x)
+    sigma = 0.99 / (gamma * (psi.norm_bound ** 2 + phi.norm_bound ** 2))
     psi_x, phi_x = psi.forward(x), phi.forward(x)
     v_psi = np.zeros(psi.out_dim)
     v_phi = np.zeros(phi.out_dim, dtype=complex)

@@ -114,7 +114,7 @@ def test_simulate_writes_files_and_is_deterministic(tmp_path, capsys):
     assert problem.epsilon == sample_noise(1e-4, 32 * 32, 512)[1]
 
 
-def test_map_command_writes_estimate(tmp_path):
+def test_map_command_writes_estimate(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
@@ -122,12 +122,22 @@ def test_map_command_writes_estimate(tmp_path):
                      measurements=str(sim_out / "measurements.meas"),
                      **{"pattern.file": str(sim_out / "pattern.freq")})
     map_out = tmp_path / "map"
+    capsys.readouterr()
     assert main(["map", "--config", str(cfg2), "--out", str(map_out)]) == 0
+    printed = capsys.readouterr().out
     x_map, rows, cols = bio.read_image(map_out / "x_map.img")
     assert (rows, cols) == (32, 32)
     assert x_map.min() >= 0.0
     diag = bio.read_config(map_out / "map_diagnostics.txt")
     assert float(diag["feasibility.gap"]) <= 1e-6 * 10
+    # the dual step is the scale rule's, written exactly and printed
+    problem, _, _ = _load_problem(config_from_dict({
+        "sigma2": "1e-4", "measurements": str(sim_out / "measurements.meas"),
+        "pattern_file": str(sim_out / "pattern.freq"), "levels": "2"}))
+    x0 = np.maximum(problem.phi.adjoint(problem.data), 0.0)
+    gamma = float(diag["gamma"])
+    assert gamma == 8.0 * np.sqrt(problem.psi.out_dim) / np.linalg.norm(x0)
+    assert f"gamma = {gamma:.6g}" in printed
 
 
 def test_full_test_command_and_report_round_trip(tmp_path, capsys):
@@ -262,6 +272,32 @@ def test_unparseable_input_file_is_exit_2(tmp_path, capsys, key):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert str(garbage) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect", ["parameter without '='", "short mask block"])
+def test_bad_structure_spec_names_file_and_line(tmp_path, capsys, defect):
+    sim = simulated(tmp_path, "sim")
+    spec = bright_mask_file(tmp_path)
+    lines = spec.read_text().splitlines()
+    n_indices = int(lines[1].split()[3])
+    if defect == "parameter without '='":
+        lines.append("tau")
+        bad_line = len(lines)
+    else:
+        # the mask header promises one index more than the block holds,
+        # so the parameter line is read as an index
+        lines[1] = lines[1].rsplit(" ", 1)[0] + f" {n_indices + 1}"
+        bad_line = n_indices + 3
+    spec.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path, name="t.cfg",
+                    measurements=str(sim / "measurements.meas"),
+                    **{"pattern.file": str(sim / "pattern.freq"),
+                       "structure.file": str(spec)})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["test", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{spec}:{bad_line}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides", [

@@ -55,19 +55,46 @@ def test_solve_map_recovers_truth_noiseless_tiny_ball():
     assert np.linalg.norm(x - truth) <= 1e-4
 
 
-def test_solve_map_objective_weight_invariance():
+def undersampled_problem(scale=1.0):
+    """16x16 problem at ratio 0.6; ``scale`` multiplies the data and epsilon."""
     rows = cols = 16
     pattern = gaussian_random_pattern(rows, cols, 0.6, seed=3)
     phi = masked_dft(pattern)
     truth, psi = sparse_truth(rows, cols, seed=3, k=12)
     y = add_noise(phi.forward(truth), 1e-4, seed=4)
     eps = 0.01 * np.sqrt(2 * phi.out_dim + 2 * np.sqrt(4 * phi.out_dim))
-    problem = MapProblem(phi, psi, y, eps)
+    return MapProblem(phi, psi, scale * y, scale * eps)
+
+
+def test_solve_map_objective_weight_invariance():
+    problem = undersampled_problem()
     x1, d1 = solve_map(problem, tol=1e-9, max_iters=60000)
     x2, d2 = solve_map(problem, tol=1e-9, max_iters=60000, l1_weight=7.3)
     assert d1.converged and d2.converged
+    # the dual step scales with the weight, so the iteration does not change
+    assert d1.iterations == d2.iterations
     rel = np.linalg.norm(x1 - x2) / np.linalg.norm(x1)
     assert rel <= 1e-3
+
+
+def test_solve_map_data_scale_invariance():
+    x1, d1 = solve_map(undersampled_problem(), tol=1e-9, max_iters=60000)
+    x2, d2 = solve_map(undersampled_problem(100.0), tol=1e-9, max_iters=60000)
+    assert d1.converged and d2.converged
+    assert d1.iterations == d2.iterations
+    assert np.linalg.norm(x2 - 100.0 * x1) <= 1e-12 * np.linalg.norm(x2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_map_zero_data_takes_a_finite_step():
+    rows = cols = 8
+    phi = full_dft(rows, cols)
+    psi = db8_analysis(rows, cols, 1)
+    problem = MapProblem(phi, psi, np.zeros(phi.out_dim), epsilon=1e-3)
+    x, diag = solve_map(problem, tol=1e-8)
+    assert diag.converged and diag.iterations == 2
+    assert np.isfinite(diag.gamma) and diag.gamma > 0
+    np.testing.assert_array_equal(x, np.zeros(rows * cols))
 
 
 def test_solve_map_flags_nonconvergence():
