@@ -4,8 +4,9 @@ Solves min_u h(u) + i_box(u) + sum_i f_i(A_i u) where each f_i has a
 closed-form prox. For a projection onto the box and the sets
 {A_i u in C_i}, h is 1/2 ||u - anchor||^2, whose gradient is
 beta-Lipschitz with beta = 1; the MAP estimate has no h (beta = 0).
-The dual updates use the Moreau identity, so each block only needs the
-primal prox of its function.
+Each block supplies its dual step, the prox of gamma f_i*, in closed
+form (``prox.*_dual_prox``; the MAP writes its own by the Moreau
+identity).
 
 The iteration converges when the primal step sigma and the dual step
 gamma satisfy sigma * (beta/2 + gamma * sum ||A_i||^2) < 1; for a given
@@ -25,14 +26,15 @@ from .prox import IntervalBox, project_box
 
 @dataclass
 class DualBlock:
-    """One linearly-composed term f(A u): operator plus prox.
+    """One linearly-composed term f(A u): operator plus dual step.
 
-    ``project`` is the prox of f at step 1/gamma; for the indicator of
-    a set that is the projection onto the set.
+    ``dual_prox`` is the prox of gamma f*, built for the dual step gamma
+    of the iteration that uses it. It may overwrite its argument and
+    return it. For the indicator of a set it is a ``prox.*_dual_prox``.
     """
 
     op: LinearMap
-    project: Callable[[np.ndarray], np.ndarray]
+    dual_prox: Callable[[np.ndarray], np.ndarray]
 
     def zero_dual(self) -> np.ndarray:
         dtype = complex if self.op.complex_output else float
@@ -66,20 +68,35 @@ def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
     Each step yields (new point, previous point, [A_i bar]), where bar is
     the extrapolated point 2 * new - previous. Without ``anchor`` there
     is no smooth term (beta = 0); with it, h = 1/2 ||u - anchor||^2
-    (beta = 1).
+    (beta = 1). The gradient, the extrapolated point and the dual
+    temporaries live in buffers reused across steps: the arrays held in
+    ``duals`` on entry become scratch, while yielded arrays are never
+    written again.
     """
     sigma = pd_step_sizes(blocks, gamma, beta=0.0 if anchor is None else 1.0)
+    grad = np.empty_like(u)
+    bar = np.empty_like(u)
+    scratch = [np.empty_like(v) for v in duals]
     while True:
-        grad = None if anchor is None else u - anchor
-        for b, v in zip(blocks, duals):
-            adj = b.op.adjoint(v)
-            grad = adj if grad is None else grad + adj
-        u_new = project_box(u - sigma * grad, box)
-        bar = 2.0 * u_new - u
+        adjoints = [b.op.adjoint(v) for b, v in zip(blocks, duals)]
+        if anchor is None:
+            np.copyto(grad, adjoints.pop(0))
+        else:
+            np.subtract(u, anchor, out=grad)
+        for adj in adjoints:
+            grad += adj
+        grad *= sigma
+        u_new = np.subtract(u, grad)
+        np.clip(u_new, box.lo, box.hi, out=u_new)
+        np.multiply(u_new, 2.0, out=bar)
+        bar -= u
         images = [b.op.forward(bar) for b in blocks]
         for k, (b, image) in enumerate(zip(blocks, images)):
-            vt = duals[k] + gamma * image
-            duals[k] = vt - gamma * b.project(vt / gamma)
+            vt = scratch[k]
+            np.multiply(image, gamma, out=vt)
+            vt += duals[k]
+            scratch[k] = duals[k]
+            duals[k] = b.dual_prox(vt)
         yield u_new, u, images
         u = u_new
 
@@ -132,9 +149,12 @@ def project_intersection(
 class WarmProjector:
     """Projection onto box ∩ {A_i u in C_i}, warm-started across calls.
 
-    Keeps the duals and the last point between calls, so successive
-    projections along a slowly-moving outer iteration start near their
-    solution; each call still iterates to its own tolerance.
+    Keeps the duals between calls. A call for a new point x starts from
+    the primal point those duals imply for it, P_box(x - sum A_i* v_i),
+    so successive projections along a slowly-moving outer iteration start
+    near their solution; each call still iterates to its own tolerance.
+    ``converged`` is the last call's flag; ``unconverged_calls`` counts
+    the calls that stopped at ``max_iters``.
     """
 
     def __init__(self, box: IntervalBox, blocks: list[DualBlock],
@@ -145,15 +165,18 @@ class WarmProjector:
         self.max_iters = max_iters
         self.gamma = gamma
         self.duals: list[np.ndarray] | None = None
-        self.last_point: np.ndarray | None = None
         self.converged = True
         self.inner_iterations = 0
+        self.unconverged_calls = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float).ravel()
+        u0 = None
+        if self.duals is not None:
+            u0 = x - sum(b.op.adjoint(v) for b, v in zip(self.blocks, self.duals))
         point, self.duals, self.converged, its = project_intersection(
-            np.asarray(x, dtype=float).ravel(), self.box, self.blocks,
-            tol=self.tol, max_iters=self.max_iters, duals=self.duals,
-            gamma=self.gamma, u0=self.last_point)
-        self.last_point = point
+            x, self.box, self.blocks, tol=self.tol, max_iters=self.max_iters,
+            duals=self.duals, gamma=self.gamma, u0=u0)
         self.inner_iterations += its
+        self.unconverged_calls += not self.converged
         return point

@@ -21,8 +21,8 @@ from .prox import (
     L1Levelset,
     L2Ball,
     box_violation,
-    project_l1_levelset,
-    project_l2_ball,
+    l1_levelset_dual_prox,
+    l2_ball_dual_prox,
 )
 
 __all__ = [
@@ -117,8 +117,8 @@ class RegionProjector(WarmProjector):
         ball = L2Ball(region.data, region.epsilon)
         levelset = L1Levelset(region.eta_tilde / region.lam)
         super().__init__(region.constraint, [
-            DualBlock(region.psi, lambda z: project_l1_levelset(z, levelset)),
-            DualBlock(region.phi, lambda z: project_l2_ball(z, ball)),
+            DualBlock(region.psi, l1_levelset_dual_prox(levelset, gamma)),
+            DualBlock(region.phi, l2_ball_dual_prox(ball, gamma)),
         ], tol, max_iters, gamma)
 
 

@@ -69,7 +69,7 @@ def read_image(path) -> tuple[np.ndarray, int, int]:
         header = _read_header_line(fh).split()
         if len(header) != 3 or header[0] != "BUQO1":
             raise ValueError(f"{path}: not a BUQO1 image file")
-        rows, cols = int(header[1]), int(header[2])
+        rows, cols = _header_counts(path, header[1:])
         data = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8")
         if data.size != rows * cols:
             raise ValueError(f"{path}: truncated image payload")
@@ -89,9 +89,25 @@ def _read_index_list(path, magic: str) -> tuple[int, int, np.ndarray]:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != magic:
             raise ValueError(f"{path}: expected a {magic} file")
-        rows, cols, n = int(header[1]), int(header[2]), int(header[3])
+        rows, cols, n = _header_counts(path, header[1:])
         indices = _read_indices(fh, path, n, first=2)
     return rows, cols, indices
+
+
+def _header_counts(path, fields, line: int = 1) -> list[int]:
+    """The header ``fields`` as counts; a field that is not a non-negative
+    integer raises ValueError naming ``path:line``."""
+    counts = []
+    for raw in fields:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise ValueError(f"{path}:{line}: expected a non-negative count, "
+                             f"got {raw!r}")
+        counts.append(value)
+    return counts
 
 
 def _read_indices(fh, path, n: int, first: int) -> np.ndarray:
@@ -144,7 +160,7 @@ def read_measurements(path) -> np.ndarray:
         header = _read_header_line(fh).split()
         if len(header) != 2 or header[0] != "BUQOMEAS1":
             raise ValueError(f"{path}: not a BUQOMEAS1 file")
-        m = int(header[1])
+        (m,) = _header_counts(path, header[1:])
         inter = np.frombuffer(fh.read(16 * m), dtype="<f8")
         if inter.size != 2 * m:
             raise ValueError(f"{path}: truncated measurement payload")
@@ -189,7 +205,7 @@ def read_structure_spec(path) -> StructureSpec:
         mask_header = fh.readline().split()
         if len(mask_header) != 4 or mask_header[0] != "BUQOMASK1":
             raise ValueError(f"{path}: expected an embedded BUQOMASK1 block")
-        rows, cols, n = (int(v) for v in mask_header[1:])
+        rows, cols, n = _header_counts(path, mask_header[1:], line=2)
         indices = _read_indices(fh, path, n, first=3)
     params = {}
     for where, key, raw in _key_value_lines(path, first=n + 3):

@@ -66,6 +66,12 @@ def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
+def _moreau(prox, gamma: float):
+    """The dual step vt - gamma prox(vt / gamma) (Moreau identity), given
+    the prox of f at step 1/gamma."""
+    return lambda vt: vt - gamma * prox(vt / gamma)
+
+
 def _dual_step(x0: np.ndarray, problem: MapProblem, l1_weight: float) -> float:
     """gamma = 8 * l1_weight * sqrt(n_coeffs) / ||x0|| (see solve_map)."""
     primal_scale = (float(np.linalg.norm(x0))
@@ -118,8 +124,9 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     x = project_box(phi.adjoint(y), box)
     gamma = _dual_step(x, problem, l1_weight)
     blocks = [
-        DualBlock(psi, lambda z: _soft_threshold(z, l1_weight / gamma)),
-        DualBlock(phi, lambda z: project_l2_ball(z, ball)),
+        DualBlock(psi, _moreau(lambda z: _soft_threshold(z, l1_weight / gamma),
+                               gamma)),
+        DualBlock(phi, _moreau(lambda z: project_l2_ball(z, ball), gamma)),
     ]
     gap_tol = 1e-6 * eps
 

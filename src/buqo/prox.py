@@ -1,10 +1,21 @@
-"""Closed-form Euclidean projections used by every sub-solver."""
+"""Closed-form Euclidean projections used by every sub-solver, and the
+closed-form dual steps of the primal-dual projectors.
+
+The dual step of the primal-dual iteration for a term f = i_C (the
+indicator of a set C) is the prox of gamma f*. By the Moreau identity it
+is vt - gamma P_C(vt / gamma) = vt - P_{gamma C}(vt): what is left of vt
+after projecting it onto the set scaled by gamma. The ``*_dual_prox``
+factories compute that residual directly, with the scaled set built once.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+
+DualProx = Callable[[np.ndarray], np.ndarray]
 
 __all__ = [
     "IntervalBox",
@@ -14,6 +25,9 @@ __all__ = [
     "box_violation",
     "project_l2_ball",
     "project_l1_levelset",
+    "box_dual_prox",
+    "l2_ball_dual_prox",
+    "l1_levelset_dual_prox",
 ]
 
 
@@ -76,13 +90,33 @@ def project_l2_ball(x: np.ndarray, ball: L2Ball) -> np.ndarray:
     return ball.center + d * (ball.radius / norm)
 
 
+def _l1_threshold(mags: np.ndarray, level: float) -> float:
+    """The theta > 0 with sum(max(mags - theta, 0)) = level.
+
+    For nonnegative ``mags`` with sum(mags) > level > 0. Michelot's pivot
+    loop, without sorting (Condat, Math. Prog. 2016): theta is the mean
+    excess over the level of the entries above the last theta, starting
+    from theta = 0. Each step can only raise theta and shrink the set of
+    entries above it, and the loop ends when that set stops shrinking.
+    The set is kept as a mask on the full array, whose sum is a dot
+    product: cheaper than compacting it when most entries stay in it.
+    """
+    mags = mags.ravel()
+    theta, kept_before = 0.0, -1
+    while True:
+        keep = mags > theta
+        kept = np.count_nonzero(keep)
+        # kept == 0 only when rounding put theta at the largest entry
+        if kept == kept_before or kept == 0:
+            return theta
+        theta, kept_before = (mags @ keep - level) / kept, kept
+
+
 def project_l1_levelset(x: np.ndarray, levelset: L1Levelset) -> np.ndarray:
     """Euclidean projection onto the l1 ball of radius ``levelset.level``.
 
-    Uses the sort-based exact Lagrange multiplier (soft threshold at the
-    level that makes the l1 norm hit the budget); points already inside
-    are returned unchanged. Ties at the threshold resolve by the
-    sorted-prefix rule.
+    A soft threshold at the level that makes the l1 norm hit the budget
+    (``_l1_threshold``); points already inside are returned unchanged.
     """
     x = np.asarray(x, dtype=float)
     beta = levelset.level
@@ -91,9 +125,53 @@ def project_l1_levelset(x: np.ndarray, levelset: L1Levelset) -> np.ndarray:
         return x.copy()
     if beta == 0.0:
         return np.zeros_like(x)
-    u = np.sort(mags)[::-1]
-    cumsum = np.cumsum(u)
-    j = np.arange(1, u.size + 1)
-    rho = np.max(np.flatnonzero(u * j > cumsum - beta)) + 1
-    theta = (cumsum[rho - 1] - beta) / rho
+    theta = _l1_threshold(mags, beta)
     return np.sign(x) * np.maximum(mags - theta, 0.0)
+
+
+# Each dual prox may overwrite its argument and return it.
+
+def box_dual_prox(box: IntervalBox, gamma: float) -> DualProx:
+    """vt -> vt - clip(vt, gamma lo, gamma hi), the dual step of i_box."""
+    lo, hi = gamma * np.asarray(box.lo), gamma * np.asarray(box.hi)
+
+    def prox(vt):
+        vt -= np.clip(vt, lo, hi)
+        return vt
+
+    return prox
+
+
+def l2_ball_dual_prox(ball: L2Ball, gamma: float) -> DualProx:
+    """vt -> d max(0, 1 - gamma r / ||d||) with d = vt - gamma c, the dual
+    step of the indicator of the ball B(c, r); real or complex."""
+    center, radius = gamma * np.asarray(ball.center), gamma * ball.radius
+
+    def prox(vt):
+        vt -= center
+        norm = np.linalg.norm(vt)
+        if norm <= radius:
+            vt.fill(0.0)
+        else:
+            vt *= 1.0 - radius / norm
+        return vt
+
+    return prox
+
+
+def l1_levelset_dual_prox(levelset: L1Levelset, gamma: float) -> DualProx:
+    """vt -> clip(vt, -t, t), the dual step of the indicator of the l1
+    ball: t is the threshold of vt at level gamma * level, and the step
+    is 0 when vt lies in that scaled ball (vt itself at level 0)."""
+    level = gamma * levelset.level
+
+    def prox(vt):
+        mags = np.abs(vt)
+        if mags.sum() <= level:
+            vt.fill(0.0)
+        elif level > 0.0:
+            t = _l1_threshold(mags, level)
+            np.clip(vt, -t, t, out=vt)
+        return vt
+
+    return prox

@@ -25,7 +25,13 @@ from .operators import (
     mask_select,
     residual_map,
 )
-from .prox import IntervalBox, L2Ball, box_violation, project_box, project_l2_ball
+from .prox import (
+    IntervalBox,
+    L2Ball,
+    box_dual_prox,
+    box_violation,
+    l2_ball_dual_prox,
+)
 
 __all__ = [
     "STRUCTURE_KINDS",
@@ -103,12 +109,10 @@ class StructureProjector(WarmProjector):
 
     def __init__(self, sset: LocalizedSet, tol: float = 1e-8,
                  max_iters: int = 5000, gamma: float = 1.0):
-        ball = sset.energy_ball
         super().__init__(IntervalBox(0.0, np.inf), [
-            DualBlock(sset.residual_op,
-                      lambda z: project_box(z, sset.interval)),
+            DualBlock(sset.residual_op, box_dual_prox(sset.interval, gamma)),
             DualBlock(mask_select(sset.mask),
-                      lambda z: project_l2_ball(z, ball)),
+                      l2_ball_dual_prox(sset.energy_ball, gamma)),
         ], tol, max_iters, gamma)
 
 

@@ -4,9 +4,26 @@ import numpy as np
 
 from buqo.credible_region import build_region, compute_epsilon_bound
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
-from buqo.operators import PixelMask, db8_analysis, masked_dft
+from buqo.operators import LinearMap, PixelMask, db8_analysis, masked_dft
 from buqo.sim import add_noise, gaussian_random_pattern
 from buqo.structure_sets import build_localized_set
+
+
+def counting(op):
+    """``op`` with its forward and adjoint calls counted."""
+    calls = {"forward": 0, "adjoint": 0}
+
+    def forward(x):
+        calls["forward"] += 1
+        return op.forward(x)
+
+    def adjoint(y):
+        calls["adjoint"] += 1
+        return op.adjoint(y)
+
+    wrapped = LinearMap(op.in_dim, op.out_dim, forward, adjoint, op.norm_bound,
+                        op.complex_input, op.complex_output)
+    return wrapped, calls
 
 
 def small_map_problem(seed, rows=4, cols=4, ratio=0.8, sigma2=0.0025,

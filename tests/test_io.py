@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,46 @@ def test_structure_spec_background_empty_mask(tmp_path):
     assert back.kind == "background"
     assert back.mask.n_selected == 0
     assert back.params["dilation_radius"] == 7
+
+
+def bad_count(path, line):
+    """pytest.raises for a header count rejected at ``path:line``."""
+    return pytest.raises(ValueError, match=f"{re.escape(str(path))}:{line}: "
+                         "expected a non-negative count")
+
+
+@pytest.mark.parametrize("header", [b"BUQO1 2 x\n", b"BUQO1 -2 2\n"])
+def test_image_header_counts_name_the_line(tmp_path, header):
+    path = tmp_path / "bad.img"
+    path.write_bytes(header + b"\x00" * 32)
+    with bad_count(path, 1):
+        bio.read_image(path)
+
+
+@pytest.mark.parametrize("reader, magic", [(bio.read_mask, "BUQOMASK1"),
+                                           (bio.read_pattern, "BUQOFREQ1")])
+@pytest.mark.parametrize("counts", ["4 4 x", "4 4 -1", "4 2.5 1"])
+def test_index_list_header_counts_name_the_line(tmp_path, reader, magic, counts):
+    path = tmp_path / "bad.idx"
+    path.write_text(f"{magic} {counts}\n0\n")
+    with bad_count(path, 1):
+        reader(path)
+
+
+@pytest.mark.parametrize("count", [b"x", b"-1"])
+def test_measurement_header_count_names_the_line(tmp_path, count):
+    path = tmp_path / "bad.meas"
+    path.write_bytes(b"BUQOMEAS1 " + count + b"\n" + b"\x00" * 16)
+    with bad_count(path, 1):
+        bio.read_measurements(path)
+
+
+@pytest.mark.parametrize("counts", ["4 4 x", "4 -4 1"])
+def test_structure_spec_mask_header_counts_name_the_line(tmp_path, counts):
+    path = tmp_path / "bad.spec"
+    path.write_text(f"BUQOSTRUCT1 localized\nBUQOMASK1 {counts}\n0\n")
+    with bad_count(path, 2):
+        bio.read_structure_spec(path)
 
 
 def test_outcome_round_trip(tmp_path):

@@ -5,6 +5,7 @@ from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import LinearMap, db8_analysis, masked_dft, SamplingPattern
 from buqo.sim import add_noise, gaussian_random_pattern
 
+from instances import counting
 from oracles import map_iterations
 
 
@@ -108,23 +109,6 @@ def test_solve_map_flags_nonconvergence():
     assert diag.iterations == 5
     assert len(diag.primal_residuals) == 5
     assert len(diag.objective_series) == 5
-
-
-def counting(op):
-    """``op`` with its forward and adjoint calls counted."""
-    calls = {"forward": 0, "adjoint": 0}
-
-    def forward(x):
-        calls["forward"] += 1
-        return op.forward(x)
-
-    def adjoint(y):
-        calls["adjoint"] += 1
-        return op.adjoint(y)
-
-    wrapped = LinearMap(op.in_dim, op.out_dim, forward, adjoint, op.norm_bound,
-                        op.complex_input, op.complex_output)
-    return wrapped, calls
 
 
 @pytest.mark.parametrize("iters", [5, 12])

@@ -1,10 +1,21 @@
-import numpy as np
+import dataclasses
 
-from buqo._pd import DualBlock, pd_step_sizes
+import numpy as np
+import pytest
+
+from buqo._pd import DualBlock, pd_step_sizes, pd_steps
 from buqo.credible_region import build_region
 from buqo.map_solver import compute_lambda
 
-from instances import small_localized_set, small_map_problem
+from instances import counting, small_localized_set, small_map_problem
+
+
+def truth_region(seed=41):
+    """A region anchored on the truth (a member of the data ball), not on
+    a MAP estimate, so that it does not move with the MAP solver."""
+    problem, truth = small_map_problem(seed=seed)
+    return build_region(truth, compute_lambda(truth, problem.psi), 0.1,
+                        problem), truth
 
 
 def test_pd_step_sizes_saturate_the_step_condition():
@@ -39,13 +50,10 @@ def assert_same_projections(got, expected):
 
 
 def test_region_projector_keeps_its_steps():
-    # anchored on the truth (a member of the data ball), not on a MAP
-    # estimate, so that the region does not move with the MAP solver
-    problem, truth = small_map_problem(seed=41)
-    region = build_region(truth, compute_lambda(truth, problem.psi), 0.1, problem)
+    region, truth = truth_region()
     assert_same_projections(projections(region.projector(tol=1e-10), truth), [
         (199, 2.318486625184885, 76.34204880497963),
-        (164, 2.291693841578595, 76.12685134055212)])
+        (162, 2.2916938415520294, 76.1268513405585)])
 
 
 def test_structure_projector_keeps_its_steps():
@@ -53,3 +61,61 @@ def test_structure_projector_keeps_its_steps():
     assert_same_projections(projections(sset.projector(tol=1e-10), x_map), [
         (301, 6.329556023808231, 217.00229233897895),
         (255, 4.702027041389908, 165.04728704685039)])
+
+
+@pytest.mark.parametrize("anchored", [True, False])
+@pytest.mark.parametrize("kind", ["region", "set"])
+def test_pd_steps_never_write_a_yielded_array(kind, anchored):
+    if kind == "region":
+        region, x = truth_region()
+        projector = region.projector()
+    else:
+        sset, x, _ = small_localized_set(seed=41)
+        projector = sset.projector()
+    anchor = x + 2.0
+    steps = pd_steps(np.maximum(anchor, 0.0), projector.box, projector.blocks,
+                     [b.zero_dual() for b in projector.blocks],
+                     projector.gamma, anchor if anchored else None)
+    kept = []
+    for _, (u, u_prev, images) in zip(range(8), steps):
+        kept += [(a, a.copy()) for a in (u, u_prev, *images)]
+    for a, snapshot in kept:
+        np.testing.assert_array_equal(a, snapshot)
+
+
+def test_projector_operator_budget_per_iteration():
+    region, truth = truth_region()
+    psi, psi_calls = counting(region.psi)
+    phi, phi_calls = counting(region.phi)
+    sset, x_map, _ = small_localized_set(seed=41)
+    res, res_calls = counting(sset.residual_op)
+    cases = [
+        (dataclasses.replace(region, psi=psi, phi=phi).projector(tol=1e-10),
+         truth, [psi_calls, phi_calls]),
+        (dataclasses.replace(sset, residual_op=res).projector(tol=1e-10),
+         x_map, [res_calls]),
+    ]
+    for projector, x, calls in cases:
+        for warm, point in enumerate((x + 2.0, 0.5 * x + 1.5)):
+            for c in calls:
+                c.update(forward=0, adjoint=0)
+            before = projector.inner_iterations
+            projector(point)
+            its = projector.inner_iterations - before
+            # one forward (of the extrapolated point) and one adjoint per
+            # iteration; a warm call adds one adjoint for its start point
+            for c in calls:
+                assert c == {"forward": its, "adjoint": its + warm}
+
+
+def test_warm_projector_counts_unconverged_calls():
+    region, truth = truth_region()
+    projector = region.projector(tol=1e-10, max_iters=1)
+    for k in (1, 2, 3):
+        projector(truth + k)
+        assert not projector.converged
+        assert (projector.unconverged_calls, projector.inner_iterations) == (k, k)
+    projector.max_iters = 5000
+    projector(truth + 4.0)
+    assert projector.converged
+    assert projector.unconverged_calls == 3

@@ -5,6 +5,10 @@ from buqo.prox import (
     IntervalBox,
     L1Levelset,
     L2Ball,
+    _l1_threshold,
+    box_dual_prox,
+    l1_levelset_dual_prox,
+    l2_ball_dual_prox,
     project_box,
     project_l1_levelset,
     project_l2_ball,
@@ -139,6 +143,112 @@ def test_l1_budget_respected():
         beta = rng.uniform(0.0, 2.0)
         out = project_l1_levelset(x, L1Levelset(beta))
         assert np.abs(out).sum() <= beta + 1e-10 * max(1.0, beta)
+
+
+def sort_rule_threshold(mags, level):
+    """The threshold by the sorted-prefix rule (the former implementation)."""
+    u = np.sort(mags)[::-1]
+    cumsum = np.cumsum(u)
+    rho = np.max(np.flatnonzero(u * np.arange(1, u.size + 1) > cumsum - level)) + 1
+    return (cumsum[rho - 1] - level) / rho
+
+
+def threshold_cases():
+    rng = np.random.default_rng(6)
+    cases = [
+        (np.full(7, 0.3), 1.0),                        # all magnitudes equal
+        (np.array([2.0, 2.0, 1.0, 1.0, 0.5]), 1.5),    # ties above and below
+        (np.array([3.0, 1.0, 1.0, 1.0]), 2.5),         # ties at the threshold
+        (np.array([0.0, 0.0, 4.0, 0.0, 1.0]), 2.0),    # zeros
+        (np.array([5.0]), 1e-3),
+    ]
+    for _ in range(50):
+        n = int(rng.integers(1, 60))
+        mags = np.abs(rng.standard_normal(n)) * rng.uniform(0.1, 10.0)
+        mags[rng.random(n) < 0.3] = 0.0
+        mags[rng.random(n) < 0.3] = mags.max()   # ties at the top
+        if mags.sum() > 0:
+            cases.append((mags, rng.uniform(0.01, 0.99) * mags.sum()))
+    return cases
+
+
+def test_l1_threshold_matches_sort_rule_and_bisection():
+    for mags, level in threshold_cases():
+        theta = _l1_threshold(mags, level)
+        assert theta == pytest.approx(sort_rule_threshold(mags, level),
+                                      rel=1e-12, abs=1e-14 * mags.max())
+        assert np.maximum(mags - theta, 0.0).sum() == pytest.approx(level, rel=1e-12)
+        np.testing.assert_allclose(project_l1_levelset(mags, L1Levelset(level)),
+                                   l1_projection_bisection(mags, level),
+                                   atol=1e-12 * mags.max())
+
+
+# ---------------------------------------------------------------------------
+# closed-form dual steps
+
+def moreau(project, gamma):
+    """The dual step by the Moreau identity, vt - gamma P(vt / gamma)."""
+    return lambda vt: vt - gamma * project(vt / gamma)
+
+
+def dual_step_cases():
+    """(closed-form dual step, Moreau form, vt sampler) triples; each
+    sampler draws points scaled to land inside and outside the set."""
+    rng = np.random.default_rng(7)
+    n = 12
+    center = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def real(scale):
+        return rng.standard_normal(n) * scale
+
+    def cplx(scale):
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+
+    cases = []
+    for gamma in (0.25, 1.0, 4.0):
+        for lo, hi in ((-1.0, 2.0), (-np.inf, 0.5), (0.0, np.inf),
+                       (-np.inf, np.inf)):
+            box = IntervalBox(lo, hi)
+            cases.append((box_dual_prox(box, gamma),
+                          moreau(lambda z, b=box: project_box(z, b), gamma), real))
+        for ball, sample in ((L2Ball(0.0, 2.0), real),
+                             (L2Ball(center.real, 1.5), real),
+                             (L2Ball(0.0, 2.0), cplx),
+                             (L2Ball(center, 1.5), cplx),
+                             (L2Ball(center, 0.0), cplx)):
+            cases.append((l2_ball_dual_prox(ball, gamma),
+                          moreau(lambda z, b=ball: project_l2_ball(z, b), gamma),
+                          (lambda scale, s=sample, c=ball.center, g=gamma:
+                           g * c + s(scale))))
+        for level in (0.0, 0.5, 3.0):
+            lev = L1Levelset(level)
+            cases.append((l1_levelset_dual_prox(lev, gamma),
+                          moreau(lambda z, v=lev: project_l1_levelset(z, v), gamma),
+                          real))
+    return cases
+
+
+def test_dual_steps_match_the_moreau_form():
+    for closed, reference, sample in dual_step_cases():
+        for scale in (0.01, 0.1, 1.0, 10.0):
+            vt = sample(scale)
+            expected = reference(vt)
+            got = closed(vt.copy())
+            assert got.dtype == vt.dtype
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(vt).max())
+
+
+def test_dual_steps_inside_the_scaled_set_are_zero():
+    gamma = 2.0
+    vt = np.array([0.3, -0.2, 0.1])
+    for prox in (box_dual_prox(IntervalBox(-1.0, 1.0), gamma),
+                 l2_ball_dual_prox(L2Ball(0.0, 1.0), gamma),
+                 l1_levelset_dual_prox(L1Levelset(1.0), gamma)):
+        np.testing.assert_array_equal(prox(vt.copy()), 0.0)
+    # level 0: the scaled set is {0}, so the step returns vt
+    np.testing.assert_array_equal(
+        l1_levelset_dual_prox(L1Levelset(0.0), gamma)(vt.copy()), vt)
 
 
 # ---------------------------------------------------------------------------
