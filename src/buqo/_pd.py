@@ -5,8 +5,8 @@ closed-form prox. For a projection onto the box and the sets
 {A_i u in C_i}, h is 1/2 ||u - anchor||^2, whose gradient is
 beta-Lipschitz with beta = 1; the MAP estimate has no h (beta = 0).
 Each block supplies its dual step, the prox of gamma f_i*, in closed
-form (``prox.*_dual_prox``; the MAP writes its own by the Moreau
-identity).
+form for the gamma of the iteration (``prox.*_dual_prox``; the MAP
+writes its own by the Moreau identity).
 
 The iteration converges when the primal step sigma and the dual step
 gamma satisfy sigma * (beta/2 + gamma * sum ||A_i||^2) < 1; for a given
@@ -21,20 +21,22 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .operators import LinearMap
-from .prox import IntervalBox, project_box
+from .prox import DualProx, IntervalBox, project_box
 
 
 @dataclass
 class DualBlock:
     """One linearly-composed term f(A u): operator plus dual step.
 
-    ``dual_prox`` is the prox of gamma f*, built for the dual step gamma
-    of the iteration that uses it. It may overwrite its argument and
-    return it. For the indicator of a set it is a ``prox.*_dual_prox``.
+    ``dual_prox(gamma)`` returns the prox of gamma f*; :func:`pd_steps`
+    builds it once, for its own gamma, so the dual step is set in one
+    place. The returned step may overwrite its argument and return it.
+    For the indicator of a set it is a ``prox.*_dual_prox`` with the set
+    bound (``functools.partial``).
     """
 
     op: LinearMap
-    dual_prox: Callable[[np.ndarray], np.ndarray]
+    dual_prox: Callable[[float], DualProx]
 
     def zero_dual(self) -> np.ndarray:
         dtype = complex if self.op.complex_output else float
@@ -74,6 +76,7 @@ def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
     written again.
     """
     sigma = pd_step_sizes(blocks, gamma, beta=0.0 if anchor is None else 1.0)
+    dual_steps = [b.dual_prox(gamma) for b in blocks]
     grad = np.empty_like(u)
     bar = np.empty_like(u)
     scratch = [np.empty_like(v) for v in duals]
@@ -91,12 +94,12 @@ def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
         np.multiply(u_new, 2.0, out=bar)
         bar -= u
         images = [b.op.forward(bar) for b in blocks]
-        for k, (b, image) in enumerate(zip(blocks, images)):
+        for k, (dual_step, image) in enumerate(zip(dual_steps, images)):
             vt = scratch[k]
             np.multiply(image, gamma, out=vt)
             vt += duals[k]
             scratch[k] = duals[k]
-            duals[k] = b.dual_prox(vt)
+            duals[k] = dual_step(vt)
         yield u_new, u, images
         u = u_new
 

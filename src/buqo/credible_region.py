@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -117,8 +118,8 @@ class RegionProjector(WarmProjector):
         ball = L2Ball(region.data, region.epsilon)
         levelset = L1Levelset(region.eta_tilde / region.lam)
         super().__init__(region.constraint, [
-            DualBlock(region.psi, l1_levelset_dual_prox(levelset, gamma)),
-            DualBlock(region.phi, l2_ball_dual_prox(ball, gamma)),
+            DualBlock(region.psi, partial(l1_levelset_dual_prox, levelset)),
+            DualBlock(region.phi, partial(l2_ball_dual_prox, ball)),
         ], tol, max_iters, gamma)
 
 

@@ -89,6 +89,9 @@ class TestOutcome:
     stop_reason: str
     delta_series: np.ndarray = field(repr=False)
     narrative: str = ""
+    # inner projections that stopped at inner_max_iters; when > 0, rho
+    # rests on approximate projections
+    inner_unconverged: int = 0
 
 
 def _as_projector(obj, tol: float, max_iters: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -293,16 +296,24 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
         raise BuqoError("set", str(exc)) from exc
 
     try:
-        outer = dict(tol=settings.outer_tol, max_iters=settings.outer_max_iters,
-                     inner_tol=settings.inner_tol,
-                     inner_max_iters=settings.inner_max_iters)
+        inner = dict(tol=settings.inner_tol, max_iters=settings.inner_max_iters)
+        projectors = (region.projector(**inner), sset.projector(**inner))
+        outer = dict(tol=settings.outer_tol, max_iters=settings.outer_max_iters)
         if mode == "pocs":
-            x_region, x_set, iters, stop, deltas = run_pocs(region, sset, **outer)
+            x_region, x_set, iters, stop, deltas = run_pocs(
+                *projectors, x0=sset.surrogate, **outer)
         else:
             x_region, x_set, iters, stop, deltas = run_fb_distance(
-                region, sset, gamma=gamma, **outer)
+                *projectors, gamma=gamma, x0_region=region.x_map,
+                x0_set=sset.surrogate, **outer)
         rho = compute_rho(x_region, x_set, x_map, sset.surrogate)
         decision, narrative = decide(rho, eta, alpha)
+        # a background set projects in closed form and never falls short
+        unconverged = sum(getattr(p, "unconverged_calls", 0) for p in projectors)
+        if unconverged:
+            narrative += (f" ({unconverged} inner projections stopped at "
+                          f"inner_max_iters = {settings.inner_max_iters}; "
+                          "rho is approximate)")
     except BuqoError:
         raise
     except Exception as exc:
@@ -320,4 +331,5 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
         stop_reason=stop,
         delta_series=deltas,
         narrative=narrative,
+        inner_unconverged=unconverged,
     )

@@ -66,10 +66,11 @@ def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
-def _moreau(prox, gamma: float):
-    """The dual step vt - gamma prox(vt / gamma) (Moreau identity), given
-    the prox of f at step 1/gamma."""
-    return lambda vt: vt - gamma * prox(vt / gamma)
+def _moreau(prox):
+    """The dual step gamma -> (vt -> vt - gamma prox(vt / gamma)) by the
+    Moreau identity, given ``prox(z, gamma)``, the prox of f at step
+    1/gamma."""
+    return lambda gamma: lambda vt: vt - gamma * prox(vt / gamma, gamma)
 
 
 def _dual_step(x0: np.ndarray, problem: MapProblem, l1_weight: float) -> float:
@@ -124,9 +125,8 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     x = project_box(phi.adjoint(y), box)
     gamma = _dual_step(x, problem, l1_weight)
     blocks = [
-        DualBlock(psi, _moreau(lambda z: _soft_threshold(z, l1_weight / gamma),
-                               gamma)),
-        DualBlock(phi, _moreau(lambda z: project_l2_ball(z, ball), gamma)),
+        DualBlock(psi, _moreau(lambda z, g: _soft_threshold(z, l1_weight / g))),
+        DualBlock(phi, _moreau(lambda z, g: project_l2_ball(z, ball))),
     ]
     gap_tol = 1e-6 * eps
 

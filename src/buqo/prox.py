@@ -96,18 +96,21 @@ def _l1_threshold(mags: np.ndarray, level: float) -> float:
     For nonnegative ``mags`` with sum(mags) > level > 0. Michelot's pivot
     loop, without sorting (Condat, Math. Prog. 2016): theta is the mean
     excess over the level of the entries above the last theta, starting
-    from theta = 0. Each step can only raise theta and shrink the set of
-    entries above it, and the loop ends when that set stops shrinking.
+    from theta = 0. In exact arithmetic each step raises theta and
+    shrinks the set of entries above it; the loop ends when that set
+    stops shrinking. Rounding can let an entry within an ulp of theta
+    drop out and come back, so the test is "not smaller", not "equal":
+    the loop then ends, and it runs at most ``mags.size + 1`` times.
     The set is kept as a mask on the full array, whose sum is a dot
     product: cheaper than compacting it when most entries stay in it.
     """
     mags = mags.ravel()
-    theta, kept_before = 0.0, -1
+    theta, kept_before = 0.0, mags.size + 1
     while True:
         keep = mags > theta
         kept = np.count_nonzero(keep)
         # kept == 0 only when rounding put theta at the largest entry
-        if kept == kept_before or kept == 0:
+        if kept >= kept_before or kept == 0:
             return theta
         theta, kept_before = (mags @ keep - level) / kept, kept
 

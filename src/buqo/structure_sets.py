@@ -11,6 +11,7 @@ with the structure replaced, a canonical member of the set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -110,9 +111,9 @@ class StructureProjector(WarmProjector):
     def __init__(self, sset: LocalizedSet, tol: float = 1e-8,
                  max_iters: int = 5000, gamma: float = 1.0):
         super().__init__(IntervalBox(0.0, np.inf), [
-            DualBlock(sset.residual_op, box_dual_prox(sset.interval, gamma)),
+            DualBlock(sset.residual_op, partial(box_dual_prox, sset.interval)),
             DualBlock(mask_select(sset.mask),
-                      l2_ball_dual_prox(sset.energy_ball, gamma)),
+                      partial(l2_ball_dual_prox, sset.energy_ball)),
         ], tol, max_iters, gamma)
 
 

@@ -256,6 +256,23 @@ def test_run_buqo_rho_matches_recomputation():
     assert outcome.rho_alpha == pytest.approx(rho, rel=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["pocs", "fb"])
+def test_run_buqo_counts_inner_projections_cut_short(mode):
+    problem, mask, _ = pipeline_16(seed=52, bright=2.0, sigma2=1e-4)
+    x_map, _ = solve_map(problem, tol=1e-8, max_iters=60000)
+    settings = dict(alpha=0.01, mode=mode, x_map=x_map, outer_max_iters=3)
+    outcome = run_buqo(problem, mask, **settings)
+    assert outcome.inner_unconverged == 0
+    assert "approximate" not in outcome.narrative
+    # one primal-dual iteration never converges (iteration 1 cannot
+    # test), so both projections of every outer iteration stop short
+    outcome = run_buqo(problem, mask, inner_max_iters=1, **settings)
+    assert outcome.inner_unconverged == 2 * outcome.iterations
+    assert outcome.narrative.endswith(
+        f"({outcome.inner_unconverged} inner projections stopped at "
+        "inner_max_iters = 1; rho is approximate)")
+
+
 def test_run_buqo_invalid_alpha_raises_region_stage():
     problem, mask, _ = pipeline_16(seed=53)
     with pytest.raises(BuqoError) as err:

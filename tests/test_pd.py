@@ -63,6 +63,19 @@ def test_structure_projector_keeps_its_steps():
         (255, 4.702027041389908, 165.04728704685039)])
 
 
+def test_projector_dual_step_is_read_at_each_call():
+    # the blocks carry no gamma of their own: changing the projector's
+    # step changes the iteration, not the point it converges to
+    region, truth = truth_region()
+    projector = region.projector(tol=1e-10)
+    x = truth + 2.0
+    point = projector(x)
+    iterations = projector.inner_iterations
+    projector.duals, projector.gamma = None, 1.0
+    np.testing.assert_allclose(projector(x), point, rtol=1e-6)
+    assert projector.inner_iterations - iterations != iterations
+
+
 @pytest.mark.parametrize("anchored", [True, False])
 @pytest.mark.parametrize("kind", ["region", "set"])
 def test_pd_steps_never_write_a_yielded_array(kind, anchored):

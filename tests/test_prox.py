@@ -161,6 +161,8 @@ def threshold_cases():
         (np.array([3.0, 1.0, 1.0, 1.0]), 2.5),         # ties at the threshold
         (np.array([0.0, 0.0, 4.0, 0.0, 1.0]), 2.0),    # zeros
         (np.array([5.0]), 1e-3),
+        # rounding moves theta across 0.1 and back: kept 3, 2, 3
+        (np.array([0.1, 1.0, 1.0]), 1.8),
     ]
     for _ in range(50):
         n = int(rng.integers(1, 60))
@@ -237,6 +239,17 @@ def test_dual_steps_match_the_moreau_form():
             assert got.dtype == vt.dtype
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.abs(vt).max())
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 4.0])
+def test_l1_dual_step_ends_when_rounding_revives_an_entry(gamma):
+    # gamma * level rounds to 1.8, where the pivot loop's count of kept
+    # entries goes 3, 2, 3 (the entry 0.1 sits within an ulp of theta)
+    vt = np.array([0.1, 1.0, 1.0])
+    levelset = L1Levelset(1.8 / gamma)
+    expected = moreau(lambda z: project_l1_levelset(z, levelset), gamma)(vt)
+    np.testing.assert_allclose(l1_levelset_dual_prox(levelset, gamma)(vt.copy()),
+                               expected, rtol=1e-12, atol=1e-15)
 
 
 def test_dual_steps_inside_the_scaled_set_are_zero():
