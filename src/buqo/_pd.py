@@ -155,9 +155,10 @@ class WarmProjector:
     Keeps the duals between calls. A call for a new point x starts from
     the primal point those duals imply for it, P_box(x - sum A_i* v_i),
     so successive projections along a slowly-moving outer iteration start
-    near their solution; each call still iterates to its own tolerance.
-    ``converged`` is the last call's flag; ``unconverged_calls`` counts
-    the calls that stopped at ``max_iters``.
+    near their solution. A call iterates to ``tol``, or to a looser
+    per-call tolerance (never a tighter one). ``converged`` is the last
+    call's flag; ``inner_iterations`` sums the calls' iterations and
+    ``unconverged_calls`` counts the calls that stopped at ``max_iters``.
     """
 
     def __init__(self, box: IntervalBox, blocks: list[DualBlock],
@@ -172,13 +173,14 @@ class WarmProjector:
         self.inner_iterations = 0
         self.unconverged_calls = 0
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
+        tol = self.tol if tol is None else max(self.tol, tol)
         x = np.asarray(x, dtype=float).ravel()
         u0 = None
         if self.duals is not None:
             u0 = x - sum(b.op.adjoint(v) for b, v in zip(self.blocks, self.duals))
         point, self.duals, self.converged, its = project_intersection(
-            x, self.box, self.blocks, tol=self.tol, max_iters=self.max_iters,
+            x, self.box, self.blocks, tol=tol, max_iters=self.max_iters,
             duals=self.duals, gamma=self.gamma, u0=u0)
         self.inner_iterations += its
         self.unconverged_calls += not self.converged

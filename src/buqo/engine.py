@@ -9,11 +9,12 @@ distance is then compared against the decision threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._pd import check_limits
+from ._pd import WarmProjector, check_limits
 from .credible_region import build_region
 from .map_solver import MapProblem, compute_lambda, solve_map
 from .structure_sets import build_structure_set
@@ -35,6 +36,19 @@ NOT_REJECTED = "not_rejected"
 STOP_ITERATE = "iterate_change"
 STOP_DISTANCE = "distance_change"
 STOP_MAX_ITERS = "max_iters"
+
+# Inexact inner projections. Alternating projections and forward-backward
+# still converge when the inner errors shrink with the outer progress
+# (Combettes, Optimization 2004; Villa, Salzo, Baldassarre and Verri,
+# SIAM J. Optim. 2013), so lap k of an outer loop solves its iterative
+# projections only to
+#     max(inner_tol, min(INEXACT_CAP, INEXACT_FACTOR * s_{k-1})),
+# where s_{k-1} is the larger relative change of the two outer iterates
+# in lap k-1 and s_0 = INEXACT_CAP. The loop stops only on a lap run at
+# inner_tol (see _LapTolerance), so the returned pair is as accurate as
+# with every lap at inner_tol.
+INEXACT_FACTOR = 0.01
+INEXACT_CAP = 1e-3
 
 
 class BuqoError(RuntimeError):
@@ -92,6 +106,8 @@ class TestOutcome:
     # inner projections that stopped at inner_max_iters; when > 0, rho
     # rests on approximate projections
     inner_unconverged: int = 0
+    # primal-dual iterations of both inner projectors
+    inner_iterations: int = 0
 
 
 def _as_projector(obj, tol: float, max_iters: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -104,9 +120,57 @@ def _as_projector(obj, tol: float, max_iters: int) -> Callable[[np.ndarray], np.
     raise TypeError(f"cannot project with object of type {type(obj)!r}")
 
 
-def _rel_below(numerator: float, denominator: float, tol: float) -> bool:
-    # exact-zero sequences count as converged even though tol * 0 = 0
-    return numerator < tol * denominator or numerator == 0.0
+def _rel(numerator: float, denominator: float) -> float:
+    # an exact-zero change counts as converged even against a zero norm
+    if numerator == 0.0:
+        return 0.0
+    return numerator / denominator if denominator > 0.0 else np.inf
+
+
+def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
+    return _rel(float(np.linalg.norm(new - old)), float(np.linalg.norm(new)))
+
+
+class _LapTolerance:
+    """The inner tolerance of each lap of one outer loop run.
+
+    Only iterative projectors (:class:`~buqo._pd.WarmProjector`) take a
+    tolerance; the others project in closed form, are called as
+    ``p(x)`` and never make a lap loose. A lap runs at the projectors'
+    own tolerance once the schedule reaches it, after a stop test passed
+    on a loose lap, and at ``max_iters``.
+    """
+
+    def __init__(self, projectors: Sequence, max_iters: int):
+        self.projectors = projectors
+        self.floor = min((p.tol for p in projectors
+                          if isinstance(p, WarmProjector)), default=np.inf)
+        self.max_iters = max_iters
+        self.change = INEXACT_CAP
+        self.exact = False
+        self.tol: float | None = None   # this lap's; None: full tolerance
+
+    def start(self, it: int) -> Sequence[Callable[[np.ndarray], np.ndarray]]:
+        """The projectors to call in lap ``it``, at this lap's tolerance."""
+        tol = min(INEXACT_CAP, INEXACT_FACTOR * self.change)
+        if self.exact or it == self.max_iters or tol <= self.floor:
+            self.tol = None
+            return self.projectors
+        self.tol = tol
+        return [partial(p, tol=tol) if isinstance(p, WarmProjector) else p
+                for p in self.projectors]
+
+    def may_stop(self, change: float, converged: bool) -> bool:
+        """Record the lap's outer change; True when the loop may stop.
+
+        A stop test passed on a loose lap sends the rest of the run to
+        full tolerance instead.
+        """
+        self.change = change
+        if converged and self.tol is not None:
+            self.exact = True
+            return False
+        return converged
 
 
 def run_pocs(region, sset, x0: np.ndarray | None = None,
@@ -118,7 +182,9 @@ def run_pocs(region, sset, x0: np.ndarray | None = None,
     Starts from a point of the structure set (the surrogate by default)
     and stops when both relative iterate changes fall below ``tol``, or
     when the relative change of the gap delta_k does, whichever happens
-    first. Returns (x_region, x_set, iterations, stop_reason, deltas).
+    first, on a lap whose projections ran at full tolerance (see
+    INEXACT_FACTOR). Returns (x_region, x_set, iterations, stop_reason,
+    deltas).
     Raises ValueError for a ``tol`` <= 0 or a ``max_iters`` < 1.
     """
     check_limits(tol, max_iters)
@@ -130,33 +196,28 @@ def run_pocs(region, sset, x0: np.ndarray | None = None,
         x0 = sset.surrogate
     x = np.asarray(x0, dtype=float).ravel().copy()
 
+    laps = _LapTolerance((proj_region, proj_set), max_iters)
     deltas: list[float] = []
     half_prev = None
     stop = STOP_MAX_ITERS
     it = 0
     for it in range(1, max_iters + 1):
-        half = proj_region(x)
-        x_new = proj_set(half)
-        delta = float(np.linalg.norm(half - x_new))
-        deltas.append(delta)
+        project_region, project_set = laps.start(it)
+        half = project_region(x)
+        x_new = project_set(half)
+        deltas.append(float(np.linalg.norm(half - x_new)))
 
-        iterate_ok = _rel_below(np.linalg.norm(x_new - x),
-                                np.linalg.norm(x_new), tol)
+        change = _rel_change(x_new, x)
         if half_prev is not None:
-            iterate_ok = iterate_ok and _rel_below(
-                np.linalg.norm(half - half_prev), np.linalg.norm(half), tol)
-        else:
-            iterate_ok = False
-        delta_ok = len(deltas) >= 2 and _rel_below(
-            abs(deltas[-1] - deltas[-2]), deltas[-1], tol)
+            change = max(change, _rel_change(half, half_prev))
+        iterate_ok = half_prev is not None and change < tol
+        delta_ok = len(deltas) >= 2 and _rel(
+            abs(deltas[-1] - deltas[-2]), deltas[-1]) < tol
 
         half_prev = half
         x = x_new
-        if iterate_ok:
-            stop = STOP_ITERATE
-            break
-        if delta_ok:
-            stop = STOP_DISTANCE
+        if laps.may_stop(change, iterate_ok or delta_ok):
+            stop = STOP_ITERATE if iterate_ok else STOP_DISTANCE
             break
     return half_prev, x, it, stop, np.asarray(deltas)
 
@@ -191,27 +252,24 @@ def run_fb_distance(region, sset, gamma: float = 0.5,
     a = np.asarray(x0_region, dtype=float).ravel().copy()
     b = np.asarray(x0_set, dtype=float).ravel().copy()
 
+    laps = _LapTolerance((proj_region, proj_set), max_iters)
     deltas: list[float] = []
     stop = STOP_MAX_ITERS
     it = 0
     for it in range(1, max_iters + 1):
-        a_new = proj_region((1.0 - gamma) * a + gamma * b)
-        b_new = proj_set((1.0 - gamma) * b + gamma * a)
+        project_region, project_set = laps.start(it)
+        a_new = project_region((1.0 - gamma) * a + gamma * b)
+        b_new = project_set((1.0 - gamma) * b + gamma * a)
         deltas.append(float(np.linalg.norm(a_new - b_new)))
 
-        iterate_ok = (
-            _rel_below(np.linalg.norm(a_new - a), np.linalg.norm(a_new), tol)
-            and _rel_below(np.linalg.norm(b_new - b), np.linalg.norm(b_new), tol)
-        )
-        delta_ok = len(deltas) >= 2 and _rel_below(
-            abs(deltas[-1] - deltas[-2]), deltas[-1], tol)
+        change = max(_rel_change(a_new, a), _rel_change(b_new, b))
+        iterate_ok = change < tol
+        delta_ok = len(deltas) >= 2 and _rel(
+            abs(deltas[-1] - deltas[-2]), deltas[-1]) < tol
 
         a, b = a_new, b_new
-        if iterate_ok:
-            stop = STOP_ITERATE
-            break
-        if delta_ok:
-            stop = STOP_DISTANCE
+        if laps.may_stop(change, iterate_ok or delta_ok):
+            stop = STOP_ITERATE if iterate_ok else STOP_DISTANCE
             break
     return a, b, it, stop, np.asarray(deltas)
 
@@ -310,6 +368,7 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
         decision, narrative = decide(rho, eta, alpha)
         # a background set projects in closed form and never falls short
         unconverged = sum(getattr(p, "unconverged_calls", 0) for p in projectors)
+        inner_iterations = sum(getattr(p, "inner_iterations", 0) for p in projectors)
         if unconverged:
             narrative += (f" ({unconverged} inner projections stopped at "
                           f"inner_max_iters = {settings.inner_max_iters}; "
@@ -332,4 +391,5 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
         delta_series=deltas,
         narrative=narrative,
         inner_unconverged=unconverged,
+        inner_iterations=inner_iterations,
     )

@@ -350,9 +350,12 @@ class GridReport:
         return "\n".join(lines) + "\n"
 
     def timing(self) -> str:
-        lines = ["ratio\tsigma2\tstructure\truntime_s"]
+        """Wall time and inner primal-dual iterations of each cell."""
+        lines = ["ratio\tsigma2\tstructure\truntime_s\tinner_iterations"]
         for c in self.cells:
-            lines.append(f"{c.ratio:g}\t{c.sigma2:g}\t{c.structure}\t{c.runtime_s:.3f}")
+            inner = "error" if c.outcome is None else c.outcome.inner_iterations
+            lines.append(f"{c.ratio:g}\t{c.sigma2:g}\t{c.structure}\t"
+                         f"{c.runtime_s:.3f}\t{inner}")
         return "\n".join(lines) + "\n"
 
 

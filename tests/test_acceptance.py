@@ -8,6 +8,7 @@ the expensive grid across criteria.
 
 import functools
 import math
+import os
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import buqo
 from buqo import io as bio
 from buqo.credible_region import (
     build_region,
@@ -449,15 +451,19 @@ def test_criterion_10_grid_determinism(tmp_path):
         "map.tol": 1e-7, "map.max.iters": 40000,
         "outer.max.iters": 300,
     })
+    # the child imports the same buqo as this process, installed or not
+    src = str(Path(buqo.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     outs = []
     for name in ("g1", "g2"):
         out = tmp_path / name
-        code = subprocess.run(
+        child = subprocess.run(
             [sys.executable, "-m", "buqo.cli", "grid",
              "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True, text=True,
-        ).returncode
-        assert code == 0
+            capture_output=True, text=True, env=env,
+        )
+        assert child.returncode == 0, child.stderr
         outs.append(out)
     table1 = (outs[0] / "grid_table.tsv").read_bytes()
     table2 = (outs[1] / "grid_table.tsv").read_bytes()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import buqo.engine
+from buqo._pd import WarmProjector
 from buqo.cli import RunConfig
 from buqo.io import StructureSpec
 from buqo.credible_region import build_region
@@ -271,6 +272,66 @@ def test_run_buqo_counts_inner_projections_cut_short(mode):
     assert outcome.narrative.endswith(
         f"({outcome.inner_unconverged} inner projections stopped at "
         "inner_max_iters = 1; rho is approximate)")
+
+
+class RecordingProjector(WarmProjector):
+    """A projector that records the tolerance each call ran at."""
+
+    def __init__(self, projector: WarmProjector):
+        super().__init__(projector.box, projector.blocks, projector.tol,
+                         projector.max_iters, projector.gamma)
+        self.tols = []
+
+    def __call__(self, x, tol=None):
+        self.tols.append(self.tol if tol is None else max(self.tol, tol))
+        return super().__call__(x, tol)
+
+
+@pytest.mark.parametrize("max_iters", [500, 3])
+@pytest.mark.parametrize("run", [run_pocs, run_fb_distance])
+def test_outer_loops_stop_on_a_full_tolerance_lap(run, max_iters):
+    problem, mask, _ = pipeline_16(seed=52, bright=2.0, sigma2=1e-4)
+    x_map, _ = solve_map(problem, tol=1e-8, max_iters=60000)
+    region = build_region(x_map, compute_lambda(x_map, problem.psi), 0.01,
+                          problem)
+    sset = build_localized_set(x_map, mask)
+    inner_tol = 1e-8
+    projectors = [RecordingProjector(s.projector(tol=inner_tol))
+                  for s in (region, sset)]
+    starts = ({"x0": sset.surrogate} if run is run_pocs else
+              {"x0_region": region.x_map, "x0_set": sset.surrogate})
+    _, _, iters, stop, _ = run(*projectors, tol=1e-5, max_iters=max_iters,
+                               **starts)
+    assert (stop == "max_iters") == (max_iters == 3)
+    for p in projectors:
+        assert len(p.tols) == iters
+        # early laps run loose, the last one at full tolerance
+        assert p.tols[0] > inner_tol
+        assert p.tols[-1] == inner_tol
+
+
+def test_inexact_laps_keep_the_exact_answer_for_fewer_iterations():
+    problem, mask, _ = pipeline_16(seed=50, bright=3.0, sigma2=1e-4)
+    x_map, _ = solve_map(problem, tol=1e-8, max_iters=60000)
+    region = build_region(x_map, compute_lambda(x_map, problem.psi), 0.01,
+                          problem)
+    sset = build_localized_set(x_map, mask)
+    limits = SolverSettings()
+    region_p = region.projector(tol=limits.inner_tol,
+                                max_iters=limits.inner_max_iters)
+    set_p = sset.projector(tol=limits.inner_tol,
+                           max_iters=limits.inner_max_iters)
+    # plain callables are never handed a tolerance: every lap is exact
+    x_region, x_set, *_ = run_pocs(lambda x: region_p(x), lambda x: set_p(x),
+                                   x0=sset.surrogate, tol=limits.outer_tol,
+                                   max_iters=limits.outer_max_iters)
+    rho = compute_rho(x_region, x_set, x_map, sset.surrogate)
+    exact_iterations = region_p.inner_iterations + set_p.inner_iterations
+
+    outcome = run_buqo(problem, mask, alpha=0.01, x_map=x_map)
+    assert outcome.decision == decide(rho, 0.03, 0.01)[0] == "rejected"
+    assert outcome.rho_alpha == pytest.approx(rho, rel=1e-4)
+    assert 0 < outcome.inner_iterations < exact_iterations
 
 
 def test_run_buqo_invalid_alpha_raises_region_stage():

@@ -121,6 +121,25 @@ def test_projector_operator_budget_per_iteration():
                 assert c == {"forward": its, "adjoint": its + warm}
 
 
+@pytest.mark.parametrize("kind", ["region", "set"])
+def test_projector_call_tolerance_is_never_tighter(kind):
+    if kind == "region":
+        target, x = truth_region()
+    else:
+        target, x, _ = small_localized_set(seed=41)
+    x = x + 2.0
+    exact = target.projector()
+    point = exact(x)
+    loose = target.projector()
+    near = loose(x, tol=1e-4)
+    assert 0 < loose.inner_iterations < exact.inner_iterations
+    assert np.linalg.norm(near - point) <= 1e-3 * np.linalg.norm(point)
+    # a tighter tolerance than the projector's own is ignored
+    tight = target.projector()
+    np.testing.assert_array_equal(tight(x, tol=1e-12), point)
+    assert tight.inner_iterations == exact.inner_iterations
+
+
 def test_warm_projector_counts_unconverged_calls():
     region, truth = truth_region()
     projector = region.projector(tol=1e-10, max_iters=1)

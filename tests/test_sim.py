@@ -236,4 +236,7 @@ def test_grid_table_layout():
                                     "rho_percent", "decision", "iterations",
                                     "stop_reason"]
     assert len(lines) == 2
-    assert report.timing().startswith("ratio\tsigma2\tstructure\truntime_s")
+    timing = report.timing().strip().split("\n")
+    assert timing[0].split("\t") == ["ratio", "sigma2", "structure",
+                                     "runtime_s", "inner_iterations"]
+    assert int(timing[1].split("\t")[4]) == report.cells[0].outcome.inner_iterations > 0
