@@ -67,6 +67,8 @@ class RunConfig(SolverSettings):
         super().__post_init__()
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not self.eta >= 0:
+            raise ConfigError(f"eta must be nonnegative, got {self.eta}")
         if self.mode not in ("pocs", "fb"):
             raise ConfigError(f"mode must be 'pocs' or 'fb', got {self.mode!r}")
 

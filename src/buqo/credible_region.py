@@ -100,27 +100,27 @@ class CredibleRegion:
         return max(box, float(ball) / self.epsilon,
                    float(lev) / self.eta_tilde, 0.0)
 
-    def projector(self, tol: float = 1e-8, max_iters: int = 5000,
-                  gamma: float = 4.0) -> "RegionProjector":
-        return RegionProjector(self, tol=tol, max_iters=max_iters, gamma=gamma)
+    def projector(self, tol: float = 1e-8,
+                  max_iters: int = 5000) -> "RegionProjector":
+        return RegionProjector(self, tol=tol, max_iters=max_iters)
 
 
 class RegionProjector(WarmProjector):
     """Warm-started projection onto a credible region.
 
-    The dual step ``gamma`` trades primal against dual progress; 4.0 is
-    a robust default for the ball + level-set pair (several times faster
-    than 1.0 on hard geometries, same fixed point).
+    The dual step gamma = 4 trades primal against dual progress; it is
+    robust for the ball + level-set pair (several times faster than 1 on
+    hard geometries, same fixed point).
     """
 
     def __init__(self, region: CredibleRegion, tol: float = 1e-8,
-                 max_iters: int = 5000, gamma: float = 4.0):
+                 max_iters: int = 5000):
         ball = L2Ball(region.data, region.epsilon)
         levelset = L1Levelset(region.eta_tilde / region.lam)
         super().__init__(region.constraint, [
             DualBlock(region.psi, partial(l1_levelset_dual_prox, levelset)),
             DualBlock(region.phi, partial(l2_ball_dual_prox, ball)),
-        ], tol, max_iters, gamma)
+        ], tol, max_iters, gamma=4.0)
 
 
 def build_region(x_map: np.ndarray, lam: float, alpha: float,
@@ -157,6 +157,6 @@ def build_region(x_map: np.ndarray, lam: float, alpha: float,
 
 
 def project_region(region: CredibleRegion, x: np.ndarray, tol: float = 1e-8,
-                   max_iters: int = 5000, gamma: float = 4.0) -> np.ndarray:
+                   max_iters: int = 5000) -> np.ndarray:
     """Closest point of the region to x (fresh dual variables)."""
-    return region.projector(tol=tol, max_iters=max_iters, gamma=gamma)(x)
+    return region.projector(tol=tol, max_iters=max_iters)(x)

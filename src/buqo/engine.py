@@ -3,19 +3,22 @@
 Alternating projections (or the relaxed forward-backward variant)
 between the credible region and the structure-absent set either find a
 common point or realize the distance between the sets; the normalized
-distance is then compared against the decision threshold.
+distance is then compared against the decision threshold. One loop,
+``_outer_loop``, serves both modes: each supplies only its start pair
+and its step. The region and localized-set projectors take fixed dual
+steps (4 and 1, see ``RegionProjector`` and ``StructureProjector``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._pd import WarmProjector, check_limits
-from .credible_region import build_region
+from .credible_region import build_region, compute_tau_alpha
 from .map_solver import MapProblem, compute_lambda, solve_map
 from .structure_sets import build_structure_set
 
@@ -45,7 +48,7 @@ STOP_MAX_ITERS = "max_iters"
 #     max(inner_tol, min(INEXACT_CAP, INEXACT_FACTOR * s_{k-1})),
 # where s_{k-1} is the larger relative change of the two outer iterates
 # in lap k-1 and s_0 = INEXACT_CAP. The loop stops only on a lap run at
-# inner_tol (see _LapTolerance), so the returned pair is as accurate as
+# inner_tol (see _outer_loop), so the returned pair is as accurate as
 # with every lap at inner_tol.
 INEXACT_FACTOR = 0.01
 INEXACT_CAP = 1e-3
@@ -131,46 +134,66 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     return _rel(float(np.linalg.norm(new - old)), float(np.linalg.norm(new)))
 
 
-class _LapTolerance:
-    """The inner tolerance of each lap of one outer loop run.
+def _start(x0, owner, attr: str, message: str) -> np.ndarray:
+    """A copy of x0, or of ``owner.attr`` when x0 is None."""
+    if x0 is None:
+        if not hasattr(owner, attr):
+            raise ValueError(message)
+        x0 = getattr(owner, attr)
+    return np.asarray(x0, dtype=float).ravel().copy()
+
+
+def _outer_loop(region, sset, step, start, tol, max_iters, inner_tol,
+                inner_max_iters):
+    """The outer loop that :func:`run_pocs` and :func:`run_fb_distance` share.
+
+    ``start()`` returns the start pair (a, b), a None when the mode has
+    no region iterate before lap 1, and ``step(project_region,
+    project_set, a, b)`` returns the next pair. The loop stops when the
+    larger relative change of the two iterates, or the relative change
+    of the gap delta_k = ||a_k - b_k||, falls below ``tol``, on a lap
+    run at full inner tolerance (see INEXACT_FACTOR).
 
     Only iterative projectors (:class:`~buqo._pd.WarmProjector`) take a
-    tolerance; the others project in closed form, are called as
-    ``p(x)`` and never make a lap loose. A lap runs at the projectors'
-    own tolerance once the schedule reaches it, after a stop test passed
-    on a loose lap, and at ``max_iters``.
+    tolerance; the others project in closed form, are called as ``p(x)``
+    and never make a lap loose. A lap runs at the projectors' own
+    tolerance once the schedule reaches it, after a stop test passed on
+    a loose lap, and at ``max_iters``.
     """
+    check_limits(tol, max_iters)
+    projectors = (_as_projector(region, inner_tol, inner_max_iters),
+                  _as_projector(sset, inner_tol, inner_max_iters))
+    a, b = start()
+    floor = min((p.tol for p in projectors if isinstance(p, WarmProjector)),
+                default=np.inf)
+    change = INEXACT_CAP
+    exact = False
+    deltas: list[float] = []
+    stop = STOP_MAX_ITERS
+    it = 0
+    for it in range(1, max_iters + 1):
+        lap_tol = min(INEXACT_CAP, INEXACT_FACTOR * change)
+        loose = not (exact or it == max_iters or lap_tol <= floor)
+        lap = [partial(p, tol=lap_tol) if loose and isinstance(p, WarmProjector)
+               else p for p in projectors]
+        a_new, b_new = step(*lap, a, b)
+        deltas.append(float(np.linalg.norm(a_new - b_new)))
 
-    def __init__(self, projectors: Sequence, max_iters: int):
-        self.projectors = projectors
-        self.floor = min((p.tol for p in projectors
-                          if isinstance(p, WarmProjector)), default=np.inf)
-        self.max_iters = max_iters
-        self.change = INEXACT_CAP
-        self.exact = False
-        self.tol: float | None = None   # this lap's; None: full tolerance
+        change = _rel_change(b_new, b)
+        if a is not None:
+            change = max(change, _rel_change(a_new, a))
+        iterate_ok = a is not None and change < tol
+        delta_ok = len(deltas) >= 2 and _rel(
+            abs(deltas[-1] - deltas[-2]), deltas[-1]) < tol
 
-    def start(self, it: int) -> Sequence[Callable[[np.ndarray], np.ndarray]]:
-        """The projectors to call in lap ``it``, at this lap's tolerance."""
-        tol = min(INEXACT_CAP, INEXACT_FACTOR * self.change)
-        if self.exact or it == self.max_iters or tol <= self.floor:
-            self.tol = None
-            return self.projectors
-        self.tol = tol
-        return [partial(p, tol=tol) if isinstance(p, WarmProjector) else p
-                for p in self.projectors]
-
-    def may_stop(self, change: float, converged: bool) -> bool:
-        """Record the lap's outer change; True when the loop may stop.
-
-        A stop test passed on a loose lap sends the rest of the run to
-        full tolerance instead.
-        """
-        self.change = change
-        if converged and self.tol is not None:
-            self.exact = True
-            return False
-        return converged
+        a, b = a_new, b_new
+        if iterate_ok or delta_ok:
+            if not loose:
+                stop = STOP_ITERATE if iterate_ok else STOP_DISTANCE
+                break
+            # a stop test passed on a loose lap: finish at full tolerance
+            exact = True
+    return a, b, it, stop, np.asarray(deltas)
 
 
 def run_pocs(region, sset, x0: np.ndarray | None = None,
@@ -187,39 +210,13 @@ def run_pocs(region, sset, x0: np.ndarray | None = None,
     deltas).
     Raises ValueError for a ``tol`` <= 0 or a ``max_iters`` < 1.
     """
-    check_limits(tol, max_iters)
-    proj_region = _as_projector(region, inner_tol, inner_max_iters)
-    proj_set = _as_projector(sset, inner_tol, inner_max_iters)
-    if x0 is None:
-        if not hasattr(sset, "surrogate"):
-            raise ValueError("x0 required when the set has no surrogate")
-        x0 = sset.surrogate
-    x = np.asarray(x0, dtype=float).ravel().copy()
+    def step(project_region, project_set, a, b):
+        a = project_region(b)
+        return a, project_set(a)
 
-    laps = _LapTolerance((proj_region, proj_set), max_iters)
-    deltas: list[float] = []
-    half_prev = None
-    stop = STOP_MAX_ITERS
-    it = 0
-    for it in range(1, max_iters + 1):
-        project_region, project_set = laps.start(it)
-        half = project_region(x)
-        x_new = project_set(half)
-        deltas.append(float(np.linalg.norm(half - x_new)))
-
-        change = _rel_change(x_new, x)
-        if half_prev is not None:
-            change = max(change, _rel_change(half, half_prev))
-        iterate_ok = half_prev is not None and change < tol
-        delta_ok = len(deltas) >= 2 and _rel(
-            abs(deltas[-1] - deltas[-2]), deltas[-1]) < tol
-
-        half_prev = half
-        x = x_new
-        if laps.may_stop(change, iterate_ok or delta_ok):
-            stop = STOP_ITERATE if iterate_ok else STOP_DISTANCE
-            break
-    return half_prev, x, it, stop, np.asarray(deltas)
+    return _outer_loop(region, sset, step, lambda: (None, _start(
+        x0, sset, "surrogate", "x0 required when the set has no surrogate")),
+        tol, max_iters, inner_tol, inner_max_iters)
 
 
 def run_fb_distance(region, sset, gamma: float = 0.5,
@@ -238,40 +235,17 @@ def run_fb_distance(region, sset, gamma: float = 0.5,
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie strictly between 0 and 1")
-    check_limits(tol, max_iters)
-    proj_region = _as_projector(region, inner_tol, inner_max_iters)
-    proj_set = _as_projector(sset, inner_tol, inner_max_iters)
-    if x0_region is None:
-        if not hasattr(region, "x_map"):
-            raise ValueError("x0_region required when the region has no anchor")
-        x0_region = region.x_map
-    if x0_set is None:
-        if not hasattr(sset, "surrogate"):
-            raise ValueError("x0_set required when the set has no surrogate")
-        x0_set = sset.surrogate
-    a = np.asarray(x0_region, dtype=float).ravel().copy()
-    b = np.asarray(x0_set, dtype=float).ravel().copy()
 
-    laps = _LapTolerance((proj_region, proj_set), max_iters)
-    deltas: list[float] = []
-    stop = STOP_MAX_ITERS
-    it = 0
-    for it in range(1, max_iters + 1):
-        project_region, project_set = laps.start(it)
-        a_new = project_region((1.0 - gamma) * a + gamma * b)
-        b_new = project_set((1.0 - gamma) * b + gamma * a)
-        deltas.append(float(np.linalg.norm(a_new - b_new)))
+    def step(project_region, project_set, a, b):
+        return (project_region((1.0 - gamma) * a + gamma * b),
+                project_set((1.0 - gamma) * b + gamma * a))
 
-        change = max(_rel_change(a_new, a), _rel_change(b_new, b))
-        iterate_ok = change < tol
-        delta_ok = len(deltas) >= 2 and _rel(
-            abs(deltas[-1] - deltas[-2]), deltas[-1]) < tol
-
-        a, b = a_new, b_new
-        if laps.may_stop(change, iterate_ok or delta_ok):
-            stop = STOP_ITERATE if iterate_ok else STOP_DISTANCE
-            break
-    return a, b, it, stop, np.asarray(deltas)
+    return _outer_loop(region, sset, step, lambda: (
+        _start(x0_region, region, "x_map",
+               "x0_region required when the region has no anchor"),
+        _start(x0_set, sset, "surrogate",
+               "x0_set required when the set has no surrogate")),
+        tol, max_iters, inner_tol, inner_max_iters)
 
 
 def compute_rho(region_pt: np.ndarray, set_pt: np.ndarray,
@@ -288,9 +262,12 @@ def compute_rho(region_pt: np.ndarray, set_pt: np.ndarray,
 
 
 def decide(rho: float, eta: float, alpha: float) -> tuple[str, str]:
-    """Hypothesis decision and a one-line human-readable narrative."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    """Hypothesis decision and a one-line human-readable narrative.
+
+    Raises ValueError for a negative or NaN ``eta``.
+    """
+    if not eta >= 0:
+        raise ValueError(f"eta must be nonnegative, got {eta}")
     if rho > eta:
         return REJECTED, (
             f"H0 rejected at significance alpha={alpha:g}; "
@@ -317,11 +294,18 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
     estimate can be passed to skip the first stage. Stage failures are
     re-raised as :class:`BuqoError` with the stage label. ``limits``
     are the :class:`SolverSettings` fields (defaults for those left
-    out), checked before any solve starts.
+    out); they, ``eta`` and ``alpha`` are checked before any solve
+    starts.
     """
     if mode not in ("pocs", "fb"):
         raise BuqoError("engine", f"unknown mode {mode!r}")
+    if not eta >= 0:
+        raise BuqoError("engine", f"eta must be nonnegative, got {eta}")
     settings = SolverSettings(**limits)
+    try:
+        compute_tau_alpha(alpha, problem.n_pixels)
+    except ValueError as exc:
+        raise BuqoError("region", str(exc)) from exc
 
     try:
         if x_map is None:

@@ -288,8 +288,9 @@ class ExperimentSpec(SolverSettings):
     Each entry of ``noise_variances`` is the per-part noise variance at
     full sampling; the total noise energy is the same at every entry of
     ``sampling_ratios`` (see :func:`sample_noise`), so the two grid axes
-    vary sampling and input SNR independently. Bad grid axes raise
-    ValueError, bad solver settings BuqoError (see SolverSettings).
+    vary sampling and input SNR independently. Empty or bad grid axes
+    and a negative or NaN ``eta`` raise ValueError, bad solver settings
+    BuqoError (see SolverSettings).
     """
 
     rows: int = 64
@@ -308,10 +309,15 @@ class ExperimentSpec(SolverSettings):
 
     def __post_init__(self):
         super().__post_init__()
+        if not (len(self.sampling_ratios) and len(self.noise_variances)):
+            raise ValueError("the grid needs at least one sampling ratio "
+                             "and one noise variance")
         if any(not (0.0 < r <= 1.0) for r in self.sampling_ratios):
             raise ValueError("sampling ratios must lie in (0, 1]")
         if any(v <= 0 for v in self.noise_variances):
             raise ValueError("noise variances must be positive")
+        if not self.eta >= 0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta}")
 
 
 @dataclass

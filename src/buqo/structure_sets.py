@@ -84,10 +84,8 @@ class LocalizedSet(StructureSet):
                    box_violation(self.residual_op.forward(x), self.interval),
                    float(over) / max(1.0, ball.radius), 0.0)
 
-    def projector(self, tol: float = 1e-8, max_iters: int = 5000,
-                  gamma: float = 1.0):
-        return StructureProjector(self, tol=tol, max_iters=max_iters,
-                                  gamma=gamma)
+    def projector(self, tol: float = 1e-8, max_iters: int = 5000):
+        return StructureProjector(self, tol=tol, max_iters=max_iters)
 
 
 @dataclass
@@ -100,21 +98,24 @@ class BackgroundSet(StructureSet):
         return max(float(np.max(-x, initial=0.0)),
                    box_violation(x[self.mask.indices], self.interval))
 
-    def projector(self, tol: float = 1e-8, max_iters: int = 5000,
-                  gamma: float = 1.0):
+    def projector(self, tol: float = 1e-8, max_iters: int = 5000):
         return lambda x: project_background(self, x)
 
 
 class StructureProjector(WarmProjector):
-    """Warm-started primal-dual projection onto a localized structure set."""
+    """Warm-started primal-dual projection onto a localized structure set.
+
+    The dual step is fixed at gamma = 1; any positive gamma gives the
+    same projection and sets only the iteration count.
+    """
 
     def __init__(self, sset: LocalizedSet, tol: float = 1e-8,
-                 max_iters: int = 5000, gamma: float = 1.0):
+                 max_iters: int = 5000):
         super().__init__(IntervalBox(0.0, np.inf), [
             DualBlock(sset.residual_op, partial(box_dual_prox, sset.interval)),
             DualBlock(mask_select(sset.mask),
                       partial(l2_ball_dual_prox, sset.energy_ball)),
-        ], tol, max_iters, gamma)
+        ], tol, max_iters, gamma=1.0)
 
 
 def build_localized_set(x_map: np.ndarray, mask: PixelMask,
@@ -256,9 +257,9 @@ def build_structure_set(x_map: np.ndarray, spec, rows: int,
 
 
 def project_localized(sset: LocalizedSet, x: np.ndarray, tol: float = 1e-8,
-                      max_iters: int = 5000, gamma: float = 1.0) -> np.ndarray:
+                      max_iters: int = 5000) -> np.ndarray:
     """Closest point of a localized structure set to x."""
-    return sset.projector(tol=tol, max_iters=max_iters, gamma=gamma)(x)
+    return sset.projector(tol=tol, max_iters=max_iters)(x)
 
 
 def project_background(sset: BackgroundSet, x: np.ndarray) -> np.ndarray:

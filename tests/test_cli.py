@@ -63,6 +63,15 @@ def test_bad_alpha_is_exit_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--alpha", "2.0"]) == 2
 
 
+@pytest.mark.parametrize("eta", ["nan", "-0.1"])
+def test_bad_eta_is_exit_2(tmp_path, eta):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--eta", eta,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_config_line_without_equals_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("rows = 32\nno equals sign here\n")
@@ -302,7 +311,8 @@ def test_bad_structure_spec_names_file_and_line(tmp_path, capsys, defect):
 
 @pytest.mark.parametrize("overrides", [
     {"grid.ratios": 1.5}, {"grid.variances": 0}, {"rows": 16},
-    {"pattern.kind": "spiral"}, {"levels": 9}])
+    {"pattern.kind": "spiral"}, {"levels": 9},
+    {"grid.ratios": ""}, {"grid.variances": ""}])
 def test_bad_grid_is_exit_2(tmp_path, overrides):
     cfg = write_cfg(tmp_path, structures=str(bright_mask_file(tmp_path)),
                     **overrides)

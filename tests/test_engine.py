@@ -18,7 +18,7 @@ from buqo.engine import (
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import PixelMask, SamplingPattern, db8_analysis, masked_dft
 from buqo.sim import ExperimentSpec, add_noise
-from buqo.structure_sets import build_localized_set
+from buqo.structure_sets import build_background_set, build_localized_set
 
 from instances import small_localized_set, small_region
 
@@ -287,6 +287,18 @@ class RecordingProjector(WarmProjector):
         return super().__call__(x, tol)
 
 
+class RecordingCall:
+    """A closed-form projector that records the keywords of each call."""
+
+    def __init__(self, projector):
+        self.projector_fn = projector
+        self.keywords = []
+
+    def __call__(self, x, **kwargs):
+        self.keywords.append(kwargs)
+        return self.projector_fn(x)
+
+
 @pytest.mark.parametrize("max_iters", [500, 3])
 @pytest.mark.parametrize("run", [run_pocs, run_fb_distance])
 def test_outer_loops_stop_on_a_full_tolerance_lap(run, max_iters):
@@ -308,6 +320,22 @@ def test_outer_loops_stop_on_a_full_tolerance_lap(run, max_iters):
         # early laps run loose, the last one at full tolerance
         assert p.tols[0] > inner_tol
         assert p.tols[-1] == inner_tol
+
+    # a mixed pair: the region's laps follow the same schedule, while the
+    # closed-form background projection is always called as p(x)
+    bset = build_background_set(x_map, 16, 16, threshold_frac=0.3,
+                                dilation_radius=1)
+    region_p = RecordingProjector(region.projector(tol=inner_tol))
+    set_p = RecordingCall(bset.projector(tol=inner_tol))
+    starts = ({"x0": bset.surrogate} if run is run_pocs else
+              {"x0_region": region.x_map, "x0_set": bset.surrogate})
+    _, _, iters, stop, _ = run(region_p, set_p, tol=1e-5,
+                               max_iters=max_iters, **starts)
+    assert (stop == "max_iters") == (max_iters == 3)
+    assert len(region_p.tols) == iters
+    assert region_p.tols[0] > inner_tol
+    assert region_p.tols[-1] == inner_tol
+    assert set_p.keywords == [{}] * iters
 
 
 def test_inexact_laps_keep_the_exact_answer_for_fewer_iterations():
@@ -339,6 +367,37 @@ def test_run_buqo_invalid_alpha_raises_region_stage():
     with pytest.raises(BuqoError) as err:
         run_buqo(problem, mask, alpha=3.0)
     assert err.value.stage == "region"
+
+
+@pytest.mark.parametrize("name, value, stage", [
+    ("eta", float("nan"), "engine"),
+    ("eta", -1.0, "engine"),
+    ("alpha", 3.0, "region"),
+    ("alpha", 0.0, "region"),
+])
+def test_run_buqo_rejects_bad_eta_and_alpha_before_solving(
+        monkeypatch, name, value, stage):
+    problem, mask, _ = pipeline_16(seed=55)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before eta and alpha were checked")
+
+    monkeypatch.setattr(buqo.engine, "solve_map", no_solve)
+    with pytest.raises(BuqoError) as err:
+        run_buqo(problem, mask, **{name: value})
+    assert err.value.stage == stage
+    assert name in str(err.value)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), -0.01])
+def test_bad_eta_is_refused_everywhere(eta):
+    # a NaN eta would leave every test "not rejected"
+    with pytest.raises(ValueError, match="eta"):
+        decide(0.5, eta, 0.01)
+    with pytest.raises(ValueError, match="eta"):
+        ExperimentSpec(eta=eta)
+    with pytest.raises(ValueError, match="eta"):
+        RunConfig(eta=eta)
 
 
 def test_run_buqo_bad_mode_raises_engine_stage():
