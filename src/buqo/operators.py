@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "LinearMap",
@@ -460,67 +459,53 @@ def build_inpainting(mask: PixelMask,
     if len(kernel_sigmas) != len(sizes):
         raise ValueError("need one sigma per kernel size")
     rows, cols = mask.rows, mask.cols
-    inside = mask.boolean_image()
+    observed = ~mask.boolean_image().ravel()
     iy, ix = np.divmod(mask.indices, cols)
     if iy.min() == 0 or ix.min() == 0 or iy.max() == rows - 1 or ix.max() == cols - 1:
         raise ValueError("mask must lie strictly inside the image")
-    comp = mask.complement()
-    # position of each outside pixel in the operator's input vector
-    col_of = np.full(rows * cols, -1, dtype=np.int64)
-    col_of[comp.indices] = np.arange(comp.n_selected)
 
-    per_size = []
+    # (masked pixel, image pixel, weight) of every observed pixel in all
+    # windows of one size at once; offsets outside the image are dropped
+    at, pixel, weight = [], [], []
+    counts = np.zeros(mask.n_selected)
     for size, sigma in zip(sizes, kernel_sigmas):
-        half = size // 2
-        w = _gaussian_kernel_weights(size, sigma)
-        rows_i, cols_j, vals = [], [], []
-        empty = np.zeros(mask.n_selected, dtype=bool)
-        for r, (py, px) in enumerate(zip(iy, ix)):
-            y0, y1 = max(0, py - half), min(rows, py + half + 1)
-            x0, x1 = max(0, px - half), min(cols, px + half + 1)
-            window = ~inside[y0:y1, x0:x1]
-            if not window.any():
-                empty[r] = True
-                continue
-            wy, wx = np.nonzero(window)
-            weights = w[wy + (y0 - py + half), wx + (x0 - px + half)]
-            weights = weights / weights.sum()
-            flat = (wy + y0) * cols + (wx + x0)
-            rows_i.extend([r] * flat.size)
-            cols_j.extend(col_of[flat])
-            vals.extend(weights)
-        mat = sp.csr_matrix(
-            (vals, (rows_i, cols_j)),
-            shape=(mask.n_selected, comp.n_selected),
-        )
-        per_size.append((mat, empty))
+        offsets = np.arange(size) - size // 2
+        wy = (iy[:, None] + offsets)[:, :, None]
+        wx = (ix[:, None] + offsets)[:, None, :]
+        flat = np.clip(wy, 0, rows - 1) * cols + np.clip(wx, 0, cols - 1)
+        seen = ((wy >= 0) & (wy < rows) & (wx >= 0) & (wx < cols)
+                & observed[flat])
+        w = np.where(seen, _gaussian_kernel_weights(size, sigma), 0.0)
+        r, a, b = np.nonzero(seen)
+        at.append(r)
+        pixel.append(flat[r, a, b])
+        weight.append(w[r, a, b] / w.sum(axis=(1, 2))[r])
+        counts += seen.any(axis=(1, 2))
 
-    covered = ~np.logical_and.reduce([e for _, e in per_size])
-    if not covered.all():
-        bad = np.flatnonzero(~covered)
+    if not counts.all():
+        bad = np.flatnonzero(counts == 0)
         raise ValueError(
             f"mask too large for kernels: {bad.size} pixel(s) with no "
             f"observed neighbour in any kernel window (first: {bad[:5]})"
         )
-    # average over the kernel sizes that have support at each pixel
-    counts = np.zeros(mask.n_selected)
-    total = sp.csr_matrix((mask.n_selected, comp.n_selected))
-    for mat, empty in per_size:
-        total = total + mat
-        counts += ~empty
-    scale = sp.diags(1.0 / counts)
-    matrix = (scale @ total).tocsr()
-    mat_t = matrix.T.tocsr()
+    comp = mask.complement()
+    reached, column = np.unique(np.concatenate(pixel), return_inverse=True)
+    support = np.searchsorted(comp.indices, reached)
+    # one dense block on the outside pixels some window reaches, averaged
+    # over the kernel sizes that have support at each pixel
+    block = np.zeros((mask.n_selected, support.size))
+    np.add.at(block, (np.concatenate(at), column), np.concatenate(weight))
+    block *= (1.0 / counts)[:, None]
 
     def forward(v):
-        return matrix @ np.asarray(v).ravel()
+        return block @ np.asarray(v).ravel()[support]
 
     def adjoint(u):
-        return mat_t @ np.asarray(u).ravel()
+        out = np.zeros(comp.n_selected)
+        out[support] = block.T @ np.asarray(u).ravel()
+        return out
 
-    op = LinearMap(comp.n_selected, mask.n_selected, forward, adjoint)
-    op.matrix = matrix
-    return op
+    return LinearMap(comp.n_selected, mask.n_selected, forward, adjoint)
 
 
 def residual_map(mask: PixelMask, inpaint: LinearMap) -> LinearMap:

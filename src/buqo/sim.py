@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.ndimage as ndi
 
-from .credible_region import compute_epsilon_bound
+from .credible_region import compute_epsilon_bound, compute_tau_alpha
 from .engine import SolverSettings, TestOutcome, run_buqo
 from .map_solver import MapProblem
 from .operators import SamplingPattern, db8_analysis, masked_dft, multicoil_map
@@ -253,7 +252,12 @@ def make_phantom(kind: str, rows: int, cols: int, seed: int = 0) -> np.ndarray:
             ry = (c * dy + s * dx) / ay
             rx = (-s * dy + c * dx) / ax
             img[ry ** 2 + rx ** 2 <= 1.0] += value
-        img = ndi.gaussian_filter(img, 0.8)
+        # Gaussian blur, sigma 0.8 and radius 3, one pass per axis
+        taps = np.exp(-0.5 / 0.8 ** 2 * np.arange(-3, 4) ** 2)
+        taps /= taps.sum()
+        padded = np.pad(img, 3, mode="symmetric")
+        img = sum(t * padded[k:k + rows] for k, t in enumerate(taps))
+        img = sum(t * img[:, k:k + cols] for k, t in enumerate(taps))
         img = np.maximum(img, 0.0)
         img = img / img.max()
         return img.ravel()
@@ -288,8 +292,9 @@ class ExperimentSpec(SolverSettings):
     Each entry of ``noise_variances`` is the per-part noise variance at
     full sampling; the total noise energy is the same at every entry of
     ``sampling_ratios`` (see :func:`sample_noise`), so the two grid axes
-    vary sampling and input SNR independently. Empty or bad grid axes
-    and a negative or NaN ``eta`` raise ValueError, bad solver settings
+    vary sampling and input SNR independently. Empty or bad grid axes,
+    a negative or NaN ``eta`` and an ``alpha`` outside the concentration
+    bound's validity interval raise ValueError, bad solver settings
     BuqoError (see SolverSettings).
     """
 
@@ -318,6 +323,7 @@ class ExperimentSpec(SolverSettings):
             raise ValueError("noise variances must be positive")
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        compute_tau_alpha(self.alpha, self.rows * self.cols)
 
 
 @dataclass

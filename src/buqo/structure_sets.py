@@ -15,7 +15,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from ._pd import DualBlock, WarmProjector
 from .operators import (
@@ -172,18 +171,24 @@ def background_mask(x_map: np.ndarray, rows: int, cols: int,
 
     Bright pixels are those above threshold_frac times the maximum; they
     are dilated with the discrete disk of the given radius (pixel offsets
-    with Euclidean norm <= radius).
+    with Euclidean norm <= radius); nothing beyond the border is bright.
     """
     if not (0.0 < threshold_frac < 1.0):
         raise ValueError("threshold_frac must be in (0, 1)")
+    if dilation_radius < 0:
+        raise ValueError(
+            f"dilation_radius must be nonnegative, got {dilation_radius}")
     img = np.asarray(x_map, dtype=float).reshape(rows, cols)
     bright = img > threshold_frac * img.max()
     if bright.any():
         r = int(dilation_radius)
         grid = np.arange(-r, r + 1)
         dy, dx = np.meshgrid(grid, grid, indexing="ij")
-        disk = dy ** 2 + dx ** 2 <= r ** 2
-        bright = ndi.binary_dilation(bright, structure=disk)
+        # OR of the zero-padded image shifted by every disk offset
+        padded = np.pad(bright, r)
+        bright = np.zeros_like(bright)
+        for oy, ox in np.argwhere(dy ** 2 + dx ** 2 <= r ** 2):
+            bright |= padded[oy:oy + rows, ox:ox + cols]
     back = ~bright
     if not back.any():
         raise ValueError("background mask is empty (structures cover the image)")

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import buqo
 from buqo import io as bio
 from buqo.cli import (
     RunConfig,
@@ -327,3 +333,16 @@ def test_missing_input_paths_exit_2(tmp_path):
     assert main(["test", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert main(["grid", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_runtime_imports_no_scipy():
+    # the child imports the same buqo as this process, installed or not
+    src = str(Path(buqo.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = ("import sys, buqo, buqo.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                           text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

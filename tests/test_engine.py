@@ -400,6 +400,13 @@ def test_bad_eta_is_refused_everywhere(eta):
         RunConfig(eta=eta)
 
 
+@pytest.mark.parametrize("alpha", [3.0, 0.0, float("nan")])
+def test_experiment_spec_refuses_bad_alpha(alpha):
+    # a grid would otherwise record the same error in every cell
+    with pytest.raises(ValueError, match="alpha"):
+        ExperimentSpec(alpha=alpha)
+
+
 def test_run_buqo_bad_mode_raises_engine_stage():
     problem, mask, _ = pipeline_16(seed=54)
     with pytest.raises(BuqoError) as err:

@@ -18,7 +18,7 @@ from buqo.operators import (
 from buqo.operators import _DB8_HI, _DB8_LO
 from buqo.sim import coil_sensitivities, gaussian_random_pattern
 
-from oracles import filter_bank_2d
+from oracles import dense_matrix, filter_bank_2d
 
 
 def dense_from_map(op: LinearMap) -> np.ndarray:
@@ -415,9 +415,44 @@ def test_inpainting_hand_computed_3x3():
 def test_inpainting_rows_nonnegative_sum_to_one():
     mask = square_mask(16, 16, 5, 10, 6, 11)
     op = build_inpainting(mask)
-    dense = op.matrix.toarray()
+    dense = dense_matrix(op)
     assert (dense >= 0).all()
     np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_inpainting_clips_windows_at_the_border():
+    # masked pixels next to the border of a non-square image: their 5x5
+    # and 7x7 windows leave the image, and a window that wrapped would
+    # read pixels from the far side
+    rows, cols = 9, 13
+    mask = PixelMask(rows, cols, [1 * cols + 1, 1 * cols + 2, 2 * cols + 1,
+                                  7 * cols + 11, 4 * cols + 6])
+    sizes, sigmas = [3, 5, 7], [0.9, 1.3, 2.0]
+    op = build_inpainting(mask, kernel_sizes=sizes, kernel_sigmas=sigmas)
+    rng = np.random.default_rng(29)
+    img = rng.standard_normal((rows, cols))
+    inside = mask.boolean_image()
+    # oracle: brute-force normalized convolution per size, then the mean
+    # over the sizes whose window sees an observed pixel
+    expected = []
+    for py, px in zip(*np.divmod(mask.indices, cols)):
+        preds = []
+        for size, sigma in zip(sizes, sigmas):
+            half = size // 2
+            num = den = 0.0
+            for y in range(py - half, py + half + 1):
+                for x in range(px - half, px + half + 1):
+                    if 0 <= y < rows and 0 <= x < cols and not inside[y, x]:
+                        w = np.exp(-((y - py) ** 2 + (x - px) ** 2)
+                                   / (2.0 * sigma ** 2))
+                        num += w * img[y, x]
+                        den += w
+            if den > 0:
+                preds.append(num / den)
+        expected.append(np.mean(preds))
+    got = op.forward(img.ravel()[mask.complement().indices])
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    assert dot_test(op, n_probes=20, seed=9) < 1e-10
 
 
 def test_inpainting_mask_too_large_for_kernels():
@@ -442,7 +477,7 @@ def test_inpainting_partial_kernel_coverage_keeps_row_sums():
     # centre of a 7x7 mask is out of reach of the 3x3 kernel but not 11x11
     mask = square_mask(20, 20, 6, 13, 6, 13)
     op = build_inpainting(mask, kernel_sizes=[3, 11])
-    dense = op.matrix.toarray()
+    dense = dense_matrix(op)
     np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
 

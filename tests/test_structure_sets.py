@@ -92,17 +92,28 @@ def test_background_defaults_match_protocol():
 
 def test_background_dilation_disk_brute_force():
     rows = cols = 16
-    x = np.zeros((rows, cols))
-    x[8, 8] = 1.0
-    mask = background_mask(x.ravel(), rows, cols, threshold_frac=0.5,
-                           dilation_radius=2)
-    removed = np.setdiff1d(np.arange(rows * cols), mask.indices)
-    # oracle: brute-force enumeration of the discrete disk of radius 2
-    disk = {(8 + dy) * cols + (8 + dx)
-            for dy in range(-2, 3) for dx in range(-2, 3)
-            if dy * dy + dx * dx <= 4}
-    assert len(disk) == 13
-    assert set(removed.tolist()) == disk
+    # a centred pixel, and one whose disk the image corner clips
+    for (py, px), radius, size in [((8, 8), 2, 13), ((1, 0), 3, 14)]:
+        x = np.zeros((rows, cols))
+        x[py, px] = 1.0
+        mask = background_mask(x.ravel(), rows, cols, threshold_frac=0.5,
+                               dilation_radius=radius)
+        removed = np.setdiff1d(np.arange(rows * cols), mask.indices)
+        # oracle: brute-force enumeration of the discrete disk in the grid
+        disk = {(py + dy) * cols + (px + dx)
+                for dy in range(-radius, radius + 1)
+                for dx in range(-radius, radius + 1)
+                if dy * dy + dx * dx <= radius * radius
+                and 0 <= py + dy < rows and 0 <= px + dx < cols}
+        assert len(disk) == size
+        assert set(removed.tolist()) == disk
+
+
+def test_background_mask_refuses_negative_radius():
+    x = np.zeros(16 * 16)
+    x[8 * 16 + 8] = 1.0
+    with pytest.raises(ValueError, match="dilation_radius"):
+        background_mask(x, 16, 16, dilation_radius=-1)
 
 
 def test_background_mask_partitions_grid():
