@@ -5,8 +5,8 @@ closed-form prox. For a projection onto the box and the sets
 {A_i u in C_i}, h is 1/2 ||u - anchor||^2, whose gradient is
 beta-Lipschitz with beta = 1; the MAP estimate has no h (beta = 0).
 Each block supplies its dual step, the prox of gamma f_i*, in closed
-form for the gamma of the iteration (``prox.*_dual_prox``; the MAP
-writes its own by the Moreau identity).
+form for the gamma of the iteration: a ``prox.*_dual_prox`` factory,
+for the projectors and the MAP alike.
 
 The iteration converges when the primal step sigma and the dual step
 gamma satisfy sigma * (beta/2 + gamma * sum ||A_i||^2) < 1; for a given
@@ -31,8 +31,8 @@ class DualBlock:
     ``dual_prox(gamma)`` returns the prox of gamma f*; :func:`pd_steps`
     builds it once, for its own gamma, so the dual step is set in one
     place. The returned step may overwrite its argument and return it.
-    For the indicator of a set it is a ``prox.*_dual_prox`` with the set
-    bound (``functools.partial``).
+    It is a ``prox.*_dual_prox`` factory with its set or weight bound
+    (``functools.partial``).
     """
 
     op: LinearMap
@@ -81,13 +81,12 @@ def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
     bar = np.empty_like(u)
     scratch = [np.empty_like(v) for v in duals]
     while True:
-        adjoints = [b.op.adjoint(v) for b, v in zip(blocks, duals)]
         if anchor is None:
-            np.copyto(grad, adjoints.pop(0))
+            grad.fill(0.0)
         else:
             np.subtract(u, anchor, out=grad)
-        for adj in adjoints:
-            grad += adj
+        for b, v in zip(blocks, duals):
+            grad += b.op.adjoint(v)
         grad *= sigma
         u_new = np.subtract(u, grad)
         np.clip(u_new, box.lo, box.hi, out=u_new)

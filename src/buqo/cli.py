@@ -139,12 +139,14 @@ def load_config(args) -> RunConfig:
 
 
 class _AtomicWriter:
-    """Files staged under temporary names, to be renamed into ``out_dir``."""
+    """Files staged under temporary names in ``out_dir``: all of them are
+    renamed into place when the ``with`` block succeeds, and deleted when
+    it (or a rename) raises."""
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
+    def __init__(self, out_dir: str | Path):
+        self.out_dir = Path(out_dir)
         self.staged: list[tuple[Path, Path]] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
         final = self.out_dir / name
@@ -157,20 +159,18 @@ class _AtomicWriter:
     def files(self) -> list[Path]:
         return [final for _, final in self.staged]
 
+    def __enter__(self) -> "_AtomicWriter":
+        return self
 
-@contextmanager
-def _atomic_writer(out_dir):
-    """Stage files in ``out_dir``: all of them are renamed into place when
-    the block succeeds, and deleted when it raises."""
-    writer = _AtomicWriter(Path(out_dir))
-    try:
-        yield writer
-        for tmp, final in writer.staged:
-            tmp.replace(final)
-    except Exception:
-        for tmp, _ in writer.staged:
-            tmp.unlink(missing_ok=True)
-        raise
+    def __exit__(self, exc_type, *_) -> None:
+        try:
+            if exc_type is None:
+                for tmp, final in self.staged:
+                    tmp.replace(final)
+        finally:
+            # renamed files are gone from their temporary names already
+            for tmp, _ in self.staged:
+                tmp.unlink(missing_ok=True)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -185,7 +185,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         phi = masked_dft(pattern)
         variance, epsilon = sample_noise(cfg.sigma2, pattern.rows * pattern.cols,
                                          phi.out_dim)
-    with _atomic_writer(cfg.out) as writer:
+    with _AtomicWriter(cfg.out) as writer:
         y = add_noise(phi.forward(truth), variance, int(seeds[1]))
 
         bio.write_image(writer.path("phantom.img"), truth, cfg.rows, cfg.cols)
@@ -222,7 +222,7 @@ def cmd_map(cfg: RunConfig) -> int:
     x_map, diag = solve_map(problem, tol=cfg.map_tol, max_iters=cfg.map_max_iters)
     if not diag.converged:
         raise BuqoError("map", f"no convergence in {diag.iterations} iterations")
-    with _atomic_writer(cfg.out) as writer:
+    with _AtomicWriter(cfg.out) as writer:
         bio.write_image(writer.path("x_map.img"), x_map, rows, cols)
         bio.write_config(writer.path("map_diagnostics.txt"), {
             "iterations": diag.iterations,
@@ -245,7 +245,7 @@ def cmd_test(cfg: RunConfig) -> int:
         structure = bio.read_structure_spec(cfg.structure_file)
     outcome = run_buqo(problem, structure, alpha=cfg.alpha, mode=cfg.mode,
                        eta=cfg.eta, rows=rows, cols=cols, **cfg.limits())
-    with _atomic_writer(cfg.out) as writer:
+    with _AtomicWriter(cfg.out) as writer:
         bio.write_image(writer.path("x_region.img"), outcome.x_region, rows, cols)
         bio.write_image(writer.path("x_set.img"), outcome.x_set, rows, cols)
         bio.write_outcome(writer.path("outcome.txt"), outcome)
@@ -267,7 +267,7 @@ def cmd_grid(cfg: RunConfig) -> int:
             noise_variances=cfg.grid_variances, structures=structures,
             alpha=cfg.alpha, eta=cfg.eta, mode=cfg.mode, seed=cfg.seed,
             wavelet_levels=cfg.levels, **cfg.limits()))
-    with _atomic_writer(cfg.out) as writer:
+    with _AtomicWriter(cfg.out) as writer:
         with open(writer.path("grid_table.tsv"), "w", encoding="ascii") as fh:
             fh.write(report.table())
         for cell in report.cells:
@@ -300,9 +300,18 @@ def cmd_report(cfg: RunConfig) -> int:
     print(f"rho_alpha = {100.0 * rho:.2f}% (eta = {100.0 * values['eta']:.2f}%)")
     print(f"distance = {values['distance']:.6e} after {values['iterations']} "
           f"iterations ({values['stop_reason']})")
-    with _atomic_writer(cfg.out) as writer:
+    with _AtomicWriter(cfg.out) as writer:
         bio.write_outcome(writer.path("report_outcome.txt"), values)
     return 0
+
+
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "map": cmd_map,
+    "test": cmd_test,
+    "grid": cmd_grid,
+    "report": cmd_report,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="buqo",
         description="Bayesian uncertainty quantification for image structures",
     )
-    parser.add_argument("command",
-                        choices=["simulate", "map", "test", "grid", "report"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", type=str, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--alpha", type=float, default=None)
@@ -323,16 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "map": cmd_map,
-        "test": cmd_test,
-        "grid": cmd_grid,
-        "report": cmd_report,
-    }
     try:
         cfg = load_config(args)
-        return handlers[cfg.command](cfg)
+        return COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -76,22 +76,25 @@ def read_image(path) -> tuple[np.ndarray, int, int]:
     return data.astype(float), rows, cols
 
 
-def _write_index_list(path, magic: str, rows: int, cols: int,
-                      indices: np.ndarray) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{magic} {rows} {cols} {indices.size}\n")
-        for idx in indices:
-            fh.write(f"{int(idx)}\n")
+def _write_index_block(fh, magic: str, rows: int, cols: int,
+                       indices: np.ndarray) -> None:
+    """A "<magic> <rows> <cols> <n>" header, then one index per line."""
+    fh.write(f"{magic} {rows} {cols} {indices.size}\n")
+    for idx in indices:
+        fh.write(f"{int(idx)}\n")
 
 
-def _read_index_list(path, magic: str) -> tuple[int, int, np.ndarray]:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != magic:
-            raise ValueError(f"{path}: expected a {magic} file")
-        rows, cols, n = _header_counts(path, header[1:])
-        indices = _read_indices(fh, path, n, first=2)
-    return rows, cols, indices
+def _read_index_block(fh, path, magic: str, line: int = 1,
+                      expected: str | None = None) -> tuple[int, int, np.ndarray]:
+    """The index block written by :func:`_write_index_block`, its header
+    at line ``line`` of ``path``. A header that is not a ``magic`` block
+    raises ValueError saying the file is not ``expected`` (by default
+    "a <magic> file"); a bad count or index names ``path:line``."""
+    header = fh.readline().split()
+    if len(header) != 4 or header[0] != magic:
+        raise ValueError(f"{path}: expected {expected or f'a {magic} file'}")
+    rows, cols, n = _header_counts(path, header[1:], line=line)
+    return rows, cols, _read_indices(fh, path, n, first=line + 1)
 
 
 def _header_counts(path, fields, line: int = 1) -> list[int]:
@@ -127,22 +130,24 @@ def _read_indices(fh, path, n: int, first: int) -> np.ndarray:
 
 
 def write_mask(path, mask: PixelMask) -> None:
-    _write_index_list(path, "BUQOMASK1", mask.rows, mask.cols, mask.indices)
+    with open(path, "w", encoding="ascii") as fh:
+        _write_index_block(fh, "BUQOMASK1", mask.rows, mask.cols, mask.indices)
 
 
 def read_mask(path) -> PixelMask:
-    rows, cols, indices = _read_index_list(path, "BUQOMASK1")
-    return PixelMask(rows, cols, indices)
+    with open(path, "r", encoding="ascii") as fh:
+        return PixelMask(*_read_index_block(fh, path, "BUQOMASK1"))
 
 
 def write_pattern(path, pattern: SamplingPattern) -> None:
-    _write_index_list(path, "BUQOFREQ1", pattern.rows, pattern.cols,
-                      pattern.indices)
+    with open(path, "w", encoding="ascii") as fh:
+        _write_index_block(fh, "BUQOFREQ1", pattern.rows, pattern.cols,
+                           pattern.indices)
 
 
 def read_pattern(path) -> SamplingPattern:
-    rows, cols, indices = _read_index_list(path, "BUQOFREQ1")
-    return SamplingPattern(rows, cols, indices)
+    with open(path, "r", encoding="ascii") as fh:
+        return SamplingPattern(*_read_index_block(fh, path, "BUQOFREQ1"))
 
 
 def write_measurements(path, data: np.ndarray) -> None:
@@ -187,9 +192,7 @@ def write_structure_spec(path, spec: StructureSpec) -> None:
     mask = spec.mask
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"BUQOSTRUCT1 {spec.kind}\n")
-        fh.write(f"BUQOMASK1 {mask.rows} {mask.cols} {mask.n_selected}\n")
-        for idx in mask.indices:
-            fh.write(f"{int(idx)}\n")
+        _write_index_block(fh, "BUQOMASK1", mask.rows, mask.cols, mask.indices)
         for key in sorted(spec.params):
             fh.write(f"{key}={_format_param(spec.params[key])}\n")
 
@@ -202,13 +205,11 @@ def read_structure_spec(path) -> StructureSpec:
         kind = header[1]
         if kind not in STRUCTURE_KINDS:
             raise ValueError(f"{path}: unknown structure kind {kind!r}")
-        mask_header = fh.readline().split()
-        if len(mask_header) != 4 or mask_header[0] != "BUQOMASK1":
-            raise ValueError(f"{path}: expected an embedded BUQOMASK1 block")
-        rows, cols, n = _header_counts(path, mask_header[1:], line=2)
-        indices = _read_indices(fh, path, n, first=3)
+        rows, cols, indices = _read_index_block(
+            fh, path, "BUQOMASK1", line=2,
+            expected="an embedded BUQOMASK1 block")
     params = {}
-    for where, key, raw in _key_value_lines(path, first=n + 3):
+    for where, key, raw in _key_value_lines(path, first=indices.size + 3):
         try:
             params[key] = _parse_param(key, raw)
         except ValueError as exc:

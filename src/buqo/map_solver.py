@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ._pd import DualBlock, check_limits, pd_steps
 from .operators import LinearMap
-from .prox import IntervalBox, L2Ball, project_box, project_l2_ball
+from .prox import (IntervalBox, L2Ball, l1_norm_dual_prox, l2_ball_dual_prox,
+                   project_box)
 
 __all__ = ["MapProblem", "SolverDiagnostics", "solve_map", "compute_lambda"]
 
@@ -60,17 +62,6 @@ class SolverDiagnostics:
     objective_series: np.ndarray
     converged: bool
     gamma: float
-
-
-def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-
-
-def _moreau(prox):
-    """The dual step gamma -> (vt -> vt - gamma prox(vt / gamma)) by the
-    Moreau identity, given ``prox(z, gamma)``, the prox of f at step
-    1/gamma."""
-    return lambda gamma: lambda vt: vt - gamma * prox(vt / gamma, gamma)
 
 
 def _dual_step(x0: np.ndarray, problem: MapProblem, l1_weight: float) -> float:
@@ -121,12 +112,11 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     check_limits(tol, max_iters)
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
     box = problem.constraint
-    ball = L2Ball(y, eps)
     x = project_box(phi.adjoint(y), box)
     gamma = _dual_step(x, problem, l1_weight)
     blocks = [
-        DualBlock(psi, _moreau(lambda z, g: _soft_threshold(z, l1_weight / g))),
-        DualBlock(phi, _moreau(lambda z, g: project_l2_ball(z, ball))),
+        DualBlock(psi, partial(l1_norm_dual_prox, l1_weight)),
+        DualBlock(phi, partial(l2_ball_dual_prox, L2Ball(y, eps))),
     ]
     gap_tol = 1e-6 * eps
 

@@ -1,11 +1,13 @@
 """Closed-form Euclidean projections used by every sub-solver, and the
-closed-form dual steps of the primal-dual projectors.
+closed-form dual steps of the primal-dual solvers.
 
 The dual step of the primal-dual iteration for a term f = i_C (the
 indicator of a set C) is the prox of gamma f*. By the Moreau identity it
 is vt - gamma P_C(vt / gamma) = vt - P_{gamma C}(vt): what is left of vt
 after projecting it onto the set scaled by gamma. The ``*_dual_prox``
 factories compute that residual directly, with the scaled set built once.
+For f = w ||.||_1, f* is the indicator of the l-inf ball of radius w, so
+its dual step is the projection onto that ball, for every gamma.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "project_l2_ball",
     "project_l1_levelset",
     "box_dual_prox",
+    "l1_norm_dual_prox",
     "l2_ball_dual_prox",
     "l1_levelset_dual_prox",
 ]
@@ -140,6 +143,18 @@ def box_dual_prox(box: IntervalBox, gamma: float) -> DualProx:
 
     def prox(vt):
         vt -= np.clip(vt, lo, hi)
+        return vt
+
+    return prox
+
+
+def l1_norm_dual_prox(weight: float, gamma: float) -> DualProx:
+    """vt -> clip(vt, -weight, weight), the dual step of weight ||.||_1:
+    the projection onto the l-inf ball of radius ``weight``, the domain
+    of its conjugate, whatever gamma."""
+
+    def prox(vt):
+        np.clip(vt, -weight, weight, out=vt)
         return vt
 
     return prox

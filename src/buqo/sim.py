@@ -65,24 +65,16 @@ def gaussian_random_pattern(rows: int, cols: int, ratio: float,
         ok = ((ky >= -(rows // 2)) & (ky <= (rows - 1) // 2)
               & (kx >= -(cols // 2)) & (kx <= (cols - 1) // 2))
         flat = (ky[ok] % rows) * cols + (kx[ok] % cols)
-        for f in flat:
-            if not taken[f]:
-                taken[f] = True
-                count += 1
-                if count == target:
-                    break
+        # the batch's unused frequencies, each at its first draw, in order
+        uniq, first = np.unique(flat, return_index=True)
+        new = flat[np.sort(first[~taken[uniq]])][:target - count]
+        taken[new] = True
+        count += new.size
     fallback = count < target
     if fallback:
-        ky, kx = np.divmod(np.arange(n), cols)
-        ky = np.where(ky >= rows // 2 + rows % 2, ky - rows, ky)
-        kx = np.where(kx >= cols // 2 + cols % 2, kx - cols, kx)
-        order = np.lexsort((np.arange(n), ky ** 2 + kx ** 2))
-        for f in order:
-            if not taken[f]:
-                taken[f] = True
-                count += 1
-                if count == target:
-                    break
+        ky, kx = SamplingPattern(rows, cols, np.arange(n)).signed_frequencies().T
+        order = np.argsort(ky ** 2 + kx ** 2, kind="stable")
+        taken[order[~taken[order]][:target - count]] = True
         warnings.warn(
             "gaussian_random_pattern: uniqueness budget exhausted; filled "
             "remaining slots with the lowest unused frequencies",

@@ -112,11 +112,11 @@ def map_iterations(problem, iters):
     Starts, like ``solve_map``, from the box-clipped back-projection x0
     of the data with zero duals, takes the dual step
     gamma = 8 sqrt(len(Psi x)) / ||x0|| (unit l1 weight) and the primal
-    step 0.99 / (gamma (||Psi||^2 + ||Phi||^2)) (no smooth term), and
-    tracks Psi x and Phi x by linearity (x_new = (bar + x) / 2). Returns
-    per-iteration lists of the iterates, relative primal changes,
-    objectives ||Psi x||_1 and feasibility gaps
-    max(0, ||Phi x - y|| - epsilon).
+    step 0.99 / (gamma (||Psi||^2 + ||Phi||^2)) (no smooth term), takes
+    both dual steps in closed form, and tracks Psi x and Phi x by
+    linearity (x_new = (bar + x) / 2). Returns per-iteration lists of the
+    iterates, relative primal changes, objectives ||Psi x||_1 and
+    feasibility gaps max(0, ||Phi x - y|| - epsilon).
     """
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
     lo, hi = problem.constraint.lo, problem.constraint.hi
@@ -132,15 +132,13 @@ def map_iterations(problem, iters):
         x_new = np.clip(x - sigma * grad, lo, hi)
         bar = 2.0 * x_new - x
         psi_bar, phi_bar = psi.forward(bar), phi.forward(bar)
-        # dual steps by the Moreau identity: soft threshold at 1 / gamma
-        # for the l1 term, radial projection onto the data ball
-        w = v_psi + gamma * psi_bar
-        z = w / gamma
-        v_psi = w - gamma * (np.sign(z) * np.maximum(np.abs(z) - 1.0 / gamma, 0.0))
-        w = v_phi + gamma * phi_bar
-        z = w / gamma
-        r = np.linalg.norm(z - y)
-        v_phi = w - gamma * (z if r <= eps else y + (z - y) * (eps / r))
+        # closed-form dual steps: the l1 dual is clipped to the unit
+        # l-inf ball; the data-ball dual is d shrunk radially by
+        # gamma * eps (0 inside), with d = v + gamma Phi bar - gamma y
+        v_psi = np.clip(v_psi + gamma * psi_bar, -1.0, 1.0)
+        d = v_phi + gamma * phi_bar - gamma * y
+        r = np.linalg.norm(d)
+        v_phi = np.zeros_like(d) if r <= gamma * eps else d * (1.0 - gamma * eps / r)
         changes.append(np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), 1e-300))
         x = x_new
         psi_x = 0.5 * (psi_bar + psi_x)

@@ -77,7 +77,8 @@ def test_build_region_map_is_member():
 
 def test_build_region_matches_recomputation_oracle():
     rows = cols = 16
-    problem, _ = small_map_problem(seed=4, rows=rows, cols=cols, levels=2)
+    with pytest.warns(RuntimeWarning, match="lowest unused"):
+        problem, _ = small_map_problem(seed=4, rows=rows, cols=cols, levels=2)
     x_map, diag = solve_map(problem, tol=1e-9, max_iters=60000)
     assert diag.converged
     lam = compute_lambda(x_map, problem.psi)

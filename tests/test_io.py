@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from buqo import io as bio
-from buqo.engine import TestOutcome
+from buqo.engine import TestOutcome as Outcome
 from buqo.operators import PixelMask, SamplingPattern
 
 
@@ -131,7 +131,7 @@ def test_structure_spec_mask_header_counts_name_the_line(tmp_path, counts):
 
 
 def test_outcome_round_trip(tmp_path):
-    outcome = TestOutcome(
+    outcome = Outcome(
         rho_alpha=0.123456789, distance=0.5, decision="rejected",
         alpha=0.01, eta_threshold=0.03, x_region=np.zeros(4),
         x_set=np.zeros(4), iterations=42, stop_reason="iterate_change",

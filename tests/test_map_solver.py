@@ -179,7 +179,8 @@ def test_solve_map_deterministic():
 
 def test_solve_map_objective_bounded_and_running_min_monotone():
     rows = cols = 8
-    pattern = gaussian_random_pattern(rows, cols, 0.8, seed=11)
+    with pytest.warns(RuntimeWarning, match="lowest unused"):
+        pattern = gaussian_random_pattern(rows, cols, 0.8, seed=11)
     phi = masked_dft(pattern)
     truth, psi = sparse_truth(rows, cols, seed=11)
     y = add_noise(phi.forward(truth), 1e-3, seed=12)

@@ -8,6 +8,7 @@ from buqo.prox import (
     _l1_threshold,
     box_dual_prox,
     l1_levelset_dual_prox,
+    l1_norm_dual_prox,
     l2_ball_dual_prox,
     project_box,
     project_l1_levelset,
@@ -193,9 +194,15 @@ def moreau(project, gamma):
     return lambda vt: vt - gamma * project(vt / gamma)
 
 
+def soft_threshold(z, t):
+    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+
 def dual_step_cases():
     """(closed-form dual step, Moreau form, vt sampler) triples; each
-    sampler draws points scaled to land inside and outside the set."""
+    sampler draws points scaled to land inside and outside the set.
+    For the weighted l1 norm the Moreau form soft-thresholds vt / gamma
+    at weight / gamma, the prox of the norm at step 1 / gamma."""
     rng = np.random.default_rng(7)
     n = 12
     center = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -226,6 +233,11 @@ def dual_step_cases():
             lev = L1Levelset(level)
             cases.append((l1_levelset_dual_prox(lev, gamma),
                           moreau(lambda z, v=lev: project_l1_levelset(z, v), gamma),
+                          real))
+        for weight in (0.5, 1.0, 7.3):
+            cases.append((l1_norm_dual_prox(weight, gamma),
+                          moreau(lambda z, w=weight, g=gamma: soft_threshold(z, w / g),
+                                 gamma),
                           real))
     return cases
 

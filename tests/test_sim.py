@@ -60,6 +60,29 @@ def test_gaussian_pattern_fallback_flagged():
     assert p.n_selected == round(0.95 * 64)
 
 
+@pytest.mark.parametrize("rows, cols, ratio, seed, expected", [
+    (8, 8, 0.2, 3, [0, 1, 7, 8, 15, 16, 23, 25, 41, 54, 56, 57, 63]),
+    (6, 10, 0.5, 4, [0, 1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 17, 18, 19,
+                     20, 21, 22, 27, 29, 41, 42, 49, 50, 51, 52, 53, 55,
+                     58, 59]),
+])
+def test_gaussian_pattern_indices_pinned(rows, cols, ratio, seed, expected):
+    p = gaussian_random_pattern(rows, cols, ratio, seed)
+    assert not p.fallback_filled
+    np.testing.assert_array_equal(p.indices, expected)
+
+
+def test_gaussian_pattern_fallback_indices_pinned():
+    # the draws leave high frequencies unused; the fallback fills the
+    # lowest of them, so only the 12 highest stay out
+    with pytest.warns(RuntimeWarning, match="lowest unused"):
+        p = gaussian_random_pattern(12, 10, 0.9, seed=1)
+    assert p.fallback_filled
+    np.testing.assert_array_equal(
+        np.setdiff1d(np.arange(120), p.indices),
+        [45, 54, 55, 56, 63, 65, 66, 67, 74, 75, 76, 85])
+
+
 def test_cartesian_full_grid():
     p = cartesian_pattern(16, 16, freq_factor=1.0, phase_factor=1.0)
     assert p.n_selected == 256
@@ -215,8 +238,10 @@ def test_grid_single_cell_equals_direct_run():
 
 def test_grid_reproducible_and_failures_recorded():
     spec = small_spec(sampling_ratios=(0.9, 1.0), map_max_iters=20000)
-    r1 = run_grid(spec)
-    r2 = run_grid(spec)
+    with pytest.warns(RuntimeWarning, match="lowest unused"):
+        r1 = run_grid(spec)
+    with pytest.warns(RuntimeWarning, match="lowest unused"):
+        r2 = run_grid(spec)
     assert r1.table() == r2.table()
     assert all(c.error is None for c in r1.cells)
 
