@@ -60,7 +60,7 @@ def compute_epsilon_bound(sigma: float, m: int) -> float:
     squared noise norm (2m degrees of freedom), so it holds with high
     probability for complex white noise of per-part std sigma.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -132,7 +132,7 @@ def build_region(x_map: np.ndarray, lam: float, alpha: float,
     since the construction requires a feasible anchor point.
     """
     x_map = np.asarray(x_map, dtype=float).ravel()
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     n = problem.n_pixels
     tau = compute_tau_alpha(alpha, n)

@@ -3,17 +3,19 @@
 Alternating projections (or the relaxed forward-backward variant)
 between the credible region and the structure-absent set either find a
 common point or realize the distance between the sets; the normalized
-distance is then compared against the decision threshold. One loop,
-``_outer_loop``, serves both modes: each supplies only its start pair
-and its step. The region and localized-set projectors take fixed dual
-steps (4 and 1, see ``RegionProjector`` and ``StructureProjector``).
+distance is then compared against the decision threshold. The loops
+know only the two projection maps, P_C and P_S, and an explicit start:
+one loop, ``_outer_loop``, serves both modes, each supplying its start
+pair and its step. ``run_buqo`` builds the projectors from the sets
+(``region.projector(...)``, ``sset.projector(...)``) and reads their
+inner counters afterwards.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -62,6 +64,18 @@ class BuqoError(RuntimeError):
         self.stage = stage
 
 
+@contextmanager
+def _stage(stage: str, prefix: str = ""):
+    """Re-raise any exception of the block, a BuqoError excepted, as a
+    BuqoError labelled ``stage``, its message prefixed with ``prefix``."""
+    try:
+        yield
+    except BuqoError:
+        raise
+    except Exception as exc:
+        raise BuqoError(stage, f"{prefix}{exc}") from exc
+
+
 @dataclass
 class SolverSettings:
     """Tolerance and iteration limit of the MAP, outer and inner solvers.
@@ -80,13 +94,10 @@ class SolverSettings:
 
     def __post_init__(self):
         for prefix in ("map", "outer", "inner"):
-            try:
+            # "tol must ..." / "max_iters must ..." gain the field prefix
+            with _stage("map" if prefix == "map" else "engine", f"{prefix}_"):
                 check_limits(getattr(self, f"{prefix}_tol"),
                              getattr(self, f"{prefix}_max_iters"))
-            except ValueError as exc:
-                # "tol must ..." / "max_iters must ..." gain the field prefix
-                stage = "map" if prefix == "map" else "engine"
-                raise BuqoError(stage, f"{prefix}_{exc}") from None
 
     def limits(self) -> dict:
         """The six settings as keyword arguments, e.g. for :func:`run_buqo`."""
@@ -113,16 +124,6 @@ class TestOutcome:
     inner_iterations: int = 0
 
 
-def _as_projector(obj, tol: float, max_iters: int) -> Callable[[np.ndarray], np.ndarray]:
-    if hasattr(obj, "projector"):
-        return obj.projector(tol=tol, max_iters=max_iters)
-    if hasattr(obj, "project"):
-        return obj.project
-    if callable(obj):
-        return obj
-    raise TypeError(f"cannot project with object of type {type(obj)!r}")
-
-
 def _rel(numerator: float, denominator: float) -> float:
     # an exact-zero change counts as converged even against a zero norm
     if numerator == 0.0:
@@ -134,36 +135,30 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     return _rel(float(np.linalg.norm(new - old)), float(np.linalg.norm(new)))
 
 
-def _start(x0, owner, attr: str, message: str) -> np.ndarray:
-    """A copy of x0, or of ``owner.attr`` when x0 is None."""
-    if x0 is None:
-        if not hasattr(owner, attr):
-            raise ValueError(message)
-        x0 = getattr(owner, attr)
+def _point(x0) -> np.ndarray:
+    """A flat float copy of a start point."""
     return np.asarray(x0, dtype=float).ravel().copy()
 
 
-def _outer_loop(region, sset, step, start, tol, max_iters, inner_tol,
-                inner_max_iters):
+def _outer_loop(projectors, step, a, b, tol, max_iters):
     """The outer loop that :func:`run_pocs` and :func:`run_fb_distance` share.
 
-    ``start()`` returns the start pair (a, b), a None when the mode has
-    no region iterate before lap 1, and ``step(project_region,
-    project_set, a, b)`` returns the next pair. The loop stops when the
-    larger relative change of the two iterates, or the relative change
-    of the gap delta_k = ||a_k - b_k||, falls below ``tol``, on a lap
-    run at full inner tolerance (see INEXACT_FACTOR).
+    ``projectors`` is the pair (P_C, P_S) of callables and (a, b) the
+    start pair, with a None when the mode has no region iterate before
+    lap 1; ``step(project_region, project_set, a, b)`` returns the next
+    pair. The loop stops when the larger relative change of the two
+    iterates, or the relative change of the gap delta_k = ||a_k - b_k||,
+    falls below ``tol``, on a lap run at full inner tolerance (see
+    INEXACT_FACTOR).
 
     Only iterative projectors (:class:`~buqo._pd.WarmProjector`) take a
     tolerance; the others project in closed form, are called as ``p(x)``
     and never make a lap loose. A lap runs at the projectors' own
     tolerance once the schedule reaches it, after a stop test passed on
     a loose lap, and at ``max_iters``.
+    Raises ValueError for a ``tol`` <= 0 or a ``max_iters`` < 1.
     """
     check_limits(tol, max_iters)
-    projectors = (_as_projector(region, inner_tol, inner_max_iters),
-                  _as_projector(sset, inner_tol, inner_max_iters))
-    a, b = start()
     floor = min((p.tol for p in projectors if isinstance(p, WarmProjector)),
                 default=np.inf)
     change = INEXACT_CAP
@@ -196,14 +191,12 @@ def _outer_loop(region, sset, step, start, tol, max_iters, inner_tol,
     return a, b, it, stop, np.asarray(deltas)
 
 
-def run_pocs(region, sset, x0: np.ndarray | None = None,
-             tol=SolverSettings.outer_tol, max_iters=SolverSettings.outer_max_iters,
-             inner_tol=SolverSettings.inner_tol,
-             inner_max_iters=SolverSettings.inner_max_iters):
-    """Alternate projections between the region and the structure set.
+def run_pocs(project_region, project_set, x0: np.ndarray,
+             tol=SolverSettings.outer_tol, max_iters=SolverSettings.outer_max_iters):
+    """Alternate the projections P_C (``project_region``) and P_S
+    (``project_set``), starting with P_C at ``x0``.
 
-    Starts from a point of the structure set (the surrogate by default)
-    and stops when both relative iterate changes fall below ``tol``, or
+    Stops when both relative iterate changes fall below ``tol``, or
     when the relative change of the gap delta_k does, whichever happens
     first, on a lap whose projections ran at full tolerance (see
     INEXACT_FACTOR). Returns (x_region, x_set, iterations, stop_reason,
@@ -214,23 +207,21 @@ def run_pocs(region, sset, x0: np.ndarray | None = None,
         a = project_region(b)
         return a, project_set(a)
 
-    return _outer_loop(region, sset, step, lambda: (None, _start(
-        x0, sset, "surrogate", "x0 required when the set has no surrogate")),
-        tol, max_iters, inner_tol, inner_max_iters)
+    return _outer_loop((project_region, project_set), step, None, _point(x0),
+                       tol, max_iters)
 
 
-def run_fb_distance(region, sset, gamma: float = 0.5,
+def run_fb_distance(project_region, project_set, x0_region: np.ndarray,
+                    x0_set: np.ndarray, gamma: float = 0.5,
                     tol=SolverSettings.outer_tol,
-                    max_iters=SolverSettings.outer_max_iters,
-                    inner_tol=SolverSettings.inner_tol,
-                    inner_max_iters=SolverSettings.inner_max_iters,
-                    x0_region: np.ndarray | None = None,
-                    x0_set: np.ndarray | None = None):
-    """Forward-backward iteration on the squared distance between the sets.
+                    max_iters=SolverSettings.outer_max_iters):
+    """Forward-backward iteration on the squared distance between the sets,
+    with projections P_C (``project_region``) and P_S (``project_set``).
 
-    Each side moves a fraction ``gamma`` in (0, 1) toward the other and
-    is projected back; the pair converges to the minimizing pair of the
-    distance problem (alternating projections are the gamma -> 1 limit).
+    Starts from the pair (``x0_region``, ``x0_set``). Each side moves a
+    fraction ``gamma`` in (0, 1) toward the other and is projected back;
+    the pair converges to the minimizing pair of the distance problem
+    (alternating projections are the gamma -> 1 limit).
     Same return convention and stopping criteria as :func:`run_pocs`.
     """
     if not (0.0 < gamma < 1.0):
@@ -240,12 +231,8 @@ def run_fb_distance(region, sset, gamma: float = 0.5,
         return (project_region((1.0 - gamma) * a + gamma * b),
                 project_set((1.0 - gamma) * b + gamma * a))
 
-    return _outer_loop(region, sset, step, lambda: (
-        _start(x0_region, region, "x_map",
-               "x0_region required when the region has no anchor"),
-        _start(x0_set, sset, "surrogate",
-               "x0_set required when the set has no surrogate")),
-        tol, max_iters, inner_tol, inner_max_iters)
+    return _outer_loop((project_region, project_set), step, _point(x0_region),
+                       _point(x0_set), tol, max_iters)
 
 
 def compute_rho(region_pt: np.ndarray, set_pt: np.ndarray,
@@ -264,10 +251,12 @@ def compute_rho(region_pt: np.ndarray, set_pt: np.ndarray,
 def decide(rho: float, eta: float, alpha: float) -> tuple[str, str]:
     """Hypothesis decision and a one-line human-readable narrative.
 
-    Raises ValueError for a negative or NaN ``eta``.
+    Raises ValueError for a negative or NaN ``eta`` or ``rho``.
     """
     if not eta >= 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
+    if not rho >= 0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
     if rho > eta:
         return REJECTED, (
             f"H0 rejected at significance alpha={alpha:g}; "
@@ -302,12 +291,10 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
     if not eta >= 0:
         raise BuqoError("engine", f"eta must be nonnegative, got {eta}")
     settings = SolverSettings(**limits)
-    try:
+    with _stage("region"):
         compute_tau_alpha(alpha, problem.n_pixels)
-    except ValueError as exc:
-        raise BuqoError("region", str(exc)) from exc
 
-    try:
+    with _stage("map"):
         if x_map is None:
             x_map, diag = solve_map(problem, tol=settings.map_tol,
                                     max_iters=settings.map_max_iters)
@@ -317,37 +304,28 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
                     f"(feasibility gap {diag.feasibility_gap:.3e})"
                 )
         lam = compute_lambda(x_map, problem.psi)
-    except BuqoError:
-        raise
-    except Exception as exc:
-        raise BuqoError("map", str(exc)) from exc
 
-    try:
+    with _stage("region"):
         region = build_region(x_map, lam, alpha, problem)
-    except Exception as exc:
-        raise BuqoError("region", str(exc)) from exc
 
-    try:
+    with _stage("set"):
         if rows is None or cols is None:
             side = int(round(np.sqrt(problem.n_pixels)))
             if side * side != problem.n_pixels:
                 raise ValueError("rows/cols required for non-square grids")
             rows = cols = side
         sset = build_structure_set(x_map, structure, rows, cols)
-    except Exception as exc:
-        raise BuqoError("set", str(exc)) from exc
 
-    try:
+    with _stage("engine"):
         inner = dict(tol=settings.inner_tol, max_iters=settings.inner_max_iters)
         projectors = (region.projector(**inner), sset.projector(**inner))
         outer = dict(tol=settings.outer_tol, max_iters=settings.outer_max_iters)
         if mode == "pocs":
             x_region, x_set, iters, stop, deltas = run_pocs(
-                *projectors, x0=sset.surrogate, **outer)
+                *projectors, sset.surrogate, **outer)
         else:
             x_region, x_set, iters, stop, deltas = run_fb_distance(
-                *projectors, gamma=gamma, x0_region=region.x_map,
-                x0_set=sset.surrogate, **outer)
+                *projectors, region.x_map, sset.surrogate, gamma=gamma, **outer)
         rho = compute_rho(x_region, x_set, x_map, sset.surrogate)
         decision, narrative = decide(rho, eta, alpha)
         # a background set projects in closed form and never falls short
@@ -357,10 +335,6 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
             narrative += (f" ({unconverged} inner projections stopped at "
                           f"inner_max_iters = {settings.inner_max_iters}; "
                           "rho is approximate)")
-    except BuqoError:
-        raise
-    except Exception as exc:
-        raise BuqoError("engine", str(exc)) from exc
 
     return TestOutcome(
         rho_alpha=rho,

@@ -34,8 +34,10 @@ class MapProblem:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex).ravel()
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("data must be finite")
         if self.phi.out_dim != self.data.size:
             raise ValueError("data length does not match the operator")
         if self.phi.in_dim != self.psi.in_dim:
@@ -107,7 +109,7 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
     max(||y||, epsilon), which is positive and scales with the data too,
     so gamma stays finite. ``diag.gamma`` reports the step taken.
     """
-    if l1_weight <= 0:
+    if not l1_weight > 0:
         raise ValueError("l1_weight must be positive")
     check_limits(tol, max_iters)
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
@@ -167,7 +169,7 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
 def compute_lambda(x_map: np.ndarray, psi: LinearMap) -> float:
     """Maximum-likelihood regularization weight: n_pixels / ||Psi x||_1."""
     l1 = float(np.sum(np.abs(psi.forward(np.asarray(x_map).ravel()))))
-    if l1 == 0.0:
-        raise ValueError("degenerate MAP estimate: ||Psi x||_1 = 0, "
+    if not 0.0 < l1 < np.inf:
+        raise ValueError(f"degenerate MAP estimate: ||Psi x||_1 = {l1:g}, "
                          "regularization weight undefined")
     return psi.in_dim / l1

@@ -42,7 +42,7 @@ class IntervalBox:
     hi: float | np.ndarray = np.inf
 
     def __post_init__(self):
-        if np.any(np.asarray(self.lo) > np.asarray(self.hi)):
+        if not np.all(np.asarray(self.lo) <= np.asarray(self.hi)):
             raise ValueError("interval requires lo <= hi componentwise")
 
 
@@ -54,7 +54,7 @@ class L2Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ValueError("ball radius must be nonnegative")
 
 
@@ -65,7 +65,7 @@ class L1Levelset:
     level: float
 
     def __post_init__(self):
-        if self.level < 0:
+        if not self.level >= 0:
             raise ValueError("l1 level must be nonnegative")
 
 

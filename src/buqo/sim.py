@@ -94,7 +94,7 @@ def cartesian_pattern(rows: int, cols: int, freq_factor: float = 1.0 / 1.3,
     rows * cols / (phase_factor * freq_factor), which a discrete grid
     cannot realize through per-line oversampling when freq_factor < 1.
     """
-    if freq_factor <= 0 or phase_factor <= 0:
+    if not (freq_factor > 0 and phase_factor > 0):
         raise ValueError("undersampling factors must be positive")
     stride = max(1, int(round(freq_factor)))
     line_cols = np.arange(0, cols, stride)
@@ -122,7 +122,7 @@ def sampling_pattern(kind: str, rows: int, cols: int, ratio: float,
 
 def add_noise(clean: np.ndarray, sigma2: float, seed: int) -> np.ndarray:
     """Add complex white noise of per-part variance sigma2."""
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
     clean = np.asarray(clean, dtype=complex).ravel()
     rng = np.random.default_rng(seed)
@@ -143,7 +143,7 @@ def sample_noise(sigma2: float, n_full: int, m: int) -> tuple[float, float]:
     changes how much of the signal is seen, not the input SNR; at m equal
     to n_full the variance is sigma2 itself.
     """
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
     if not (1 <= m <= n_full):
         raise ValueError("need 1 <= m <= n_full samples")
@@ -311,7 +311,7 @@ class ExperimentSpec(SolverSettings):
                              "and one noise variance")
         if any(not (0.0 < r <= 1.0) for r in self.sampling_ratios):
             raise ValueError("sampling ratios must lie in (0, 1]")
-        if any(v <= 0 for v in self.noise_variances):
+        if not all(v > 0 for v in self.noise_variances):
             raise ValueError("noise variances must be positive")
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")

@@ -157,7 +157,7 @@ def build_localized_set(x_map: np.ndarray, mask: PixelMask,
                         surrogate=surrogate, inpaint=inpaint,
                         residual_op=res_op, energy_ball=ball)
     bad = sset.residual(surrogate)
-    if bad > 1e-8:
+    if not bad <= 1e-8:
         raise ValueError(
             f"surrogate violates the structure set (residual {bad:.3e})"
         )
@@ -222,7 +222,7 @@ def build_background_set(x_map: np.ndarray, rows: int, cols: int,
     sset = BackgroundSet(mask=mask, interval=IntervalBox(0.0, tau_hi),
                          surrogate=surrogate)
     bad = sset.residual(surrogate)
-    if bad > 1e-8:
+    if not bad <= 1e-8:
         raise ValueError(
             f"surrogate violates the background set (residual {bad:.3e})"
         )
@@ -249,15 +249,20 @@ def build_structure_set(x_map: np.ndarray, spec, rows: int,
 
     The spec's kind picks the builder and its ``params`` are that
     builder's keywords: a key the builder does not take raises
-    TypeError naming the key.
+    TypeError naming the key. A mask on another grid than rows x cols
+    raises ValueError, even when its flat indices fit.
     """
+    mask = spec if isinstance(spec, PixelMask) else getattr(spec, "mask", None)
+    if mask is not None and (mask.rows, mask.cols) != (rows, cols):
+        raise ValueError(f"structure mask is on a {mask.rows}x{mask.cols} grid, "
+                         f"the problem on {rows}x{cols}")
     if isinstance(spec, StructureSet):
         return spec
     if isinstance(spec, PixelMask):
         return build_localized_set(x_map, spec)
     if spec.kind not in _BUILDERS:
         raise ValueError(f"unknown structure kind {spec.kind!r}")
-    return _BUILDERS[spec.kind](x_map, getattr(spec, "mask", None), rows, cols,
+    return _BUILDERS[spec.kind](x_map, mask, rows, cols,
                                 **(getattr(spec, "params", None) or {}))
 
 

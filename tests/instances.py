@@ -9,6 +9,21 @@ from buqo.sim import add_noise, gaussian_random_pattern
 from buqo.structure_sets import build_localized_set
 
 
+class Disk:
+    """Analytic disk with an exact projection (outer-loop test double)."""
+
+    def __init__(self, center, radius):
+        self.center = np.asarray(center, dtype=float)
+        self.radius = radius
+
+    def project(self, x):
+        d = np.asarray(x, dtype=float) - self.center
+        n = np.linalg.norm(d)
+        if n <= self.radius:
+            return np.asarray(x, dtype=float).copy()
+        return self.center + d * (self.radius / n)
+
+
 def counting(op):
     """``op`` with its forward and adjoint calls counted."""
     calls = {"forward": 0, "adjoint": 0}

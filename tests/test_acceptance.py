@@ -57,7 +57,7 @@ from buqo.sim import (
 from buqo.structure_sets import build_localized_set, project_localized
 
 from conftest import record_criterion
-from instances import small_localized_set, small_region
+from instances import Disk, small_localized_set, small_region
 from oracles import (
     l1_projection_subgradient_batch,
     nlp_polish_localized,
@@ -165,32 +165,19 @@ def test_criterion_2_projections():
 # ---------------------------------------------------------------------------
 # 3. analytic POCS oracle
 
-class _Disk:
-    def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = radius
-
-    def project(self, x):
-        d = np.asarray(x, dtype=float) - self.center
-        n = np.linalg.norm(d)
-        if n <= self.radius:
-            return np.asarray(x, dtype=float).copy()
-        return self.center + d * (self.radius / n)
-
-
 @criterion(3, "two-disk POCS: distance and limit points, under 1 s")
 def test_criterion_3_pocs_analytic():
     start = time.perf_counter()
-    a = _Disk([0.0, 0.0], 1.0)
-    b = _Disk([3.0, 0.0], 1.0)
-    x_r, x_s, _, _, deltas = run_pocs(a, b, x0=np.array([3.5, 2.0]),
+    a = Disk([0.0, 0.0], 1.0)
+    b = Disk([3.0, 0.0], 1.0)
+    x_r, x_s, _, _, deltas = run_pocs(a.project, b.project, np.array([3.5, 2.0]),
                                       tol=1e-10, max_iters=50000)
     assert abs(deltas[-1] - 1.0) <= 1e-6
     assert np.linalg.norm(x_r - [1.0, 0.0]) <= 1e-5
     assert np.linalg.norm(x_s - [2.0, 0.0]) <= 1e-5
 
-    c = _Disk([1.0, 0.0], 1.0)
-    x_r, x_s, _, _, deltas = run_pocs(a, c, x0=np.array([5.0, -3.0]),
+    c = Disk([1.0, 0.0], 1.0)
+    x_r, x_s, _, _, deltas = run_pocs(a.project, c.project, np.array([5.0, -3.0]),
                                       tol=1e-9, max_iters=50000)
     assert deltas[-1] <= 1e-6
     common = x_s
@@ -408,9 +395,11 @@ def test_criterion_8_pocs_fb_consistency():
         lam = compute_lambda(x_map, psi)
         region = build_region(x_map, lam, 0.01, problem)
         sset = build_localized_set(x_map, PixelMask(rows, cols, block))
-        *_, d_pocs = run_pocs(region, sset, tol=1e-6, max_iters=2000)
-        *_, d_fb = run_fb_distance(region, sset, gamma=0.5, tol=1e-6,
-                                   max_iters=4000)
+        *_, d_pocs = run_pocs(region.projector(), sset.projector(),
+                              sset.surrogate, tol=1e-6, max_iters=2000)
+        *_, d_fb = run_fb_distance(region.projector(), sset.projector(),
+                                   region.x_map, sset.surrogate, gamma=0.5,
+                                   tol=1e-6, max_iters=4000)
         d1, d2 = d_pocs[-1], d_fb[-1]
         assert d1 > 0.0
         assert abs(d1 - d2) <= 1e-3 * max(d1, d2), (seed, d1, d2)

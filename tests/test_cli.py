@@ -89,7 +89,8 @@ def test_config_line_without_equals_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides", [
     {"pattern.kind": "spiral"}, {"pattern.kind": "multicoil"}, {"ratio": 1.5},
-    {"rows": 16}, {"sigma2": 0}, {"pattern.kind": "cartesian", "ratio": 0}])
+    {"rows": 16}, {"sigma2": 0}, {"pattern.kind": "cartesian", "ratio": 0},
+    {"sigma2": float("nan")}])
 def test_bad_sampling_pattern_is_exit_2(tmp_path, overrides):
     cfg = write_cfg(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg),
@@ -253,6 +254,20 @@ def simulated(tmp_path, name, **overrides):
     out = tmp_path / name
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     return out
+
+
+@pytest.mark.parametrize("overrides", [
+    {"epsilon": float("nan")}, {"sigma2": float("nan")}])
+def test_nan_noise_level_is_exit_2(tmp_path, overrides):
+    # refused before any iteration, not after the whole MAP budget
+    sim = simulated(tmp_path, "sim")
+    cfg = write_cfg(tmp_path, name="map.cfg",
+                    measurements=str(sim / "measurements.meas"),
+                    **{"pattern.file": str(sim / "pattern.freq"),
+                       "map.max.iters": 50, **overrides})
+    out = tmp_path / "map_out"
+    assert main(["map", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_measurements_not_fitting_the_pattern_are_exit_2(tmp_path):

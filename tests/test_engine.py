@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,24 +23,7 @@ from buqo.operators import PixelMask, SamplingPattern, db8_analysis, masked_dft
 from buqo.sim import ExperimentSpec, add_noise
 from buqo.structure_sets import build_background_set, build_localized_set
 
-from instances import small_localized_set, small_region
-
-
-class Ball:
-    """Analytic disk with exact projection (engine test double)."""
-
-    def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = radius
-        self.surrogate = self.center.copy()
-        self.x_map = self.center.copy()
-
-    def project(self, x):
-        d = np.asarray(x, dtype=float) - self.center
-        n = np.linalg.norm(d)
-        if n <= self.radius:
-            return np.asarray(x, dtype=float).copy()
-        return self.center + d * (self.radius / n)
+from instances import Disk, small_localized_set, small_region
 
 
 def pipeline_16(seed, bright=3.0, sigma2=1e-4, ratio=1.0):
@@ -66,10 +52,10 @@ def pipeline_16(seed, bright=3.0, sigma2=1e-4, ratio=1.0):
 # POCS on analytic disks
 
 def test_pocs_intersecting_disks_reach_common_point():
-    a = Ball([0.0, 0.0], 1.0)
-    b = Ball([1.0, 0.0], 1.0)
+    a = Disk([0.0, 0.0], 1.0)
+    b = Disk([1.0, 0.0], 1.0)
     x_region, x_set, iters, stop, deltas = run_pocs(
-        a, b, x0=np.array([5.0, 4.0]), tol=1e-9, max_iters=10000)
+        a.project, b.project, np.array([5.0, 4.0]), tol=1e-9, max_iters=10000)
     assert deltas[-1] <= 1e-6
     assert np.linalg.norm(x_region - x_set) <= 1e-6
     assert np.linalg.norm(a.project(x_set) - x_set) <= 1e-6
@@ -77,31 +63,32 @@ def test_pocs_intersecting_disks_reach_common_point():
 
 
 def test_pocs_disjoint_disks_realize_distance():
-    a = Ball([0.0, 0.0], 1.0)
-    b = Ball([3.0, 0.0], 1.0)
+    a = Disk([0.0, 0.0], 1.0)
+    b = Disk([3.0, 0.0], 1.0)
     x_region, x_set, iters, stop, deltas = run_pocs(
-        a, b, x0=np.array([3.0, 1.0]), tol=1e-10, max_iters=20000)
+        a.project, b.project, np.array([3.0, 1.0]), tol=1e-10, max_iters=20000)
     assert deltas[-1] == pytest.approx(1.0, abs=1e-6)
     np.testing.assert_allclose(x_region, [1.0, 0.0], atol=1e-5)
     np.testing.assert_allclose(x_set, [2.0, 0.0], atol=1e-5)
 
 
 def test_pocs_fixed_point_stops_fast():
-    a = Ball([0.0, 0.0], 1.0)
-    b = Ball([1.0, 0.0], 1.0)
+    a = Disk([0.0, 0.0], 1.0)
+    b = Disk([1.0, 0.0], 1.0)
     x0 = np.array([0.5, 0.0])
-    x_region, x_set, iters, stop, deltas = run_pocs(a, b, x0=x0, tol=1e-8,
-                                                    max_iters=100)
+    x_region, x_set, iters, stop, deltas = run_pocs(a.project, b.project, x0,
+                                                    tol=1e-8, max_iters=100)
     assert iters <= 2
     assert deltas[-1] <= 1e-8
     np.testing.assert_allclose(x_set, x0, atol=1e-12)
 
 
-def test_pocs_requires_start_when_no_surrogate():
-    a = Ball([0.0, 0.0], 1.0)
-    b = object()
+@pytest.mark.parametrize("run", [run_pocs, run_fb_distance])
+def test_outer_loops_refuse_a_non_callable_projector(run):
+    a = Disk([0.0, 0.0], 1.0)
+    starts = [np.zeros(2)] * (1 if run is run_pocs else 2)
     with pytest.raises(TypeError):
-        run_pocs(a, b, x0=np.zeros(2))
+        run(a.project, object(), *starts)
 
 
 @pytest.mark.parametrize("run", [run_pocs, run_fb_distance])
@@ -111,48 +98,49 @@ def test_pocs_requires_start_when_no_surrogate():
 ])
 def test_outer_loops_reject_bad_limits(run, limits):
     # a zero budget would return a None or an unprojected point
-    a = Ball([0.0, 0.0], 1.0)
-    b = Ball([3.0, 0.0], 1.0)
+    a = Disk([0.0, 0.0], 1.0)
+    b = Disk([3.0, 0.0], 1.0)
+    starts = [b.center] * (1 if run is run_pocs else 2)
     with pytest.raises(ValueError, match=next(iter(limits))):
-        run(a, b, **limits)
+        run(a.project, b.project, *starts, **limits)
 
 
 # ---------------------------------------------------------------------------
 # FB distance on analytic disks
 
 def test_fb_intersecting_disks():
-    a = Ball([0.0, 0.0], 1.0)
-    b = Ball([1.0, 0.0], 1.0)
+    a = Disk([0.0, 0.0], 1.0)
+    b = Disk([1.0, 0.0], 1.0)
     x_region, x_set, iters, stop, deltas = run_fb_distance(
-        a, b, gamma=0.5, tol=1e-9, max_iters=50000,
-        x0_region=np.array([-1.0, 0.0]), x0_set=np.array([2.0, 0.0]))
+        a.project, b.project, np.array([-1.0, 0.0]), np.array([2.0, 0.0]),
+        gamma=0.5, tol=1e-9, max_iters=50000)
     assert np.linalg.norm(x_region - x_set) <= 1e-5
 
 
 def test_fb_disjoint_disks_distance_one():
-    a = Ball([0.0, 0.0], 1.0)
-    b = Ball([3.0, 0.0], 1.0)
+    a = Disk([0.0, 0.0], 1.0)
+    b = Disk([3.0, 0.0], 1.0)
     x_region, x_set, iters, stop, deltas = run_fb_distance(
-        a, b, gamma=0.5, tol=1e-10, max_iters=50000,
-        x0_region=np.array([0.0, 1.0]), x0_set=np.array([3.0, 1.0]))
+        a.project, b.project, np.array([0.0, 1.0]), np.array([3.0, 1.0]),
+        gamma=0.5, tol=1e-10, max_iters=50000)
     assert deltas[-1] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_fb_gamma_near_one_matches_pocs():
-    a = Ball([0.2, -0.4], 0.7)
-    b = Ball([2.5, 0.3], 0.9)
-    _, _, _, _, d_pocs = run_pocs(a, b, x0=np.array([2.5, 0.3]), tol=1e-10,
-                                  max_iters=20000)
+    a = Disk([0.2, -0.4], 0.7)
+    b = Disk([2.5, 0.3], 0.9)
+    _, _, _, _, d_pocs = run_pocs(a.project, b.project, np.array([2.5, 0.3]),
+                                  tol=1e-10, max_iters=20000)
     _, _, _, _, d_fb = run_fb_distance(
-        a, b, gamma=0.99, tol=1e-10, max_iters=50000,
-        x0_region=np.array([0.2, -0.4]), x0_set=np.array([2.5, 0.3]))
+        a.project, b.project, np.array([0.2, -0.4]), np.array([2.5, 0.3]),
+        gamma=0.99, tol=1e-10, max_iters=50000)
     assert abs(d_pocs[-1] - d_fb[-1]) <= 1e-3 * d_pocs[-1]
 
 
 def test_fb_rejects_bad_gamma():
-    a = Ball([0.0, 0.0], 1.0)
+    a = Disk([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
-        run_fb_distance(a, a, gamma=1.0)
+        run_fb_distance(a.project, a.project, a.center, a.center, gamma=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +182,12 @@ def test_decide_zero_rho_not_rejected():
     assert decision == "not_rejected"
 
 
+def test_decide_refuses_nan_rho():
+    # NaN > eta is False, which would read as "not rejected"
+    with pytest.raises(ValueError, match="rho"):
+        decide(float("nan"), 0.03, 0.01)
+
+
 def test_decide_monotone_in_eta():
     rho = 0.05
     d_low, _ = decide(rho, 0.01, 0.01)
@@ -211,8 +205,9 @@ def test_pocs_outputs_are_members_and_deltas_near_monotone():
     mask = PixelMask(4, 4, [5, 6])
     sset = build_localized_set(region.x_map, mask, kernel_sizes=[3])
     x_region, x_set, iters, stop, deltas = run_pocs(
-        region, sset, tol=1e-6, max_iters=500, inner_tol=1e-9,
-        inner_max_iters=50000)
+        region.projector(tol=1e-9, max_iters=50000),
+        sset.projector(tol=1e-9, max_iters=50000), sset.surrogate,
+        tol=1e-6, max_iters=500)
     assert region.residual(x_region) <= 1e-5
     assert sset.residual(x_set) <= 1e-5
     assert (np.diff(deltas) <= 10 * 1e-6 + 1e-12).all()
@@ -247,7 +242,8 @@ def test_run_buqo_rho_matches_recomputation():
     lam = compute_lambda(x_map, problem.psi)
     region = build_region(x_map, lam, 0.01, problem)
     sset = build_localized_set(x_map, mask)
-    x_region, x_set, *_ = run_pocs(region, sset, tol=1e-5, max_iters=500)
+    x_region, x_set, *_ = run_pocs(region.projector(), sset.projector(),
+                                   sset.surrogate, tol=1e-5, max_iters=500)
     rho = compute_rho(x_region, x_set, x_map, sset.surrogate)
     expected = (np.linalg.norm(x_set - x_region)
                 / np.linalg.norm(x_map - sset.surrogate))
@@ -310,10 +306,10 @@ def test_outer_loops_stop_on_a_full_tolerance_lap(run, max_iters):
     inner_tol = 1e-8
     projectors = [RecordingProjector(s.projector(tol=inner_tol))
                   for s in (region, sset)]
-    starts = ({"x0": sset.surrogate} if run is run_pocs else
-              {"x0_region": region.x_map, "x0_set": sset.surrogate})
-    _, _, iters, stop, _ = run(*projectors, tol=1e-5, max_iters=max_iters,
-                               **starts)
+    starts = ((sset.surrogate,) if run is run_pocs else
+              (region.x_map, sset.surrogate))
+    _, _, iters, stop, _ = run(*projectors, *starts, tol=1e-5,
+                               max_iters=max_iters)
     assert (stop == "max_iters") == (max_iters == 3)
     for p in projectors:
         assert len(p.tols) == iters
@@ -327,10 +323,10 @@ def test_outer_loops_stop_on_a_full_tolerance_lap(run, max_iters):
                                 dilation_radius=1)
     region_p = RecordingProjector(region.projector(tol=inner_tol))
     set_p = RecordingCall(bset.projector(tol=inner_tol))
-    starts = ({"x0": bset.surrogate} if run is run_pocs else
-              {"x0_region": region.x_map, "x0_set": bset.surrogate})
-    _, _, iters, stop, _ = run(region_p, set_p, tol=1e-5,
-                               max_iters=max_iters, **starts)
+    starts = ((bset.surrogate,) if run is run_pocs else
+              (region.x_map, bset.surrogate))
+    _, _, iters, stop, _ = run(region_p, set_p, *starts, tol=1e-5,
+                               max_iters=max_iters)
     assert (stop == "max_iters") == (max_iters == 3)
     assert len(region_p.tols) == iters
     assert region_p.tols[0] > inner_tol
@@ -351,7 +347,7 @@ def test_inexact_laps_keep_the_exact_answer_for_fewer_iterations():
                            max_iters=limits.inner_max_iters)
     # plain callables are never handed a tolerance: every lap is exact
     x_region, x_set, *_ = run_pocs(lambda x: region_p(x), lambda x: set_p(x),
-                                   x0=sset.surrogate, tol=limits.outer_tol,
+                                   sset.surrogate, tol=limits.outer_tol,
                                    max_iters=limits.outer_max_iters)
     rho = compute_rho(x_region, x_set, x_map, sset.surrogate)
     exact_iterations = region_p.inner_iterations + set_p.inner_iterations
@@ -455,3 +451,78 @@ def test_run_buqo_unknown_spec_key_fails_set_stage(kind, params, key):
         run_buqo(problem, spec, alpha=0.1, x_map=region.x_map, rows=4, cols=4)
     assert err.value.stage == "set"
     assert repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("structure, nan_pixel, stage", [
+    (StructureSpec("localized", PixelMask(4, 4, [5, 6]),
+                   {"tau": float("nan")}), False, "set"),
+    (StructureSpec("localized", PixelMask(4, 4, [5, 6]),
+                   {"theta": float("nan")}), False, "set"),
+    (PixelMask(4, 4, [5, 6]), True, "map"),
+], ids=["tau", "theta", "x_map"])
+def test_run_buqo_refuses_nan_inputs(structure, nan_pixel, stage):
+    # each would otherwise run the outer budget on NaN iterates and end
+    # "not rejected" at rho = nan
+    region, problem, _ = small_region(seed=33)
+    x_map = region.x_map.copy()
+    if nan_pixel:
+        x_map[7] = np.nan
+    with pytest.raises(BuqoError) as err:
+        run_buqo(problem, structure, alpha=0.1, x_map=x_map, rows=4, cols=4,
+                 outer_max_iters=5, inner_max_iters=50)
+    assert err.value.stage == stage
+
+
+@pytest.mark.parametrize("make", [
+    lambda block, x_map: PixelMask(8, 32, block),
+    lambda block, x_map: StructureSpec("localized", PixelMask(8, 32, block), {}),
+    lambda block, x_map: StructureSpec(
+        "background", PixelMask(32, 8, []),
+        {"threshold_frac": 0.3, "dilation_radius": 1}),
+    lambda block, x_map: build_localized_set(x_map, PixelMask(8, 32, block)),
+], ids=["mask", "localized-spec", "background-spec", "prebuilt-set"])
+def test_run_buqo_refuses_a_mask_from_another_grid(make):
+    # the flat indices fit a 16x16 image, but the inpainting windows and
+    # the background dilation would come from the mask's own geometry
+    problem, mask, _ = pipeline_16(seed=50, bright=3.0, sigma2=1e-4)
+    x_map, _ = solve_map(problem, tol=1e-8, max_iters=60000)
+    with pytest.raises(BuqoError) as err:
+        run_buqo(problem, make(mask.indices, x_map), alpha=0.01, x_map=x_map,
+                 outer_max_iters=3)
+    assert err.value.stage == "set"
+    assert "grid" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's trace contract
+
+def _perfbench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_counts_match_the_outcome():
+    # perfbench/spans.py counts iterations by rebinding library names; a
+    # rename that drops one would leave the benchmark's counts at zero
+    spans = _perfbench_spans()
+    problem, mask, _ = pipeline_16(seed=52, bright=2.0, sigma2=1e-4)
+    x_map, _ = solve_map(problem, tol=1e-8, max_iters=60000)
+    modes = ("pocs", "fb")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # looked up on the module, so the call goes through the tracer
+        outcomes = [buqo.engine.run_buqo(problem, mask, alpha=0.01, mode=mode,
+                                         x_map=x_map) for mode in modes]
+    finally:
+        tracer.uninstall()
+    counts = tracer.test_counts(list(modes))
+    for mode, outcome in zip(modes, outcomes):
+        assert outcome.inner_iterations > 0
+        assert (counts[f"{mode}.region_inner_iters"]
+                + counts[f"{mode}.set_inner_iters"]) == outcome.inner_iterations
+        assert counts[f"{mode}.outer_iters"] == outcome.iterations
+        assert counts[f"{mode}.stop_reason"] == outcome.stop_reason

@@ -200,6 +200,17 @@ def test_map_problem_validation():
         MapProblem(phi, psi, np.zeros(5), epsilon=1.0)
 
 
+def test_map_problem_refuses_nan():
+    phi = full_dft(4, 4)
+    psi = db8_analysis(4, 4, 1)
+    with pytest.raises(ValueError, match="epsilon"):
+        MapProblem(phi, psi, np.zeros(16), epsilon=np.nan)
+    data = np.zeros(16, dtype=complex)
+    data[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        MapProblem(phi, psi, data, epsilon=1.0)
+
+
 # ---------------------------------------------------------------------------
 # compute_lambda
 
@@ -228,3 +239,9 @@ def test_compute_lambda_degenerate_errors():
     psi = identity_map(4)
     with pytest.raises(ValueError, match="degenerate"):
         compute_lambda(np.zeros(4), psi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compute_lambda_refuses_a_non_finite_estimate(bad):
+    with pytest.raises(ValueError, match="degenerate"):
+        compute_lambda(np.array([1.0, bad, 0.0, 2.0]), identity_map(4))

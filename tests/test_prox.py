@@ -68,6 +68,20 @@ def test_box_rejects_crossed_bounds():
         IntervalBox(1.0, -1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: IntervalBox(np.nan, 0.0),
+    lambda: IntervalBox(0.0, np.nan),
+    lambda: IntervalBox(0.0, np.array([1.0, np.nan])),
+    lambda: L2Ball(0.0, np.nan),
+    lambda: L1Levelset(np.nan),
+], ids=["box-lo", "box-hi", "box-hi-entry", "ball-radius", "l1-level"])
+def test_sets_refuse_nan_bounds(make):
+    # a NaN bound fails every comparison, so "lo > hi" or "radius < 0"
+    # alone would let it through
+    with pytest.raises(ValueError):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # l2 ball
 

@@ -134,6 +134,18 @@ def test_sample_noise_keeps_total_energy():
         sample_noise(0.01, 1024, 4096)
 
 
+def test_noise_levels_refuse_nan():
+    # NaN noise would write NaN measurements and a NaN data-ball radius
+    with pytest.raises(ValueError, match="sigma"):
+        compute_epsilon_bound(np.nan, 16)
+    with pytest.raises(ValueError, match="sigma2"):
+        sample_noise(np.nan, 16, 16)
+    with pytest.raises(ValueError, match="sigma2"):
+        add_noise(np.zeros(4, dtype=complex), np.nan, seed=0)
+    with pytest.raises(ValueError, match="noise variances"):
+        ExperimentSpec(noise_variances=(1e-3, np.nan))
+
+
 def test_build_problem_noise_bound_independent_of_ratio():
     # sigma2 is the per-part variance at full sampling, so the data-ball
     # radius tracks the (fixed) total noise energy, not the sample count
