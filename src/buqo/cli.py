@@ -257,8 +257,9 @@ def cmd_grid(cfg: RunConfig) -> int:
     """Run the sampling-ratio x noise-variance grid and write the table."""
     if not cfg.structures:
         raise ConfigError("grid needs a 'structures' list of spec files")
-    # bad grid axes and phantom sizes raise before any cell runs (run_grid
-    # records cell failures), so before the output directory exists
+    # bad grid axes, cells of one name and bad phantom sizes raise before
+    # any cell runs (run_grid records cell failures), so before the output
+    # directory exists
     with _config_errors():
         structures = [bio.read_structure_spec(p) for p in cfg.structures]
         report = run_grid(ExperimentSpec(
@@ -273,10 +274,9 @@ def cmd_grid(cfg: RunConfig) -> int:
         for cell in report.cells:
             if cell.outcome is None:
                 continue
-            tag = f"{cell.ratio:g}_{cell.sigma2:g}_{cell.structure}"
-            bio.write_image(writer.path(f"cells/{tag}_region.img"),
+            bio.write_image(writer.path(f"cells/{cell.tag}_region.img"),
                             cell.outcome.x_region, cfg.rows, cfg.cols)
-            bio.write_image(writer.path(f"cells/{tag}_set.img"),
+            bio.write_image(writer.path(f"cells/{cell.tag}_set.img"),
                             cell.outcome.x_set, cfg.rows, cfg.cols)
     # wall-clock log kept outside the deterministic byte-identity contract
     with open(Path(cfg.out) / "grid_timing.log", "w", encoding="ascii") as fh:

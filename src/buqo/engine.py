@@ -122,6 +122,9 @@ class TestOutcome:
     inner_unconverged: int = 0
     # primal-dual iterations of both inner projectors
     inner_iterations: int = 0
+    # the MAP estimate the test ran against, passed in or solved; another
+    # structure observed in the same reconstruction can reuse it
+    x_map: np.ndarray | None = field(default=None, repr=False)
 
 
 def _rel(numerator: float, denominator: float) -> float:
@@ -280,7 +283,8 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
     pair. ``structure`` may be a StructureSet, a PixelMask (treated as a
     localized structure) or a parsed structure spec; see
     :func:`~buqo.structure_sets.build_structure_set`. A precomputed MAP
-    estimate can be passed to skip the first stage. Stage failures are
+    estimate can be passed to skip the first stage; the outcome's
+    ``x_map`` holds the estimate used either way. Stage failures are
     re-raised as :class:`BuqoError` with the stage label. ``limits``
     are the :class:`SolverSettings` fields (defaults for those left
     out); they, ``eta`` and ``alpha`` are checked before any solve
@@ -350,4 +354,5 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
         narrative=narrative,
         inner_unconverged=unconverged,
         inner_iterations=inner_iterations,
+        x_map=x_map,
     )

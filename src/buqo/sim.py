@@ -285,9 +285,11 @@ class ExperimentSpec(SolverSettings):
     full sampling; the total noise energy is the same at every entry of
     ``sampling_ratios`` (see :func:`sample_noise`), so the two grid axes
     vary sampling and input SNR independently. Empty or bad grid axes,
-    a negative or NaN ``eta`` and an ``alpha`` outside the concentration
-    bound's validity interval raise ValueError, bad solver settings
-    BuqoError (see SolverSettings).
+    two cells that would share a name (axis values equal under the
+    table's ``:g`` format, or two structures of one name), a negative
+    or NaN ``eta`` and an ``alpha`` outside the concentration bound's
+    validity interval raise ValueError, bad solver settings BuqoError
+    (see SolverSettings).
     """
 
     rows: int = 64
@@ -316,10 +318,32 @@ class ExperimentSpec(SolverSettings):
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         compute_tau_alpha(self.alpha, self.rows * self.cols)
+        # a cell's name joins its three labels (see GridCell.tag)
+        for axis, labels in (
+                ("sampling ratio", [f"{r:g}" for r in self.sampling_ratios]),
+                ("noise variance", [f"{v:g}" for v in self.noise_variances]),
+                ("structure name", _structure_names(self.structures))):
+            dup = next((x for n, x in enumerate(labels) if x in labels[:n]), None)
+            if dup is not None:
+                raise ValueError(f"two grid cells would share the {axis} {dup!r}")
+
+
+def _structure_names(structures: Sequence) -> list[str]:
+    """The grid's name for each structure: its own, else "structure<k>"."""
+    return [getattr(s, "name", None) or f"structure{k}"
+            for k, s in enumerate(structures)]
 
 
 @dataclass
 class GridCell:
+    """One structure's test on the observation of one (ratio, variance).
+
+    ``runtime_s`` is the cell's wall time. The first structure of a
+    (ratio, variance) builds the observation and solves its MAP, and the
+    other structures reuse both, so those costs are charged to the
+    first structure's cell and the cells' times still sum to the grid's.
+    """
+
     ratio: float
     sigma2: float
     structure: str
@@ -330,6 +354,11 @@ class GridCell:
     runtime_s: float
     error: str | None = None
     outcome: TestOutcome | None = field(default=None, repr=False)
+
+    @property
+    def tag(self) -> str:
+        """The cell's name, unique in a grid (see ExperimentSpec)."""
+        return f"{self.ratio:g}_{self.sigma2:g}_{self.structure}"
 
 
 @dataclass
@@ -363,8 +392,11 @@ class GridReport:
         return "\n".join(lines) + "\n"
 
 
-def _cell_seeds(master: int, i: int, j: int, k: int) -> tuple[int, int]:
-    ss = np.random.SeedSequence([master, i, j, k])
+def _observation_seeds(master: int, i: int, j: int) -> tuple[int, int]:
+    """Pattern and noise seeds of the (i, j) grid observation."""
+    # the trailing 0 keeps the data of grids run when each structure drew
+    # its own observation, seeded by its index, for the first structure
+    ss = np.random.SeedSequence([master, i, j, 0])
     a, b = ss.generate_state(2)
     return int(a), int(b)
 
@@ -399,31 +431,41 @@ def build_problem(spec: ExperimentSpec, truth: np.ndarray, ratio: float,
 def run_grid(spec: ExperimentSpec) -> GridReport:
     """Run the full (ratio, variance, structure) grid of hypothesis tests.
 
+    Each (ratio, variance) has one observation and one MAP estimate,
+    which all its structures are tested against: the first structure's
+    test builds the observation and solves the MAP, and the next tests
+    reuse the MAP of the last test that returned. A test that raised
+    hands nothing on, so a failed build or MAP solve is tried again, and
+    recorded, by every structure of that (ratio, variance).
+
     Per-cell failures are recorded in the report and do not stop the
     remaining cells. Inputs that would fail every cell alike (no
     structures, a bad phantom, pattern kind or wavelet depth) raise
-    ValueError before the first cell. Per-cell seeds derive
-    deterministically from the master seed and the cell index.
+    ValueError before the first cell. The seeds of each observation
+    derive deterministically from the master seed and its grid index.
     """
     if not spec.structures:
         raise ValueError("experiment spec declares no structures")
     truth = make_phantom(spec.phantom, spec.rows, spec.cols, spec.seed)
     # a fully sampled trial problem: only spec-wide inputs can make it fail
     build_problem(spec, truth, 1.0, 1.0, 0, 0)
+    names = _structure_names(spec.structures)
     cells: list[GridCell] = []
     for i, ratio in enumerate(spec.sampling_ratios):
         for j, sigma2 in enumerate(spec.noise_variances):
-            for k, structure in enumerate(spec.structures):
-                name = getattr(structure, "name", None) or f"structure{k}"
-                pattern_seed, noise_seed = _cell_seeds(spec.seed, i, j, k)
+            pattern_seed, noise_seed = _observation_seeds(spec.seed, i, j)
+            problem = x_map = None
+            for name, structure in zip(names, spec.structures):
                 start = time.perf_counter()
                 try:
-                    problem = build_problem(spec, truth, ratio, sigma2,
-                                            pattern_seed, noise_seed)
+                    if problem is None:
+                        problem = build_problem(spec, truth, ratio, sigma2,
+                                                pattern_seed, noise_seed)
                     outcome = run_buqo(
                         problem, structure, alpha=spec.alpha, mode=spec.mode,
                         eta=spec.eta, rows=spec.rows, cols=spec.cols,
-                        **spec.limits())
+                        x_map=x_map, **spec.limits())
+                    x_map = outcome.x_map
                     cells.append(GridCell(
                         ratio=ratio, sigma2=sigma2, structure=name,
                         rho_percent=100.0 * outcome.rho_alpha,

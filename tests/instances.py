@@ -1,5 +1,8 @@
 """Shared small problem instances for the solver and acceptance tests."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from buqo.credible_region import build_region, compute_epsilon_bound
@@ -72,3 +75,12 @@ def small_localized_set(seed, rows=4, cols=4, bright=2.0):
     x_map[k + 1] += 0.75 * bright
     mask = PixelMask(rows, cols, [k, k + 1])
     return build_localized_set(x_map, mask, kernel_sizes=[3]), x_map, mask
+
+
+def perfbench_spans():
+    """The benchmark's tracer module, ``perfbench/spans.py``, loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -343,9 +343,9 @@ def test_criterion_7_end_to_end(grid_report):
     # (b) mask over structure-free background fails to reject
     spec = grid_report.spec
     truth = make_phantom(spec.phantom, spec.rows, spec.cols, spec.seed)
-    from buqo.sim import _cell_seeds, build_problem
+    from buqo.sim import _observation_seeds, build_problem
     from buqo.engine import run_buqo
-    ps, ns = _cell_seeds(spec.seed, 0, 2, 0)
+    ps, ns = _observation_seeds(spec.seed, 0, 2)
     problem = build_problem(spec, truth, 0.5, 0.03, ps, ns)
     outcome = run_buqo(problem, empty_background_mask(), alpha=0.01,
                        eta=0.03, rows=spec.rows, cols=spec.cols,

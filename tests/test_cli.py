@@ -333,13 +333,29 @@ def test_bad_structure_spec_names_file_and_line(tmp_path, capsys, defect):
 @pytest.mark.parametrize("overrides", [
     {"grid.ratios": 1.5}, {"grid.variances": 0}, {"rows": 16},
     {"pattern.kind": "spiral"}, {"levels": 9},
-    {"grid.ratios": ""}, {"grid.variances": ""}])
+    {"grid.ratios": ""}, {"grid.variances": ""},
+    {"grid.ratios": "0.5,0.5000001"}])
 def test_bad_grid_is_exit_2(tmp_path, overrides):
     cfg = write_cfg(tmp_path, structures=str(bright_mask_file(tmp_path)),
                     **overrides)
     out = tmp_path / "out"
     assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_grid_of_two_structures_of_one_name_is_exit_2(tmp_path, capsys):
+    # both spec files are named "src", so their cells' images would
+    # overwrite each other
+    specs = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        specs.append(bright_mask_file(tmp_path).rename(tmp_path / folder / "src.struct"))
+    cfg = write_cfg(tmp_path, structures=",".join(map(str, specs)))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "share the structure name 'src'" in capsys.readouterr().err
 
 
 def test_missing_input_paths_exit_2(tmp_path):

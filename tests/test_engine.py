@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -23,7 +20,7 @@ from buqo.operators import PixelMask, SamplingPattern, db8_analysis, masked_dft
 from buqo.sim import ExperimentSpec, add_noise
 from buqo.structure_sets import build_background_set, build_localized_set
 
-from instances import Disk, small_localized_set, small_region
+from instances import Disk, perfbench_spans, small_localized_set, small_region
 
 
 def pipeline_16(seed, bright=3.0, sigma2=1e-4, ratio=1.0):
@@ -496,18 +493,10 @@ def test_run_buqo_refuses_a_mask_from_another_grid(make):
 # ---------------------------------------------------------------------------
 # the benchmark's trace contract
 
-def _perfbench_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_tracer_counts_match_the_outcome():
     # perfbench/spans.py counts iterations by rebinding library names; a
     # rename that drops one would leave the benchmark's counts at zero
-    spans = _perfbench_spans()
+    spans = perfbench_spans()
     problem, mask, _ = pipeline_16(seed=52, bright=2.0, sigma2=1e-4)
     x_map, _ = solve_map(problem, tol=1e-8, max_iters=60000)
     modes = ("pocs", "fb")

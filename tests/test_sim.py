@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import buqo.engine
+import buqo.sim
 from buqo.engine import run_buqo
+from buqo.io import StructureSpec
 from buqo.operators import PixelMask
 from buqo.sim import (
     ExperimentSpec,
@@ -15,7 +18,9 @@ from buqo.sim import (
     sample_noise,
 )
 from buqo.credible_region import compute_epsilon_bound
-from buqo.sim import _cell_seeds, build_problem
+from buqo.sim import _observation_seeds, build_problem
+
+from instances import perfbench_spans
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +210,9 @@ def test_coil_sensitivities_unit_energy():
 # ---------------------------------------------------------------------------
 # grid runner
 
-def grid_mask():
-    img = make_phantom("compact", 32, 32, seed=70).reshape(32, 32)
+def grid_mask(source=0):
     layout = phantom_layout("compact", 32, 32, seed=70)
-    py, px = layout["bright"][0][:2]
+    py, px = layout["bright"][source][:2]
     sel = np.zeros((32, 32), dtype=bool)
     sel[py - 2:py + 3, px - 2:px + 3] = True
     return PixelMask.from_boolean(sel)
@@ -234,7 +238,7 @@ def test_grid_single_cell_equals_direct_run():
     assert cell.error is None
 
     truth = make_phantom(spec.phantom, spec.rows, spec.cols, spec.seed)
-    pattern_seed, noise_seed = _cell_seeds(spec.seed, 0, 0, 0)
+    pattern_seed, noise_seed = _observation_seeds(spec.seed, 0, 0)
     problem = build_problem(spec, truth, 1.0, 1e-4, pattern_seed, noise_seed)
     outcome = run_buqo(problem, spec.structures[0], alpha=spec.alpha,
                        mode=spec.mode, eta=spec.eta, rows=32, cols=32,
@@ -277,3 +281,108 @@ def test_grid_table_layout():
     assert timing[0].split("\t") == ["ratio", "sigma2", "structure",
                                      "runtime_s", "inner_iterations"]
     assert int(timing[1].split("\t")[4]) == report.cells[0].outcome.inner_iterations > 0
+
+
+def two_structure_spec(**overrides):
+    """Two bright sources scrutinised on each of two observations."""
+    base = dict(structures=(grid_mask(0), grid_mask(1)),
+                noise_variances=(1e-4, 2e-4))
+    base.update(overrides)
+    return small_spec(**base)
+
+
+def test_grid_structures_share_one_observation_and_map(monkeypatch):
+    solve_map = buqo.engine.solve_map
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_map(*args, **kwargs)
+
+    monkeypatch.setattr(buqo.engine, "solve_map", counted)
+    spec = two_structure_spec()
+    report = run_grid(spec)
+    assert len(calls) == len(spec.sampling_ratios) * len(spec.noise_variances)
+    assert all(c.error is None for c in report.cells)
+
+    alone = run_grid(small_spec(noise_variances=spec.noise_variances))
+    truth = make_phantom(spec.phantom, spec.rows, spec.cols, spec.seed)
+    for j, sigma2 in enumerate(spec.noise_variances):
+        first, second = report.cells[2 * j:2 * j + 2]
+        assert second.outcome.x_map is first.outcome.x_map
+        # the second structure is tested on the first one's observation
+        problem = build_problem(spec, truth, 1.0, sigma2,
+                                *_observation_seeds(spec.seed, 0, j))
+        outcome = run_buqo(problem, spec.structures[1], alpha=spec.alpha,
+                           mode=spec.mode, eta=spec.eta, rows=32, cols=32,
+                           x_map=first.outcome.x_map, **spec.limits())
+        assert second.decision == outcome.decision == "rejected"
+        assert second.rho_percent == pytest.approx(100.0 * outcome.rho_alpha,
+                                                   rel=1e-12)
+        # and the first structure's cell is that of a one-structure grid
+        single = alone.cells[j]
+        assert (first.rho_percent, first.iterations, first.stop_reason) == (
+            single.rho_percent, single.iterations, single.stop_reason)
+
+
+def test_grid_failed_map_is_recorded_by_every_structure():
+    report = run_grid(two_structure_spec(noise_variances=(1e-4,),
+                                         map_max_iters=1))
+    assert [c.structure for c in report.cells] == ["structure0", "structure1"]
+    for cell in report.cells:
+        assert cell.outcome is None
+        assert cell.error.startswith(
+            "[map] MAP solver did not converge in 1 iterations")
+
+
+def test_grid_failed_build_is_recorded_by_every_structure(monkeypatch):
+    build = buqo.sim.build_problem
+
+    def build_full_sampling_only(spec, truth, ratio, *args):
+        if ratio < 1.0:
+            raise ValueError("no scanner time")
+        return build(spec, truth, ratio, *args)
+
+    monkeypatch.setattr(buqo.sim, "build_problem", build_full_sampling_only)
+    report = run_grid(two_structure_spec(sampling_ratios=(0.5, 1.0),
+                                         noise_variances=(1e-4,)))
+    assert [c.error for c in report.cells[:2]] == ["no scanner time"] * 2
+    assert all(c.error is None for c in report.cells[2:])
+
+
+@pytest.mark.parametrize("overrides, duplicate", [
+    ({"sampling_ratios": (0.5, 0.5000001)}, "sampling ratio '0.5'"),
+    ({"noise_variances": (1e-4, 1e-4)}, "noise variance '0.0001'"),
+    ({"structures": (StructureSpec("localized", grid_mask(0), name="src"),
+                     StructureSpec("localized", grid_mask(1), name="src"))},
+     "structure name 'src'"),
+    # an unnamed structure is named after its index
+    ({"structures": (StructureSpec("localized", grid_mask(0), name="structure1"),
+                     grid_mask(1))},
+     "structure name 'structure1'"),
+])
+def test_spec_refuses_cells_of_one_name(overrides, duplicate):
+    with pytest.raises(ValueError, match=f"share the {duplicate}"):
+        small_spec(**overrides)
+
+
+def test_benchmark_tracer_charges_a_shared_map_to_its_first_test():
+    # perfbench/spans.py gives each run_buqo call its own test; the MAP
+    # solved in the first structure's test must not leak into the second
+    spans = perfbench_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # looked up on the module, so the call goes through the tracer
+        report = buqo.sim.run_grid(two_structure_spec(noise_variances=(1e-4,)))
+    finally:
+        tracer.uninstall()
+    names = ["first", "second"]
+    counts = tracer.test_counts(names)
+    assert counts["first.map_iters"] > 0
+    assert "second.map_iters" not in counts
+    for name, cell in zip(names, report.cells):
+        assert counts[f"{name}.outer_iters"] == cell.iterations
+        assert counts[f"{name}.stop_reason"] == cell.stop_reason
+        assert (counts[f"{name}.region_inner_iters"]
+                + counts[f"{name}.set_inner_iters"]) == cell.outcome.inner_iterations
