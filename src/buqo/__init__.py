@@ -11,7 +11,6 @@ from .credible_region import (
     build_region,
     compute_epsilon_bound,
     compute_tau_alpha,
-    project_region,
 )
 from .engine import (
     BuqoError,
@@ -63,7 +62,6 @@ from .structure_sets import (
     build_background_set,
     build_localized_set,
     project_background,
-    project_localized,
 )
 
 __version__ = "0.1.0"

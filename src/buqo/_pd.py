@@ -43,6 +43,11 @@ class DualBlock:
         return np.zeros(self.op.out_dim, dtype=dtype)
 
 
+# default tolerance and iteration limit of the inner projections
+INNER_TOL = 1e-8
+INNER_MAX_ITERS = 5000
+
+
 def check_limits(tol: float, max_iters: int) -> None:
     """Reject a tolerance <= 0 (or NaN) and an iteration limit < 1."""
     if not tol > 0:
@@ -107,8 +112,8 @@ def project_intersection(
     anchor: np.ndarray,
     box: IntervalBox,
     blocks: list[DualBlock],
-    tol: float = 1e-8,
-    max_iters: int = 5000,
+    tol: float,
+    max_iters: int,
     duals: list[np.ndarray] | None = None,
     gamma: float = 1.0,
     u0: np.ndarray | None = None,

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as bio
-from .engine import BuqoError, SolverSettings, run_buqo
-from .map_solver import MapProblem, solve_map
+from .engine import MODES, BuqoError, SolverSettings, run_buqo
+from .map_solver import MapProblem
 from .operators import db8_analysis, masked_dft
 from .sim import (
     ExperimentSpec,
@@ -69,8 +69,8 @@ class RunConfig(SolverSettings):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.eta >= 0:
             raise ConfigError(f"eta must be nonnegative, got {self.eta}")
-        if self.mode not in ("pocs", "fb"):
-            raise ConfigError(f"mode must be 'pocs' or 'fb', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def _coerce(default, raw):
@@ -219,9 +219,7 @@ def _load_problem(cfg: RunConfig) -> tuple[MapProblem, int, int]:
 def cmd_map(cfg: RunConfig) -> int:
     """Compute and write the MAP estimate for stored measurements."""
     problem, rows, cols = _load_problem(cfg)
-    x_map, diag = solve_map(problem, tol=cfg.map_tol, max_iters=cfg.map_max_iters)
-    if not diag.converged:
-        raise BuqoError("map", f"no convergence in {diag.iterations} iterations")
+    x_map, diag = cfg.map_estimate(problem)
     with _AtomicWriter(cfg.out) as writer:
         bio.write_image(writer.path("x_map.img"), x_map, rows, cols)
         bio.write_config(writer.path("map_diagnostics.txt"), {
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--alpha", type=float, default=None)
     parser.add_argument("--eta", type=float, default=None)
-    parser.add_argument("--mode", choices=["pocs", "fb"], default=None)
+    parser.add_argument("--mode", choices=MODES, default=None)
     parser.add_argument("--out", type=str, default=None)
     return parser
 

@@ -14,8 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from ._pd import DualBlock, WarmProjector
-from .map_solver import MapProblem
+from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector
+from .map_solver import FEASIBILITY_SLACK, MapProblem
 from .operators import LinearMap
 from .prox import (
     IntervalBox,
@@ -32,7 +32,6 @@ __all__ = [
     "compute_tau_alpha",
     "compute_epsilon_bound",
     "build_region",
-    "project_region",
 ]
 
 
@@ -100,9 +99,9 @@ class CredibleRegion:
         return max(box, float(ball) / self.epsilon,
                    float(lev) / self.eta_tilde, 0.0)
 
-    def projector(self, tol: float = 1e-8,
-                  max_iters: int = 5000) -> "RegionProjector":
-        return RegionProjector(self, tol=tol, max_iters=max_iters)
+    def projector(self, tol: float = INNER_TOL,
+                  max_iters: int = INNER_MAX_ITERS) -> "RegionProjector":
+        return RegionProjector(self, tol, max_iters)
 
 
 class RegionProjector(WarmProjector):
@@ -113,8 +112,7 @@ class RegionProjector(WarmProjector):
     hard geometries, same fixed point).
     """
 
-    def __init__(self, region: CredibleRegion, tol: float = 1e-8,
-                 max_iters: int = 5000):
+    def __init__(self, region: CredibleRegion, tol: float, max_iters: int):
         ball = L2Ball(region.data, region.epsilon)
         levelset = L1Levelset(region.eta_tilde / region.lam)
         super().__init__(region.constraint, [
@@ -128,7 +126,8 @@ def build_region(x_map: np.ndarray, lam: float, alpha: float,
     """Assemble the credible region from a feasible MAP estimate.
 
     The threshold is lam * ||Psi x||_1 + n (tau_alpha + 1). Raises if the
-    estimate violates the data-fit ball (beyond 1e-6 relative slack),
+    estimate violates the data-fit ball (beyond the relative slack
+    ``map_solver.FEASIBILITY_SLACK``),
     since the construction requires a feasible anchor point.
     """
     x_map = np.asarray(x_map, dtype=float).ravel()
@@ -137,7 +136,7 @@ def build_region(x_map: np.ndarray, lam: float, alpha: float,
     n = problem.n_pixels
     tau = compute_tau_alpha(alpha, n)
     gap = problem.feasibility_gap(x_map)
-    if gap > 1e-6 * problem.epsilon:
+    if gap > FEASIBILITY_SLACK * problem.epsilon:
         raise ValueError(
             f"MAP estimate infeasible: data residual exceeds epsilon by {gap:.3e}"
         )
@@ -155,8 +154,3 @@ def build_region(x_map: np.ndarray, lam: float, alpha: float,
         constraint=problem.constraint,
     )
 
-
-def project_region(region: CredibleRegion, x: np.ndarray, tol: float = 1e-8,
-                   max_iters: int = 5000) -> np.ndarray:
-    """Closest point of the region to x (fresh dual variables)."""
-    return region.projector(tol=tol, max_iters=max_iters)(x)

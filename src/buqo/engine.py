@@ -19,9 +19,10 @@ from functools import partial
 
 import numpy as np
 
-from ._pd import WarmProjector, check_limits
+from ._pd import INNER_MAX_ITERS, INNER_TOL, WarmProjector, check_limits
 from .credible_region import build_region, compute_tau_alpha
-from .map_solver import MapProblem, compute_lambda, solve_map
+from .map_solver import (MAP_MAX_ITERS, MAP_TOL, MapProblem,
+                         SolverDiagnostics, compute_lambda, solve_map)
 from .structure_sets import build_structure_set
 
 __all__ = [
@@ -34,6 +35,9 @@ __all__ = [
     "decide",
     "run_buqo",
 ]
+
+# the outer loops: alternating projections and forward-backward
+MODES = ("pocs", "fb")
 
 REJECTED = "rejected"
 NOT_REJECTED = "not_rejected"
@@ -85,12 +89,12 @@ class SolverSettings:
     "engine" for the others, naming the field.
     """
 
-    map_tol: float = 1e-6
-    map_max_iters: int = 20000
+    map_tol: float = MAP_TOL
+    map_max_iters: int = MAP_MAX_ITERS
     outer_tol: float = 1e-5
     outer_max_iters: int = 2000
-    inner_tol: float = 1e-8
-    inner_max_iters: int = 5000
+    inner_tol: float = INNER_TOL
+    inner_max_iters: int = INNER_MAX_ITERS
 
     def __post_init__(self):
         for prefix in ("map", "outer", "inner"):
@@ -102,6 +106,19 @@ class SolverSettings:
     def limits(self) -> dict:
         """The six settings as keyword arguments, e.g. for :func:`run_buqo`."""
         return {f.name: getattr(self, f.name) for f in fields(SolverSettings)}
+
+    def map_estimate(
+            self, problem: MapProblem) -> tuple[np.ndarray, SolverDiagnostics]:
+        """The MAP estimate and its diagnostics, solved at the ``map_*``
+        limits; an estimate that did not converge raises BuqoError "map"."""
+        with _stage("map"):
+            x_map, diag = solve_map(problem, tol=self.map_tol,
+                                    max_iters=self.map_max_iters)
+        if not diag.converged:
+            raise BuqoError("map", "MAP solver did not converge in "
+                            f"{diag.iterations} iterations (feasibility gap "
+                            f"{diag.feasibility_gap:.3e})")
+        return x_map, diag
 
 
 @dataclass
@@ -290,7 +307,7 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
     out); they, ``eta`` and ``alpha`` are checked before any solve
     starts.
     """
-    if mode not in ("pocs", "fb"):
+    if mode not in MODES:
         raise BuqoError("engine", f"unknown mode {mode!r}")
     if not eta >= 0:
         raise BuqoError("engine", f"eta must be nonnegative, got {eta}")
@@ -300,13 +317,7 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
 
     with _stage("map"):
         if x_map is None:
-            x_map, diag = solve_map(problem, tol=settings.map_tol,
-                                    max_iters=settings.map_max_iters)
-            if not diag.converged:
-                raise ValueError(
-                    f"MAP solver did not converge in {diag.iterations} iterations "
-                    f"(feasibility gap {diag.feasibility_gap:.3e})"
-                )
+            x_map, _ = settings.map_estimate(problem)
         lam = compute_lambda(x_map, problem.psi)
 
     with _stage("region"):

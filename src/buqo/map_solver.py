@@ -21,6 +21,14 @@ from .prox import (IntervalBox, L2Ball, l1_norm_dual_prox, l2_ball_dual_prox,
 
 __all__ = ["MapProblem", "SolverDiagnostics", "solve_map", "compute_lambda"]
 
+# default tolerance and iteration limit of the MAP solve
+MAP_TOL = 1e-6
+MAP_MAX_ITERS = 20000
+# relative slack of the data-fit ball: a MAP estimate counts as feasible
+# when ||Phi x - y|| <= (1 + FEASIBILITY_SLACK) epsilon; solve_map
+# certifies this, and build_region refuses an estimate beyond it
+FEASIBILITY_SLACK = 1e-6
+
 
 @dataclass
 class MapProblem:
@@ -73,17 +81,17 @@ def _dual_step(x0: np.ndarray, problem: MapProblem, l1_weight: float) -> float:
     return 8.0 * float(l1_weight) * math.sqrt(problem.psi.out_dim) / primal_scale
 
 
-def solve_map(problem: MapProblem, tol: float = 1e-6,
-              max_iters: int = 20000,
+def solve_map(problem: MapProblem, tol: float = MAP_TOL,
+              max_iters: int = MAP_MAX_ITERS,
               l1_weight: float = 1.0) -> tuple[np.ndarray, SolverDiagnostics]:
     """Compute the MAP estimate of a ball-constrained analysis-l1 problem.
 
     Iterates until the relative primal change drops below ``tol`` and the
-    feasibility gap is at most 1e-6 * epsilon. If ``max_iters`` is reached
-    first, the best iterate seen (feasible with lowest objective, else
-    smallest gap) is returned with ``converged`` False. The output lies in
-    the constraint box exactly. Raises ValueError for a ``tol`` <= 0 or a
-    ``max_iters`` < 1.
+    feasibility gap is at most FEASIBILITY_SLACK * epsilon. If
+    ``max_iters`` is reached first, the best iterate seen (feasible with
+    lowest objective, else smallest gap) is returned with ``converged``
+    False. The output lies in the constraint box exactly. Raises
+    ValueError for a ``tol`` <= 0 or a ``max_iters`` < 1.
 
     ``l1_weight`` scales the objective; since the rest of the problem is
     a pair of hard constraints, the minimizer does not depend on it.
@@ -120,7 +128,7 @@ def solve_map(problem: MapProblem, tol: float = 1e-6,
         DualBlock(psi, partial(l1_norm_dual_prox, l1_weight)),
         DualBlock(phi, partial(l2_ball_dual_prox, L2Ball(y, eps))),
     ]
-    gap_tol = 1e-6 * eps
+    gap_tol = FEASIBILITY_SLACK * eps
 
     # x_new = (bar + x) / 2, so Psi x and Phi x follow by linearity
     psi_x = psi.forward(x)

@@ -38,9 +38,8 @@ class LinearMap:
 
     ``forward`` maps vectors of length ``in_dim`` to vectors of length
     ``out_dim``; ``adjoint`` maps the other way and satisfies
-    <A u, v> = <u, A* v> (complex inner product where applicable). The
-    Fourier operators take real images to complex data
-    (``complex_output`` without ``complex_input``); on R^N x C^M the
+    <A u, v> = <u, A* v>. Inputs are real; the Fourier operators take
+    them to complex data (``complex_output``), and on R^N x C^M the
     identity is Re<A u, v> = <u, A* v>, so their adjoint returns a real
     image. ``norm_bound`` is an upper bound on the spectral norm, used by
     the solvers' step-size conditions.
@@ -51,7 +50,6 @@ class LinearMap:
     forward: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     norm_bound: float | None = None
-    complex_input: bool = False
     complex_output: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -93,14 +91,6 @@ class PixelMask:
         img = np.zeros(self.n_pixels, dtype=bool)
         img[self.indices] = True
         return img.reshape(self.rows, self.cols)
-
-    def select(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x).ravel()[self.indices]
-
-    def embed(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_pixels, dtype=np.asarray(values).dtype)
-        out[self.indices] = values
-        return out
 
     @classmethod
     def from_boolean(cls, boolean_image: np.ndarray) -> "PixelMask":
@@ -146,25 +136,21 @@ def dot_test(op: LinearMap, n_probes: int = 20, seed: int = 0) -> float:
     """Maximum relative adjoint defect over random probes.
 
     Returns max over probes of |<A u, v> - <u, A* v>| divided by
-    (|A u||v| + |u||A* v|). For an operator on real inputs
-    (``complex_input`` False) with complex outputs, the adjoint is taken
-    on R^N x C^M, where the inner product of the data space is the real
-    part of the complex one, so Re<A u, v> is compared with <u, A* v>.
+    (|A u||v| + |u||A* v|). The inputs are real; for complex outputs the
+    adjoint is taken on R^N x C^M, where the inner product of the data
+    space is the real part of the complex one, so Re<A u, v> is compared
+    with <u, A* v>.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
         u = rng.standard_normal(op.in_dim)
-        if op.complex_input:
-            u = u + 1j * rng.standard_normal(op.in_dim)
         v = rng.standard_normal(op.out_dim)
         if op.complex_output:
             v = v + 1j * rng.standard_normal(op.out_dim)
         au = op.forward(u)
         atv = op.adjoint(v)
-        lhs = np.vdot(v, au)
-        if not op.complex_input:
-            lhs = lhs.real
+        lhs = np.vdot(v, au).real
         rhs = np.vdot(atv, u)
         scale = (
             np.linalg.norm(au) * np.linalg.norm(v)
@@ -188,8 +174,6 @@ def op_norm(op: LinearMap, tol: float = 1e-9, max_iters: int = 5000,
         raise ValueError("tol must be positive")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.in_dim)
-    if op.complex_input:
-        v = v + 1j * rng.standard_normal(op.in_dim)
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(max_iters):
@@ -210,10 +194,9 @@ def op_norm(op: LinearMap, tol: float = 1e-9, max_iters: int = 5000,
     return est
 
 
-def attach_norm_bound(op: LinearMap, tol: float = 1e-9,
-                      max_iters: int = 5000, seed: int = 0) -> float:
+def attach_norm_bound(op: LinearMap) -> float:
     """Estimate and cache the spectral norm with a 1% safety inflation."""
-    bound = 1.01 * op_norm(op, tol=tol, max_iters=max_iters, seed=seed)
+    bound = 1.01 * op_norm(op)
     op.norm_bound = bound
     return bound
 

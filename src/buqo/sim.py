@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .credible_region import compute_epsilon_bound, compute_tau_alpha
-from .engine import SolverSettings, TestOutcome, run_buqo
+from .engine import MODES, SolverSettings, TestOutcome, run_buqo
 from .map_solver import MapProblem
 from .operators import SamplingPattern, db8_analysis, masked_dft, multicoil_map
 
@@ -287,9 +287,9 @@ class ExperimentSpec(SolverSettings):
     vary sampling and input SNR independently. Empty or bad grid axes,
     two cells that would share a name (axis values equal under the
     table's ``:g`` format, or two structures of one name), a negative
-    or NaN ``eta`` and an ``alpha`` outside the concentration bound's
-    validity interval raise ValueError, bad solver settings BuqoError
-    (see SolverSettings).
+    or NaN ``eta``, an unknown ``mode`` and an ``alpha`` outside the
+    concentration bound's validity interval raise ValueError, bad solver
+    settings BuqoError (see SolverSettings).
     """
 
     rows: int = 64
@@ -317,6 +317,8 @@ class ExperimentSpec(SolverSettings):
             raise ValueError("noise variances must be positive")
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         compute_tau_alpha(self.alpha, self.rows * self.cols)
         # a cell's name joins its three labels (see GridCell.tag)
         for axis, labels in (
@@ -434,9 +436,9 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
     Each (ratio, variance) has one observation and one MAP estimate,
     which all its structures are tested against: the first structure's
     test builds the observation and solves the MAP, and the next tests
-    reuse the MAP of the last test that returned. A test that raised
-    hands nothing on, so a failed build or MAP solve is tried again, and
-    recorded, by every structure of that (ratio, variance).
+    reuse the MAP of the last test that returned. A failed build or MAP
+    solve is not tried again: its error is recorded for every later
+    structure of that (ratio, variance) too.
 
     Per-cell failures are recorded in the report and do not stop the
     remaining cells. Inputs that would fail every cell alike (no
@@ -454,10 +456,12 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
     for i, ratio in enumerate(spec.sampling_ratios):
         for j, sigma2 in enumerate(spec.noise_variances):
             pattern_seed, noise_seed = _observation_seeds(spec.seed, i, j)
-            problem = x_map = None
+            problem = x_map = failed = None
             for name, structure in zip(names, spec.structures):
                 start = time.perf_counter()
                 try:
+                    if failed is not None:
+                        raise failed
                     if problem is None:
                         problem = build_problem(spec, truth, ratio, sigma2,
                                                 pattern_seed, noise_seed)
@@ -476,6 +480,9 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
                         outcome=outcome,
                     ))
                 except Exception as exc:
+                    # the observation or its MAP failed: so will the others
+                    if problem is None or getattr(exc, "stage", None) == "map":
+                        failed = exc
                     cells.append(GridCell(
                         ratio=ratio, sigma2=sigma2, structure=name,
                         rho_percent=None, decision=None, iterations=None,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._pd import DualBlock, WarmProjector
+from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector
 from .operators import (
     LinearMap,
     PixelMask,
@@ -43,7 +43,6 @@ __all__ = [
     "build_background_set",
     "build_structure_set",
     "background_mask",
-    "project_localized",
     "project_background",
 ]
 
@@ -83,8 +82,9 @@ class LocalizedSet(StructureSet):
                    box_violation(self.residual_op.forward(x), self.interval),
                    float(over) / max(1.0, ball.radius), 0.0)
 
-    def projector(self, tol: float = 1e-8, max_iters: int = 5000):
-        return StructureProjector(self, tol=tol, max_iters=max_iters)
+    def projector(self, tol: float = INNER_TOL,
+                  max_iters: int = INNER_MAX_ITERS):
+        return StructureProjector(self, tol, max_iters)
 
 
 @dataclass
@@ -97,7 +97,8 @@ class BackgroundSet(StructureSet):
         return max(float(np.max(-x, initial=0.0)),
                    box_violation(x[self.mask.indices], self.interval))
 
-    def projector(self, tol: float = 1e-8, max_iters: int = 5000):
+    def projector(self, tol: float = INNER_TOL,
+                  max_iters: int = INNER_MAX_ITERS):
         return lambda x: project_background(self, x)
 
 
@@ -108,8 +109,7 @@ class StructureProjector(WarmProjector):
     same projection and sets only the iteration count.
     """
 
-    def __init__(self, sset: LocalizedSet, tol: float = 1e-8,
-                 max_iters: int = 5000):
+    def __init__(self, sset: LocalizedSet, tol: float, max_iters: int):
         super().__init__(IntervalBox(0.0, np.inf), [
             DualBlock(sset.residual_op, partial(box_dual_prox, sset.interval)),
             DualBlock(mask_select(sset.mask),
@@ -264,12 +264,6 @@ def build_structure_set(x_map: np.ndarray, spec, rows: int,
         raise ValueError(f"unknown structure kind {spec.kind!r}")
     return _BUILDERS[spec.kind](x_map, mask, rows, cols,
                                 **(getattr(spec, "params", None) or {}))
-
-
-def project_localized(sset: LocalizedSet, x: np.ndarray, tol: float = 1e-8,
-                      max_iters: int = 5000) -> np.ndarray:
-    """Closest point of a localized structure set to x."""
-    return sset.projector(tol=tol, max_iters=max_iters)(x)
 
 
 def project_background(sset: BackgroundSet, x: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ def counting(op):
         return op.adjoint(y)
 
     wrapped = LinearMap(op.in_dim, op.out_dim, forward, adjoint, op.norm_bound,
-                        op.complex_input, op.complex_output)
+                        op.complex_output)
     return wrapped, calls
 
 

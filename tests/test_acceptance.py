@@ -23,7 +23,6 @@ from buqo.credible_region import (
     build_region,
     compute_epsilon_bound,
     compute_tau_alpha,
-    project_region,
 )
 from buqo.engine import compute_rho, run_fb_distance, run_pocs
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
@@ -54,7 +53,7 @@ from buqo.sim import (
     phantom_layout,
     run_grid,
 )
-from buqo.structure_sets import build_localized_set, project_localized
+from buqo.structure_sets import build_localized_set
 
 from conftest import record_criterion
 from instances import Disk, small_localized_set, small_region
@@ -201,7 +200,7 @@ def test_criterion_4_subsolver_oracles():
         region, _, _ = small_region(seed=60 + seed)
         rng = np.random.default_rng(seed)
         z = region.x_map + rng.standard_normal(16) * 1.5
-        got = project_region(region, z, tol=1e-12, max_iters=200000)
+        got = region.projector(tol=1e-12, max_iters=200000)(z)
         rough = subgradient_project_region(region, z, iters=150000)
         oracle = nlp_polish_region(region, z, rough)
         assert np.linalg.norm(rough - oracle) <= 5e-3 * np.linalg.norm(oracle)
@@ -211,7 +210,7 @@ def test_criterion_4_subsolver_oracles():
         sset, x_map, _ = small_localized_set(seed=80 + seed)
         rng = np.random.default_rng(100 + seed)
         z = x_map + rng.standard_normal(16) * 1.5
-        got = project_localized(sset, z, tol=1e-12, max_iters=200000)
+        got = sset.projector(tol=1e-12, max_iters=200000)(z)
         rough = subgradient_project_localized(sset, z, iters=150000)
         oracle = nlp_polish_localized(sset, z, rough)
         assert np.linalg.norm(rough - oracle) <= 5e-3 * np.linalg.norm(oracle)

@@ -156,6 +156,26 @@ def test_map_command_writes_estimate(tmp_path, capsys):
     assert f"gamma = {gamma:.6g}" in printed
 
 
+def test_map_and_test_commands_refuse_an_unconverged_map_alike(tmp_path,
+                                                              capsys):
+    sim = simulated(tmp_path, "sim")
+    cfg = write_cfg(tmp_path, name="m.cfg",
+                    measurements=str(sim / "measurements.meas"),
+                    **{"pattern.file": str(sim / "pattern.freq"),
+                       "structure.file": str(bright_mask_file(tmp_path)),
+                       "map.max.iters": 1})
+    capsys.readouterr()
+    errors = []
+    for command in ("map", "test"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(
+        "error: [map] MAP solver did not converge in 1 iterations")
+
+
 def test_full_test_command_and_report_round_trip(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     sim_out = tmp_path / "sim"

@@ -8,7 +8,6 @@ from buqo.credible_region import (
     build_region,
     compute_epsilon_bound,
     compute_tau_alpha,
-    project_region,
 )
 from buqo.map_solver import compute_lambda, solve_map
 
@@ -109,7 +108,7 @@ def test_eta_monotone_in_alpha():
 def test_project_region_member_fixed_point():
     region, _, _ = small_region(seed=7)
     x = region.x_map
-    out = project_region(region, x, tol=1e-10, max_iters=20000)
+    out = region.projector(tol=1e-10, max_iters=20000)(x)
     assert np.linalg.norm(out - x) <= 1e-6 * max(1.0, np.linalg.norm(x))
 
 
@@ -117,7 +116,7 @@ def test_project_region_membership_contract():
     region, _, _ = small_region(seed=8)
     rng = np.random.default_rng(0)
     z = region.x_map + rng.standard_normal(16) * 3.0
-    out = project_region(region, z, tol=1e-10, max_iters=50000)
+    out = region.projector(tol=1e-10, max_iters=50000)(z)
     assert region.residual(out) <= 1e-6
 
 
@@ -125,7 +124,7 @@ def test_project_region_matches_subgradient_oracle():
     region, _, _ = small_region(seed=9)
     rng = np.random.default_rng(1)
     z = region.x_map + rng.standard_normal(16) * 1.5
-    got = project_region(region, z, tol=1e-12, max_iters=200000)
+    got = region.projector(tol=1e-12, max_iters=200000)(z)
     oracle = subgradient_project_region(region, z, iters=300000)
     rel = np.linalg.norm(got - oracle) / np.linalg.norm(got)
     assert rel <= 1e-4
@@ -136,8 +135,8 @@ def test_project_region_idempotent_within_tolerance():
     rng = np.random.default_rng(2)
     z = region.x_map + rng.standard_normal(16)
     tol = 1e-9
-    once = project_region(region, z, tol=tol, max_iters=100000)
-    twice = project_region(region, once, tol=tol, max_iters=100000)
+    once = region.projector(tol=tol, max_iters=100000)(z)
+    twice = region.projector(tol=tol, max_iters=100000)(once)
     assert np.linalg.norm(twice - once) <= 10 * tol * max(1.0, np.linalg.norm(once))
 
 
@@ -147,8 +146,8 @@ def test_project_region_firmly_nonexpansive_spot_check():
     for _ in range(3):
         x = region.x_map + rng.standard_normal(16)
         z = region.x_map + rng.standard_normal(16)
-        px = project_region(region, x, tol=1e-11, max_iters=100000)
-        pz = project_region(region, z, tol=1e-11, max_iters=100000)
+        px = region.projector(tol=1e-11, max_iters=100000)(x)
+        pz = region.projector(tol=1e-11, max_iters=100000)(z)
         lhs = np.linalg.norm(px - pz) ** 2
         rhs = float(np.dot(px - pz, x - z))
         assert lhs <= rhs + 1e-6

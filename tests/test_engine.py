@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import buqo.engine
 from buqo._pd import WarmProjector
 from buqo.cli import RunConfig
 from buqo.io import StructureSpec
-from buqo.credible_region import build_region
+from buqo.credible_region import CredibleRegion, build_region
 from buqo.engine import (
     BuqoError,
     SolverSettings,
@@ -18,7 +20,8 @@ from buqo.engine import (
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import PixelMask, SamplingPattern, db8_analysis, masked_dft
 from buqo.sim import ExperimentSpec, add_noise
-from buqo.structure_sets import build_background_set, build_localized_set
+from buqo.structure_sets import (BackgroundSet, LocalizedSet,
+                                 build_background_set, build_localized_set)
 
 from instances import Disk, perfbench_spans, small_localized_set, small_region
 
@@ -398,6 +401,25 @@ def test_experiment_spec_refuses_bad_alpha(alpha):
     # a grid would otherwise record the same error in every cell
     with pytest.raises(ValueError, match="alpha"):
         ExperimentSpec(alpha=alpha)
+
+
+def test_experiment_spec_refuses_an_unknown_mode():
+    # a grid would otherwise record the same error in every cell
+    with pytest.raises(ValueError, match="'bogus'"):
+        ExperimentSpec(mode="bogus")
+
+
+def test_public_solver_defaults_are_the_settings_defaults():
+    settings = SolverSettings()
+    for fn, prefix in ((solve_map, "map"),
+                       (CredibleRegion.projector, "inner"),
+                       (LocalizedSet.projector, "inner"),
+                       (BackgroundSet.projector, "inner"),
+                       (run_pocs, "outer"), (run_fb_distance, "outer")):
+        params = inspect.signature(fn).parameters
+        for limit in ("tol", "max_iters"):
+            assert params[limit].default == getattr(
+                settings, f"{prefix}_{limit}"), (fn.__qualname__, limit)
 
 
 def test_run_buqo_bad_mode_raises_engine_stage():

@@ -325,9 +325,19 @@ def test_grid_structures_share_one_observation_and_map(monkeypatch):
             single.rho_percent, single.iterations, single.stop_reason)
 
 
-def test_grid_failed_map_is_recorded_by_every_structure():
+def test_grid_failed_map_is_recorded_by_every_structure(monkeypatch):
+    solve_map = buqo.engine.solve_map
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_map(*args, **kwargs)
+
+    monkeypatch.setattr(buqo.engine, "solve_map", counted)
     report = run_grid(two_structure_spec(noise_variances=(1e-4,),
                                          map_max_iters=1))
+    # the failed solve is handed on, not repeated
+    assert len(calls) == 1
     assert [c.structure for c in report.cells] == ["structure0", "structure1"]
     for cell in report.cells:
         assert cell.outcome is None
@@ -337,9 +347,11 @@ def test_grid_failed_map_is_recorded_by_every_structure():
 
 def test_grid_failed_build_is_recorded_by_every_structure(monkeypatch):
     build = buqo.sim.build_problem
+    failed = []
 
     def build_full_sampling_only(spec, truth, ratio, *args):
         if ratio < 1.0:
+            failed.append(ratio)
             raise ValueError("no scanner time")
         return build(spec, truth, ratio, *args)
 
@@ -347,6 +359,7 @@ def test_grid_failed_build_is_recorded_by_every_structure(monkeypatch):
     report = run_grid(two_structure_spec(sampling_ratios=(0.5, 1.0),
                                          noise_variances=(1e-4,)))
     assert [c.error for c in report.cells[:2]] == ["no scanner time"] * 2
+    assert failed == [0.5]
     assert all(c.error is None for c in report.cells[2:])
 
 

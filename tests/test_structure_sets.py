@@ -14,7 +14,6 @@ from buqo.structure_sets import (
     build_localized_set,
     build_structure_set,
     project_background,
-    project_localized,
 )
 
 from instances import small_localized_set
@@ -149,7 +148,7 @@ def test_background_empty_mask_errors():
 
 def test_project_localized_member_fixed_point():
     sset, x_map, _ = small_localized_set(seed=23)
-    out = project_localized(sset, sset.surrogate, tol=1e-10, max_iters=50000)
+    out = sset.projector(tol=1e-10, max_iters=50000)(sset.surrogate)
     assert np.linalg.norm(out - sset.surrogate) <= 1e-6 * max(
         1.0, np.linalg.norm(sset.surrogate))
 
@@ -158,7 +157,7 @@ def test_project_localized_membership_contract():
     sset, x_map, _ = small_localized_set(seed=24)
     rng = np.random.default_rng(0)
     z = x_map + rng.standard_normal(16) * 2.0
-    out = project_localized(sset, z, tol=1e-10, max_iters=100000)
+    out = sset.projector(tol=1e-10, max_iters=100000)(z)
     assert sset.residual(out) <= 1e-6
 
 
@@ -166,7 +165,7 @@ def test_project_localized_matches_subgradient_oracle():
     sset, x_map, _ = small_localized_set(seed=25)
     rng = np.random.default_rng(1)
     z = x_map + rng.standard_normal(16) * 1.2
-    got = project_localized(sset, z, tol=1e-12, max_iters=200000)
+    got = sset.projector(tol=1e-12, max_iters=200000)(z)
     oracle = subgradient_project_localized(sset, z, iters=300000)
     assert np.linalg.norm(got - oracle) / np.linalg.norm(got) <= 1e-4
 
@@ -177,18 +176,18 @@ def test_project_localized_nonexpansive():
     for _ in range(3):
         a = x_map + rng.standard_normal(16)
         b = x_map + rng.standard_normal(16)
-        pa = project_localized(sset, a, tol=1e-11, max_iters=100000)
-        pb = project_localized(sset, b, tol=1e-11, max_iters=100000)
+        pa = sset.projector(tol=1e-11, max_iters=100000)(a)
+        pb = sset.projector(tol=1e-11, max_iters=100000)(b)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-8
 
 
 def test_localized_convexity_witness():
     sset, x_map, _ = small_localized_set(seed=27)
     rng = np.random.default_rng(3)
-    u = project_localized(sset, x_map + rng.standard_normal(16), tol=1e-12,
-                          max_iters=200000)
-    v = project_localized(sset, x_map + rng.standard_normal(16), tol=1e-12,
-                          max_iters=200000)
+    u = sset.projector(tol=1e-12, max_iters=200000)(
+        x_map + rng.standard_normal(16))
+    v = sset.projector(tol=1e-12, max_iters=200000)(
+        x_map + rng.standard_normal(16))
     for t in (0.25, 0.5, 0.75):
         assert sset.residual(t * u + (1 - t) * v) <= 1e-8
 
