@@ -14,6 +14,7 @@ from .credible_region import (
 )
 from .engine import (
     BuqoError,
+    RunSettings,
     SolverSettings,
     TestOutcome,
     compute_rho,

@@ -2,6 +2,10 @@
 
 Configuration comes from a flat dotted-key text file plus overriding
 flags; every command is deterministic given identical inputs and seed.
+The keys are the fields of :class:`RunConfig`: the test's settings
+(``alpha``, ``eta``, ``mode`` and the solver limits) are the inherited
+:class:`~buqo.engine.RunSettings`, and the experiment keys default to
+:class:`~buqo.sim.ExperimentSpec`'s fields.
 Exit codes: 0 success, 2 config error, 3 MAP stage, 4 region stage,
 5 set stage, 6 engine stage. Inputs are checked before anything is
 written (a bad solver setting exits with its stage's code, 3 or 6).
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as bio
-from .engine import MODES, BuqoError, SolverSettings, run_buqo
+from .engine import MODES, BuqoError, RunSettings, run_buqo
 from .map_solver import MapProblem
 from .operators import db8_analysis, masked_dft
 from .sim import (
@@ -38,39 +42,34 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig(SolverSettings):
-    """Typed view of the config file plus flag overrides, checked when built."""
+class RunConfig(RunSettings):
+    """Typed view of the config file plus flag overrides, checked when built.
+
+    ``alpha``, ``eta``, ``mode`` and the solver limits are the inherited
+    RunSettings, checked as RunSettings checks them; the experiment
+    fields default to ExperimentSpec's (``levels`` is its
+    ``wavelet_levels``, ``grid_ratios`` and ``grid_variances`` its
+    ``sampling_ratios`` and ``noise_variances``).
+    """
 
     command: str = ""
     out: str = "."
-    seed: int = 0
-    alpha: float = 0.01
-    eta: float = 0.03
-    mode: str = "pocs"
-    rows: int = 64
-    cols: int = 64
-    phantom: str = "compact"
-    pattern_kind: str = "gaussian"
+    seed: int = ExperimentSpec.seed
+    rows: int = ExperimentSpec.rows
+    cols: int = ExperimentSpec.cols
+    phantom: str = ExperimentSpec.phantom
+    pattern_kind: str = ExperimentSpec.pattern_kind
     ratio: float = 1.0
     sigma2: float = 0.01
-    levels: int = 3
-    grid_ratios: tuple = (0.5, 0.75, 1.0)
-    grid_variances: tuple = (0.01, 0.02, 0.03)
+    levels: int = ExperimentSpec.wavelet_levels
+    grid_ratios: tuple = ExperimentSpec.sampling_ratios
+    grid_variances: tuple = ExperimentSpec.noise_variances
     structures: tuple = ()
     measurements: str = ""
     pattern_file: str = ""
     structure_file: str = ""
     outcome_file: str = ""
     epsilon: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.eta >= 0:
-            raise ConfigError(f"eta must be nonnegative, got {self.eta}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def _coerce(default, raw):
@@ -95,7 +94,8 @@ def config_from_dict(values: dict) -> RunConfig:
             kwargs[name] = _coerce(defaults[name], raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    return RunConfig(**kwargs)
+    with _config_errors():
+        return RunConfig(**kwargs)
 
 
 def config_to_dict(cfg: RunConfig, volatile: bool = True) -> dict:

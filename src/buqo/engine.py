@@ -29,6 +29,7 @@ __all__ = [
     "TestOutcome",
     "BuqoError",
     "SolverSettings",
+    "RunSettings",
     "run_pocs",
     "run_fb_distance",
     "compute_rho",
@@ -38,6 +39,8 @@ __all__ = [
 
 # the outer loops: alternating projections and forward-backward
 MODES = ("pocs", "fb")
+# forward-backward's step toward the other set, in (0, 1)
+FB_GAMMA = 0.5
 
 REJECTED = "rejected"
 NOT_REJECTED = "not_rejected"
@@ -61,7 +64,13 @@ INEXACT_CAP = 1e-3
 
 
 class BuqoError(RuntimeError):
-    """Pipeline failure labelled with the stage that raised it."""
+    """Pipeline failure labelled with the stage that raised it.
+
+    ``x_map`` is the MAP estimate a failed :func:`run_buqo` had solved or
+    been given, None when the test failed before its map stage ended.
+    """
+
+    x_map: np.ndarray | None = None
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
@@ -119,6 +128,31 @@ class SolverSettings:
                             f"{diag.iterations} iterations (feasibility gap "
                             f"{diag.feasibility_gap:.3e})")
         return x_map, diag
+
+
+@dataclass
+class RunSettings(SolverSettings):
+    """The settings of one hypothesis test: the solver limits, the
+    credible region's significance ``alpha``, the threshold ``eta`` on
+    rho_alpha and the outer loop ``mode`` (one of MODES).
+
+    An ``alpha`` outside (0, 1), a negative or NaN ``eta`` and an
+    unknown ``mode`` raise ValueError naming the field; bad solver
+    limits raise BuqoError (see SolverSettings).
+    """
+
+    alpha: float = 0.01
+    eta: float = 0.03
+    mode: str = "pocs"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not self.eta >= 0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass
@@ -232,7 +266,7 @@ def run_pocs(project_region, project_set, x0: np.ndarray,
 
 
 def run_fb_distance(project_region, project_set, x0_region: np.ndarray,
-                    x0_set: np.ndarray, gamma: float = 0.5,
+                    x0_set: np.ndarray, gamma: float = FB_GAMMA,
                     tol=SolverSettings.outer_tol,
                     max_iters=SolverSettings.outer_max_iters):
     """Forward-backward iteration on the squared distance between the sets,
@@ -288,10 +322,10 @@ def decide(rho: float, eta: float, alpha: float) -> tuple[str, str]:
     )
 
 
-def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
-             mode: str = "pocs", eta: float = 0.03,
+def run_buqo(problem: MapProblem, structure, alpha: float = RunSettings.alpha,
+             mode: str = RunSettings.mode, eta: float = RunSettings.eta,
              rows: int | None = None, cols: int | None = None,
-             gamma: float = 0.5, x_map: np.ndarray | None = None,
+             gamma: float = FB_GAMMA, x_map: np.ndarray | None = None,
              **limits) -> TestOutcome:
     """Full uncertainty-quantification pipeline for one structure.
 
@@ -301,27 +335,40 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
     localized structure) or a parsed structure spec; see
     :func:`~buqo.structure_sets.build_structure_set`. A precomputed MAP
     estimate can be passed to skip the first stage; the outcome's
-    ``x_map`` holds the estimate used either way. Stage failures are
-    re-raised as :class:`BuqoError` with the stage label. ``limits``
-    are the :class:`SolverSettings` fields (defaults for those left
-    out); they, ``eta`` and ``alpha`` are checked before any solve
-    starts.
+    ``x_map`` holds the estimate used either way, as does the
+    BuqoError of a test that fails after its map stage. Stage failures are
+    re-raised as :class:`BuqoError` with the stage label. ``alpha``,
+    ``eta``, ``mode`` and ``limits`` are the :class:`RunSettings`
+    fields (defaults for those left out), checked before any solve
+    starts: ``alpha`` first, against the grid size, as a "region"
+    error.
     """
-    if mode not in MODES:
-        raise BuqoError("engine", f"unknown mode {mode!r}")
-    if not eta >= 0:
-        raise BuqoError("engine", f"eta must be nonnegative, got {eta}")
-    settings = SolverSettings(**limits)
     with _stage("region"):
         compute_tau_alpha(alpha, problem.n_pixels)
+    try:
+        settings = RunSettings(alpha=alpha, eta=eta, mode=mode, **limits)
+    except ValueError as exc:
+        raise BuqoError("engine", str(exc)) from exc
 
     with _stage("map"):
         if x_map is None:
             x_map, _ = settings.map_estimate(problem)
         lam = compute_lambda(x_map, problem.psi)
+    try:
+        return _test_stages(problem, structure, x_map, lam, settings, rows,
+                            cols, gamma)
+    except BuqoError as exc:
+        # another structure seen in the same reconstruction can reuse it
+        exc.x_map = x_map
+        raise
 
+
+def _test_stages(problem: MapProblem, structure, x_map: np.ndarray,
+                 lam: float, settings: RunSettings, rows: int | None,
+                 cols: int | None, gamma: float) -> TestOutcome:
+    """The region, set and engine stages of :func:`run_buqo`."""
     with _stage("region"):
-        region = build_region(x_map, lam, alpha, problem)
+        region = build_region(x_map, lam, settings.alpha, problem)
 
     with _stage("set"):
         if rows is None or cols is None:
@@ -335,14 +382,14 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
         inner = dict(tol=settings.inner_tol, max_iters=settings.inner_max_iters)
         projectors = (region.projector(**inner), sset.projector(**inner))
         outer = dict(tol=settings.outer_tol, max_iters=settings.outer_max_iters)
-        if mode == "pocs":
+        if settings.mode == "pocs":
             x_region, x_set, iters, stop, deltas = run_pocs(
                 *projectors, sset.surrogate, **outer)
         else:
             x_region, x_set, iters, stop, deltas = run_fb_distance(
                 *projectors, region.x_map, sset.surrogate, gamma=gamma, **outer)
         rho = compute_rho(x_region, x_set, x_map, sset.surrogate)
-        decision, narrative = decide(rho, eta, alpha)
+        decision, narrative = decide(rho, settings.eta, settings.alpha)
         # a background set projects in closed form and never falls short
         unconverged = sum(getattr(p, "unconverged_calls", 0) for p in projectors)
         inner_iterations = sum(getattr(p, "inner_iterations", 0) for p in projectors)
@@ -355,8 +402,8 @@ def run_buqo(problem: MapProblem, structure, alpha: float = 0.01,
         rho_alpha=rho,
         distance=float(np.linalg.norm(x_region - x_set)),
         decision=decision,
-        alpha=alpha,
-        eta_threshold=eta,
+        alpha=settings.alpha,
+        eta_threshold=settings.eta,
         x_region=x_region,
         x_set=x_set,
         iterations=iters,

@@ -417,8 +417,12 @@ def _gaussian_kernel_weights(size: int, sigma: float) -> np.ndarray:
     return np.exp(-(dy ** 2 + dx ** 2) / (2.0 * sigma ** 2))
 
 
+# window sizes of the normalized-convolution inpainting, averaged
+INPAINT_KERNEL_SIZES = (3, 7, 11)
+
+
 def build_inpainting(mask: PixelMask,
-                     kernel_sizes: Sequence[int] = (3, 7, 11),
+                     kernel_sizes: Sequence[int] = INPAINT_KERNEL_SIZES,
                      kernel_sigmas: Sequence[float] | None = None) -> LinearMap:
     """Normalized-convolution inpainting from outside-mask to masked pixels.
 

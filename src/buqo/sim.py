@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .credible_region import compute_epsilon_bound, compute_tau_alpha
-from .engine import MODES, SolverSettings, TestOutcome, run_buqo
+from .engine import RunSettings, TestOutcome, run_buqo
 from .map_solver import MapProblem
 from .operators import SamplingPattern, db8_analysis, masked_dft, multicoil_map
 
@@ -256,7 +256,12 @@ def make_phantom(kind: str, rows: int, cols: int, seed: int = 0) -> np.ndarray:
     raise ValueError(f"unknown phantom kind {kind!r}")
 
 
-def coil_sensitivities(rows: int, cols: int, n_coils: int = 4) -> list[np.ndarray]:
+# the multicoil operator's default coil count: one profile per image edge
+N_COILS = 4
+
+
+def coil_sensitivities(rows: int, cols: int,
+                       n_coils: int = N_COILS) -> list[np.ndarray]:
     """Smooth half-plane-weighted coil profiles with unit pointwise energy.
 
     One broad Gaussian per image edge, normalized so the pointwise sum
@@ -278,18 +283,19 @@ def coil_sensitivities(rows: int, cols: int, n_coils: int = 4) -> list[np.ndarra
 
 
 @dataclass
-class ExperimentSpec(SolverSettings):
+class ExperimentSpec(RunSettings):
     """Grid-experiment description (all randomness flows from ``seed``).
 
     Each entry of ``noise_variances`` is the per-part noise variance at
     full sampling; the total noise energy is the same at every entry of
     ``sampling_ratios`` (see :func:`sample_noise`), so the two grid axes
-    vary sampling and input SNR independently. Empty or bad grid axes,
-    two cells that would share a name (axis values equal under the
-    table's ``:g`` format, or two structures of one name), a negative
-    or NaN ``eta``, an unknown ``mode`` and an ``alpha`` outside the
-    concentration bound's validity interval raise ValueError, bad solver
-    settings BuqoError (see SolverSettings).
+    vary sampling and input SNR independently. Every cell is tested at
+    the inherited RunSettings (``alpha``, ``eta``, ``mode`` and the
+    solver limits), checked as RunSettings checks them. Empty or bad
+    grid axes, two cells that would share a name (axis values equal
+    under the table's ``:g`` format, or two structures of one name) and
+    an ``alpha`` outside the concentration bound's validity interval at
+    rows x cols pixels raise ValueError too.
     """
 
     rows: int = 64
@@ -299,12 +305,9 @@ class ExperimentSpec(SolverSettings):
     sampling_ratios: Sequence[float] = (0.5, 0.75, 1.0)
     noise_variances: Sequence[float] = (0.01, 0.02, 0.03)
     structures: Sequence = ()
-    alpha: float = 0.01
-    eta: float = 0.03
-    mode: str = "pocs"
     seed: int = 0
     wavelet_levels: int = 3
-    n_coils: int = 4
+    n_coils: int = N_COILS
 
     def __post_init__(self):
         super().__post_init__()
@@ -315,10 +318,6 @@ class ExperimentSpec(SolverSettings):
             raise ValueError("sampling ratios must lie in (0, 1]")
         if not all(v > 0 for v in self.noise_variances):
             raise ValueError("noise variances must be positive")
-        if not self.eta >= 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         compute_tau_alpha(self.alpha, self.rows * self.cols)
         # a cell's name joins its three labels (see GridCell.tag)
         for axis, labels in (
@@ -436,9 +435,10 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
     Each (ratio, variance) has one observation and one MAP estimate,
     which all its structures are tested against: the first structure's
     test builds the observation and solves the MAP, and the next tests
-    reuse the MAP of the last test that returned. A failed build or MAP
-    solve is not tried again: its error is recorded for every later
-    structure of that (ratio, variance) too.
+    reuse that MAP, also when the first test failed after its map stage
+    (see ``BuqoError.x_map``). A failed build or MAP solve is not tried
+    again: its error is recorded for every later structure of that
+    (ratio, variance) too.
 
     Per-cell failures are recorded in the report and do not stop the
     remaining cells. Inputs that would fail every cell alike (no
@@ -483,6 +483,9 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
                     # the observation or its MAP failed: so will the others
                     if problem is None or getattr(exc, "stage", None) == "map":
                         failed = exc
+                    # a test that failed after its map stage hands its MAP on
+                    if x_map is None:
+                        x_map = getattr(exc, "x_map", None)
                     cells.append(GridCell(
                         ratio=ratio, sigma2=sigma2, structure=name,
                         rho_percent=None, decision=None, iterations=None,

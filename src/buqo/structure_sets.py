@@ -18,6 +18,7 @@ import numpy as np
 
 from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector
 from .operators import (
+    INPAINT_KERNEL_SIZES,
     LinearMap,
     PixelMask,
     attach_norm_bound,
@@ -45,6 +46,11 @@ __all__ = [
     "background_mask",
     "project_background",
 ]
+
+# the background support: pixels above this fraction of the MAP's maximum
+# are bright, and the disk of this radius around them is not background
+BACKGROUND_THRESHOLD_FRAC = 1e-3
+BACKGROUND_DILATION_RADIUS = 7
 
 
 @dataclass
@@ -118,7 +124,7 @@ class StructureProjector(WarmProjector):
 
 
 def build_localized_set(x_map: np.ndarray, mask: PixelMask,
-                        kernel_sizes: Sequence[int] = (3, 7, 11),
+                        kernel_sizes: Sequence[int] = INPAINT_KERNEL_SIZES,
                         tau: float | None = None,
                         theta: float | None = None) -> LocalizedSet:
     """Structure-absent set for a spatially localized structure.
@@ -165,8 +171,8 @@ def build_localized_set(x_map: np.ndarray, mask: PixelMask,
 
 
 def background_mask(x_map: np.ndarray, rows: int, cols: int,
-                    threshold_frac: float = 1e-3,
-                    dilation_radius: int = 7) -> PixelMask:
+                    threshold_frac: float = BACKGROUND_THRESHOLD_FRAC,
+                    dilation_radius: int = BACKGROUND_DILATION_RADIUS) -> PixelMask:
     """Background support: complement of the dilated bright-pixel set.
 
     Bright pixels are those above threshold_frac times the maximum; they
@@ -196,8 +202,8 @@ def background_mask(x_map: np.ndarray, rows: int, cols: int,
 
 
 def build_background_set(x_map: np.ndarray, rows: int, cols: int,
-                         threshold_frac: float = 1e-3,
-                         dilation_radius: int = 7,
+                         threshold_frac: float = BACKGROUND_THRESHOLD_FRAC,
+                         dilation_radius: int = BACKGROUND_DILATION_RADIUS,
                          vartheta: float = 1e-2,
                          mask: PixelMask | None = None) -> BackgroundSet:
     """Structure-absent set for the low-intensity background.

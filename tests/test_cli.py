@@ -90,7 +90,7 @@ def test_config_line_without_equals_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [
     {"pattern.kind": "spiral"}, {"pattern.kind": "multicoil"}, {"ratio": 1.5},
     {"rows": 16}, {"sigma2": 0}, {"pattern.kind": "cartesian", "ratio": 0},
-    {"sigma2": float("nan")}])
+    {"sigma2": float("nan")}, {"mode": "dykstra"}])
 def test_bad_sampling_pattern_is_exit_2(tmp_path, overrides):
     cfg = write_cfg(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg),

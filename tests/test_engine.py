@@ -10,6 +10,7 @@ from buqo.io import StructureSpec
 from buqo.credible_region import CredibleRegion, build_region
 from buqo.engine import (
     BuqoError,
+    RunSettings,
     SolverSettings,
     compute_rho,
     decide,
@@ -18,9 +19,10 @@ from buqo.engine import (
     run_pocs,
 )
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
-from buqo.operators import PixelMask, SamplingPattern, db8_analysis, masked_dft
-from buqo.sim import ExperimentSpec, add_noise
-from buqo.structure_sets import (BackgroundSet, LocalizedSet,
+from buqo.operators import (PixelMask, SamplingPattern, build_inpainting,
+                            db8_analysis, masked_dft)
+from buqo.sim import ExperimentSpec, add_noise, coil_sensitivities
+from buqo.structure_sets import (BackgroundSet, LocalizedSet, background_mask,
                                  build_background_set, build_localized_set)
 
 from instances import Disk, perfbench_spans, small_localized_set, small_region
@@ -420,6 +422,42 @@ def test_public_solver_defaults_are_the_settings_defaults():
         for limit in ("tol", "max_iters"):
             assert params[limit].default == getattr(
                 settings, f"{prefix}_{limit}"), (fn.__qualname__, limit)
+
+
+def test_each_default_is_declared_once():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    settings = RunSettings()
+    for name in ("alpha", "eta", "mode"):
+        assert default(run_buqo, name) == getattr(settings, name), name
+    # RunConfig's experiment fields under ExperimentSpec's names
+    config, spec = RunConfig(), ExperimentSpec()
+    for mine, theirs in (("seed", "seed"), ("rows", "rows"), ("cols", "cols"),
+                         ("phantom", "phantom"),
+                         ("pattern_kind", "pattern_kind"),
+                         ("levels", "wavelet_levels"),
+                         ("grid_ratios", "sampling_ratios"),
+                         ("grid_variances", "noise_variances")):
+        assert getattr(config, mine) == getattr(spec, theirs), mine
+    for (fn, other), name in (
+            ((build_inpainting, build_localized_set), "kernel_sizes"),
+            ((background_mask, build_background_set), "threshold_frac"),
+            ((background_mask, build_background_set), "dilation_radius"),
+            ((run_fb_distance, run_buqo), "gamma")):
+        assert default(fn, name) == default(other, name), name
+    assert default(coil_sensitivities, "n_coils") == spec.n_coils
+
+
+def test_run_buqo_misspelt_keyword_is_a_type_error(monkeypatch):
+    problem, mask, _ = pipeline_16(seed=55)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the keywords were checked")
+
+    monkeypatch.setattr(buqo.engine, "solve_map", no_solve)
+    with pytest.raises(TypeError, match="bogus"):
+        run_buqo(problem, mask, bogus=1)
 
 
 def test_run_buqo_bad_mode_raises_engine_stage():

@@ -210,11 +210,11 @@ def test_coil_sensitivities_unit_energy():
 # ---------------------------------------------------------------------------
 # grid runner
 
-def grid_mask(source=0):
+def grid_mask(source=0, half=2):
     layout = phantom_layout("compact", 32, 32, seed=70)
     py, px = layout["bright"][source][:2]
     sel = np.zeros((32, 32), dtype=bool)
-    sel[py - 2:py + 3, px - 2:px + 3] = True
+    sel[py - half:py + half + 1, px - half:px + half + 1] = True
     return PixelMask.from_boolean(sel)
 
 
@@ -343,6 +343,37 @@ def test_grid_failed_map_is_recorded_by_every_structure(monkeypatch):
         assert cell.outcome is None
         assert cell.error.startswith(
             "[map] MAP solver did not converge in 1 iterations")
+
+
+def test_grid_structure_failing_after_its_map_hands_the_map_on(monkeypatch):
+    events = []
+    solve_map, test = buqo.engine.solve_map, buqo.sim.run_buqo
+
+    def counted_map(*args, **kwargs):
+        events.append("map")
+        return solve_map(*args, **kwargs)
+
+    def counted_test(*args, **kwargs):
+        events.append("test")
+        return test(*args, **kwargs)
+
+    monkeypatch.setattr(buqo.engine, "solve_map", counted_map)
+    monkeypatch.setattr(buqo.sim, "run_buqo", counted_test)
+    # a mask on the border fails the set stage, after the MAP is solved
+    spec = small_spec(noise_variances=(0.01,),
+                      structures=(PixelMask(32, 32, [0, 1]), grid_mask(half=3)))
+    report = run_grid(spec)
+    # one solve, inside the first structure's test
+    assert events == ["test", "map", "test"]
+    failed, second = report.cells
+    assert failed.error.startswith("[set] ")
+    monkeypatch.undo()
+    alone = run_grid(small_spec(noise_variances=(0.01,),
+                                structures=(grid_mask(half=3),))).cells[0]
+    assert alone.error is None
+    assert (second.rho_percent, second.decision, second.iterations,
+            second.stop_reason) == (alone.rho_percent, alone.decision,
+                                    alone.iterations, alone.stop_reason)
 
 
 def test_grid_failed_build_is_recorded_by_every_structure(monkeypatch):
