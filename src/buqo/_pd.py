@@ -4,9 +4,9 @@ Solves min_u h(u) + i_box(u) + sum_i f_i(A_i u) where each f_i has a
 closed-form prox. For a projection onto the box and the sets
 {A_i u in C_i}, h is 1/2 ||u - anchor||^2, whose gradient is
 beta-Lipschitz with beta = 1; the MAP estimate has no h (beta = 0).
-Each block supplies its dual step, the prox of gamma f_i*, in closed
-form for the gamma of the iteration: a ``prox.*_dual_prox`` factory,
-for the projectors and the MAP alike.
+Each block holds its term f_i, a set or norm from ``prox`` whose
+``dual_prox(gamma)`` is the prox of gamma f_i* in closed form, for the
+projectors and the MAP alike.
 
 The iteration converges when the primal step sigma and the dual step
 gamma satisfy sigma * (beta/2 + gamma * sum ||A_i||^2) < 1; for a given
@@ -16,27 +16,26 @@ gamma, :func:`pd_step_sizes` takes the largest such sigma (times 0.99).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .operators import LinearMap
-from .prox import DualProx, IntervalBox, project_box
+from .prox import IntervalBox, L1Levelset, L1Norm, L2Ball, project_box
 
 
 @dataclass
 class DualBlock:
-    """One linearly-composed term f(A u): operator plus dual step.
+    """One linearly-composed term f(A u): operator plus term.
 
-    ``dual_prox(gamma)`` returns the prox of gamma f*; :func:`pd_steps`
-    builds it once, for its own gamma, so the dual step is set in one
-    place. The returned step may overwrite its argument and return it.
-    It is a ``prox.*_dual_prox`` factory with its set or weight bound
-    (``functools.partial``).
+    ``term`` is the set C of f = i_C, or the weighted norm f itself.
+    ``term.dual_prox(gamma)`` returns the prox of gamma f*;
+    :func:`pd_steps` builds it once, for its own gamma. The returned
+    step may overwrite its argument and return it.
     """
 
     op: LinearMap
-    dual_prox: Callable[[float], DualProx]
+    term: IntervalBox | L2Ball | L1Levelset | L1Norm
 
     def zero_dual(self) -> np.ndarray:
         dtype = complex if self.op.complex_output else float
@@ -81,7 +80,7 @@ def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
     written again.
     """
     sigma = pd_step_sizes(blocks, gamma, beta=0.0 if anchor is None else 1.0)
-    dual_steps = [b.dual_prox(gamma) for b in blocks]
+    dual_steps = [b.term.dual_prox(gamma) for b in blocks]
     grad = np.empty_like(u)
     bar = np.empty_like(u)
     scratch = [np.empty_like(v) for v in duals]

@@ -109,7 +109,7 @@ def config_to_dict(cfg: RunConfig, volatile: bool = True) -> dict:
     skip = {"command"}
     if not volatile:
         skip |= {"out", "measurements", "pattern_file", "structure_file",
-                 "outcome_file"}
+                 "outcome_file", "structures"}
     out = {}
     for f in fields(RunConfig):
         if f.name in skip:
@@ -175,10 +175,10 @@ class _AtomicWriter:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Emit phantom, sampling pattern, noisy measurements and a manifest."""
-    seeds = np.random.SeedSequence([cfg.seed]).generate_state(2)
-    # bad grid sizes, ratios and noise levels are config errors, reported
-    # before the output directory exists
+    # bad seeds, grid sizes, ratios and noise levels are config errors,
+    # reported before the output directory exists
     with _config_errors():
+        seeds = np.random.SeedSequence([cfg.seed]).generate_state(2)
         pattern = sampling_pattern(cfg.pattern_kind, cfg.rows, cfg.cols,
                                    cfg.ratio, int(seeds[0]))
         truth = make_phantom(cfg.phantom, cfg.rows, cfg.cols, cfg.seed)
@@ -209,7 +209,8 @@ def _load_problem(cfg: RunConfig) -> tuple[MapProblem, int, int]:
         pattern = bio.read_pattern(cfg.pattern_file)
         phi = masked_dft(pattern)
         epsilon = cfg.epsilon
-        if epsilon <= 0.0:
+        # the default 0 derives the bound; MapProblem refuses one below 0
+        if epsilon == 0.0:
             _, epsilon = sample_noise(cfg.sigma2, pattern.rows * pattern.cols,
                                       phi.out_dim)
         psi = db8_analysis(pattern.rows, pattern.cols, cfg.levels)

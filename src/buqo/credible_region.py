@@ -10,21 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector
 from .map_solver import FEASIBILITY_SLACK, MapProblem
 from .operators import LinearMap
-from .prox import (
-    IntervalBox,
-    L1Levelset,
-    L2Ball,
-    box_violation,
-    l1_levelset_dual_prox,
-    l2_ball_dual_prox,
-)
+from .prox import IntervalBox, L1Levelset, L2Ball, box_violation
 
 __all__ = [
     "CredibleRegion",
@@ -113,11 +105,9 @@ class RegionProjector(WarmProjector):
     """
 
     def __init__(self, region: CredibleRegion, tol: float, max_iters: int):
-        ball = L2Ball(region.data, region.epsilon)
-        levelset = L1Levelset(region.eta_tilde / region.lam)
         super().__init__(region.constraint, [
-            DualBlock(region.psi, partial(l1_levelset_dual_prox, levelset)),
-            DualBlock(region.phi, partial(l2_ball_dual_prox, ball)),
+            DualBlock(region.psi, L1Levelset(region.eta_tilde / region.lam)),
+            DualBlock(region.phi, L2Ball(region.data, region.epsilon)),
         ], tol, max_iters, gamma=4.0)
 
 

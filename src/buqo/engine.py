@@ -393,6 +393,9 @@ def _test_stages(problem: MapProblem, structure, x_map: np.ndarray,
         # a background set projects in closed form and never falls short
         unconverged = sum(getattr(p, "unconverged_calls", 0) for p in projectors)
         inner_iterations = sum(getattr(p, "inner_iterations", 0) for p in projectors)
+        if stop == STOP_MAX_ITERS:
+            narrative += (" (the outer loop stopped at outer_max_iters = "
+                          f"{settings.outer_max_iters} before its stop test passed)")
         if unconverged:
             narrative += (f" ({unconverged} inner projections stopped at "
                           f"inner_max_iters = {settings.inner_max_iters}; "

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from ._pd import DualBlock, check_limits, pd_steps
 from .operators import LinearMap
-from .prox import (IntervalBox, L2Ball, l1_norm_dual_prox, l2_ball_dual_prox,
-                   project_box)
+from .prox import IntervalBox, L1Norm, L2Ball, project_box
 
 __all__ = ["MapProblem", "SolverDiagnostics", "solve_map", "compute_lambda"]
 
@@ -117,17 +115,13 @@ def solve_map(problem: MapProblem, tol: float = MAP_TOL,
     max(||y||, epsilon), which is positive and scales with the data too,
     so gamma stays finite. ``diag.gamma`` reports the step taken.
     """
-    if not l1_weight > 0:
-        raise ValueError("l1_weight must be positive")
+    blocks = [DualBlock(problem.psi, L1Norm(l1_weight)),
+              DualBlock(problem.phi, L2Ball(problem.data, problem.epsilon))]
     check_limits(tol, max_iters)
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
     box = problem.constraint
     x = project_box(phi.adjoint(y), box)
     gamma = _dual_step(x, problem, l1_weight)
-    blocks = [
-        DualBlock(psi, partial(l1_norm_dual_prox, l1_weight)),
-        DualBlock(phi, partial(l2_ball_dual_prox, L2Ball(y, eps))),
-    ]
     gap_tol = FEASIBILITY_SLACK * eps
 
     # x_new = (bar + x) / 2, so Psi x and Phi x follow by linearity

@@ -1,13 +1,15 @@
 """Closed-form Euclidean projections used by every sub-solver, and the
-closed-form dual steps of the primal-dual solvers.
+sets whose closed-form dual steps the primal-dual solvers take.
 
 The dual step of the primal-dual iteration for a term f = i_C (the
 indicator of a set C) is the prox of gamma f*. By the Moreau identity it
 is vt - gamma P_C(vt / gamma) = vt - P_{gamma C}(vt): what is left of vt
-after projecting it onto the set scaled by gamma. The ``*_dual_prox``
-factories compute that residual directly, with the scaled set built once.
-For f = w ||.||_1, f* is the indicator of the l-inf ball of radius w, so
-its dual step is the projection onto that ball, for every gamma.
+after projecting it onto the set scaled by gamma. Each set's
+``dual_prox(gamma)`` computes that residual directly, with the scaled
+set built once per call. For f = w ||.||_1 (:class:`L1Norm`), f* is the
+indicator of the l-inf ball of radius w, so its dual step is the
+projection onto that ball, for every gamma. A dual step may overwrite
+its argument and return it.
 """
 
 from __future__ import annotations
@@ -23,14 +25,11 @@ __all__ = [
     "IntervalBox",
     "L2Ball",
     "L1Levelset",
+    "L1Norm",
     "project_box",
     "box_violation",
     "project_l2_ball",
     "project_l1_levelset",
-    "box_dual_prox",
-    "l1_norm_dual_prox",
-    "l2_ball_dual_prox",
-    "l1_levelset_dual_prox",
 ]
 
 
@@ -45,6 +44,16 @@ class IntervalBox:
         if not np.all(np.asarray(self.lo) <= np.asarray(self.hi)):
             raise ValueError("interval requires lo <= hi componentwise")
 
+    def dual_prox(self, gamma: float) -> DualProx:
+        """vt -> vt - clip(vt, gamma lo, gamma hi), the dual step of i_box."""
+        lo, hi = gamma * np.asarray(self.lo), gamma * np.asarray(self.hi)
+
+        def prox(vt):
+            vt -= np.clip(vt, lo, hi)
+            return vt
+
+        return prox
+
 
 @dataclass(frozen=True)
 class L2Ball:
@@ -57,6 +66,22 @@ class L2Ball:
         if not self.radius >= 0:
             raise ValueError("ball radius must be nonnegative")
 
+    def dual_prox(self, gamma: float) -> DualProx:
+        """vt -> d max(0, 1 - gamma r / ||d||) with d = vt - gamma c, the
+        dual step of the indicator of the ball B(c, r); real or complex."""
+        center, radius = gamma * np.asarray(self.center), gamma * self.radius
+
+        def prox(vt):
+            vt -= center
+            norm = np.linalg.norm(vt)
+            if norm <= radius:
+                vt.fill(0.0)
+            else:
+                vt *= 1.0 - radius / norm
+            return vt
+
+        return prox
+
 
 @dataclass(frozen=True)
 class L1Levelset:
@@ -67,6 +92,46 @@ class L1Levelset:
     def __post_init__(self):
         if not self.level >= 0:
             raise ValueError("l1 level must be nonnegative")
+
+    def dual_prox(self, gamma: float) -> DualProx:
+        """vt -> clip(vt, -t, t), the dual step of the indicator of the l1
+        ball: t is the threshold of vt at level gamma * level, and the step
+        is 0 when vt lies in that scaled ball (vt itself at level 0)."""
+        level = gamma * self.level
+
+        def prox(vt):
+            mags = np.abs(vt)
+            if mags.sum() <= level:
+                vt.fill(0.0)
+            elif level > 0.0:
+                t = _l1_threshold(mags, level)
+                np.clip(vt, -t, t, out=vt)
+            return vt
+
+        return prox
+
+
+@dataclass(frozen=True)
+class L1Norm:
+    """The weighted norm u -> weight ||u||_1, weight > 0."""
+
+    weight: float
+
+    def __post_init__(self):
+        if not self.weight > 0:
+            raise ValueError("l1_weight must be positive")
+
+    def dual_prox(self, gamma: float) -> DualProx:
+        """vt -> clip(vt, -weight, weight), the dual step of weight ||.||_1:
+        the projection onto the l-inf ball of radius ``weight``, the domain
+        of its conjugate, whatever gamma."""
+        weight = self.weight
+
+        def prox(vt):
+            np.clip(vt, -weight, weight, out=vt)
+            return vt
+
+        return prox
 
 
 def project_box(x: np.ndarray, box: IntervalBox) -> np.ndarray:
@@ -133,63 +198,3 @@ def project_l1_levelset(x: np.ndarray, levelset: L1Levelset) -> np.ndarray:
         return np.zeros_like(x)
     theta = _l1_threshold(mags, beta)
     return np.sign(x) * np.maximum(mags - theta, 0.0)
-
-
-# Each dual prox may overwrite its argument and return it.
-
-def box_dual_prox(box: IntervalBox, gamma: float) -> DualProx:
-    """vt -> vt - clip(vt, gamma lo, gamma hi), the dual step of i_box."""
-    lo, hi = gamma * np.asarray(box.lo), gamma * np.asarray(box.hi)
-
-    def prox(vt):
-        vt -= np.clip(vt, lo, hi)
-        return vt
-
-    return prox
-
-
-def l1_norm_dual_prox(weight: float, gamma: float) -> DualProx:
-    """vt -> clip(vt, -weight, weight), the dual step of weight ||.||_1:
-    the projection onto the l-inf ball of radius ``weight``, the domain
-    of its conjugate, whatever gamma."""
-
-    def prox(vt):
-        np.clip(vt, -weight, weight, out=vt)
-        return vt
-
-    return prox
-
-
-def l2_ball_dual_prox(ball: L2Ball, gamma: float) -> DualProx:
-    """vt -> d max(0, 1 - gamma r / ||d||) with d = vt - gamma c, the dual
-    step of the indicator of the ball B(c, r); real or complex."""
-    center, radius = gamma * np.asarray(ball.center), gamma * ball.radius
-
-    def prox(vt):
-        vt -= center
-        norm = np.linalg.norm(vt)
-        if norm <= radius:
-            vt.fill(0.0)
-        else:
-            vt *= 1.0 - radius / norm
-        return vt
-
-    return prox
-
-
-def l1_levelset_dual_prox(levelset: L1Levelset, gamma: float) -> DualProx:
-    """vt -> clip(vt, -t, t), the dual step of the indicator of the l1
-    ball: t is the threshold of vt at level gamma * level, and the step
-    is 0 when vt lies in that scaled ball (vt itself at level 0)."""
-    level = gamma * levelset.level
-
-    def prox(vt):
-        mags = np.abs(vt)
-        if mags.sum() <= level:
-            vt.fill(0.0)
-        elif level > 0.0:
-            t = _l1_threshold(mags, level)
-            np.clip(vt, -t, t, out=vt)
-        return vt
-
-    return prox

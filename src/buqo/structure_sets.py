@@ -11,7 +11,6 @@ with the structure replaced, a canonical member of the set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -26,13 +25,7 @@ from .operators import (
     mask_select,
     residual_map,
 )
-from .prox import (
-    IntervalBox,
-    L2Ball,
-    box_dual_prox,
-    box_violation,
-    l2_ball_dual_prox,
-)
+from .prox import IntervalBox, L2Ball, box_violation
 
 __all__ = [
     "STRUCTURE_KINDS",
@@ -117,9 +110,8 @@ class StructureProjector(WarmProjector):
 
     def __init__(self, sset: LocalizedSet, tol: float, max_iters: int):
         super().__init__(IntervalBox(0.0, np.inf), [
-            DualBlock(sset.residual_op, partial(box_dual_prox, sset.interval)),
-            DualBlock(mask_select(sset.mask),
-                      partial(l2_ball_dual_prox, sset.energy_ball)),
+            DualBlock(sset.residual_op, sset.interval),
+            DualBlock(mask_select(sset.mask), sset.energy_ball),
         ], tol, max_iters, gamma=1.0)
 
 

@@ -90,7 +90,7 @@ def test_config_line_without_equals_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [
     {"pattern.kind": "spiral"}, {"pattern.kind": "multicoil"}, {"ratio": 1.5},
     {"rows": 16}, {"sigma2": 0}, {"pattern.kind": "cartesian", "ratio": 0},
-    {"sigma2": float("nan")}, {"mode": "dykstra"}])
+    {"sigma2": float("nan")}, {"mode": "dykstra"}, {"seed": -1}])
 def test_bad_sampling_pattern_is_exit_2(tmp_path, overrides):
     cfg = write_cfg(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg),
@@ -128,6 +128,13 @@ def test_simulate_writes_files_and_is_deterministic(tmp_path, capsys):
     assert float(meta["epsilon"]) == problem.epsilon
     # ... and the one a grid cell at (0.5, sigma2) uses
     assert problem.epsilon == sample_noise(1e-4, 32 * 32, 512)[1]
+
+
+def test_simulate_metadata_leaves_out_structure_paths(tmp_path):
+    # structure files are run locations, like the output directory
+    metadata = [(simulated(tmp_path, name, structures=f"{name}/s.struct")
+                 / "metadata.txt").read_bytes() for name in ("a", "b")]
+    assert metadata[0] == metadata[1]
 
 
 def test_map_command_writes_estimate(tmp_path, capsys):
@@ -277,7 +284,7 @@ def simulated(tmp_path, name, **overrides):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"epsilon": float("nan")}, {"sigma2": float("nan")}])
+    {"epsilon": float("nan")}, {"sigma2": float("nan")}, {"epsilon": -1.0}])
 def test_nan_noise_level_is_exit_2(tmp_path, overrides):
     # refused before any iteration, not after the whole MAP budget
     sim = simulated(tmp_path, "sim")

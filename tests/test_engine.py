@@ -272,6 +272,21 @@ def test_run_buqo_counts_inner_projections_cut_short(mode):
         "inner_max_iters = 1; rho is approximate)")
 
 
+def test_run_buqo_narrative_names_an_outer_loop_cut_short():
+    problem, mask, _ = pipeline_16(seed=52, bright=2.0, sigma2=1e-4)
+    x_map, _ = solve_map(problem, tol=1e-8, max_iters=60000)
+    outcome = run_buqo(problem, mask, alpha=0.01, x_map=x_map,
+                       outer_max_iters=3)
+    assert outcome.stop_reason == "max_iters"
+    assert outcome.narrative.endswith(
+        "(the outer loop stopped at outer_max_iters = 3 before its stop "
+        "test passed)")
+    outcome = run_buqo(problem, mask, alpha=0.01, x_map=x_map,
+                       outer_tol=1e-5, outer_max_iters=500)
+    assert outcome.stop_reason != "max_iters"
+    assert "outer_max_iters" not in outcome.narrative
+
+
 class RecordingProjector(WarmProjector):
     """A projector that records the tolerance each call ran at."""
 

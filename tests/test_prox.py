@@ -4,12 +4,9 @@ import pytest
 from buqo.prox import (
     IntervalBox,
     L1Levelset,
+    L1Norm,
     L2Ball,
     _l1_threshold,
-    box_dual_prox,
-    l1_levelset_dual_prox,
-    l1_norm_dual_prox,
-    l2_ball_dual_prox,
     project_box,
     project_l1_levelset,
     project_l2_ball,
@@ -74,7 +71,10 @@ def test_box_rejects_crossed_bounds():
     lambda: IntervalBox(0.0, np.array([1.0, np.nan])),
     lambda: L2Ball(0.0, np.nan),
     lambda: L1Levelset(np.nan),
-], ids=["box-lo", "box-hi", "box-hi-entry", "ball-radius", "l1-level"])
+    lambda: L1Norm(0.0),
+    lambda: L1Norm(np.nan),
+], ids=["box-lo", "box-hi", "box-hi-entry", "ball-radius", "l1-level",
+        "l1-weight-zero", "l1-weight"])
 def test_sets_refuse_nan_bounds(make):
     # a NaN bound fails every comparison, so "lo > hi" or "radius < 0"
     # alone would let it through
@@ -232,24 +232,24 @@ def dual_step_cases():
         for lo, hi in ((-1.0, 2.0), (-np.inf, 0.5), (0.0, np.inf),
                        (-np.inf, np.inf)):
             box = IntervalBox(lo, hi)
-            cases.append((box_dual_prox(box, gamma),
+            cases.append((box.dual_prox(gamma),
                           moreau(lambda z, b=box: project_box(z, b), gamma), real))
         for ball, sample in ((L2Ball(0.0, 2.0), real),
                              (L2Ball(center.real, 1.5), real),
                              (L2Ball(0.0, 2.0), cplx),
                              (L2Ball(center, 1.5), cplx),
                              (L2Ball(center, 0.0), cplx)):
-            cases.append((l2_ball_dual_prox(ball, gamma),
+            cases.append((ball.dual_prox(gamma),
                           moreau(lambda z, b=ball: project_l2_ball(z, b), gamma),
                           (lambda scale, s=sample, c=ball.center, g=gamma:
                            g * c + s(scale))))
         for level in (0.0, 0.5, 3.0):
             lev = L1Levelset(level)
-            cases.append((l1_levelset_dual_prox(lev, gamma),
+            cases.append((lev.dual_prox(gamma),
                           moreau(lambda z, v=lev: project_l1_levelset(z, v), gamma),
                           real))
         for weight in (0.5, 1.0, 7.3):
-            cases.append((l1_norm_dual_prox(weight, gamma),
+            cases.append((L1Norm(weight).dual_prox(gamma),
                           moreau(lambda z, w=weight, g=gamma: soft_threshold(z, w / g),
                                  gamma),
                           real))
@@ -274,20 +274,18 @@ def test_l1_dual_step_ends_when_rounding_revives_an_entry(gamma):
     vt = np.array([0.1, 1.0, 1.0])
     levelset = L1Levelset(1.8 / gamma)
     expected = moreau(lambda z: project_l1_levelset(z, levelset), gamma)(vt)
-    np.testing.assert_allclose(l1_levelset_dual_prox(levelset, gamma)(vt.copy()),
+    np.testing.assert_allclose(levelset.dual_prox(gamma)(vt.copy()),
                                expected, rtol=1e-12, atol=1e-15)
 
 
 def test_dual_steps_inside_the_scaled_set_are_zero():
     gamma = 2.0
     vt = np.array([0.3, -0.2, 0.1])
-    for prox in (box_dual_prox(IntervalBox(-1.0, 1.0), gamma),
-                 l2_ball_dual_prox(L2Ball(0.0, 1.0), gamma),
-                 l1_levelset_dual_prox(L1Levelset(1.0), gamma)):
-        np.testing.assert_array_equal(prox(vt.copy()), 0.0)
+    for term in (IntervalBox(-1.0, 1.0), L2Ball(0.0, 1.0), L1Levelset(1.0)):
+        np.testing.assert_array_equal(term.dual_prox(gamma)(vt.copy()), 0.0)
     # level 0: the scaled set is {0}, so the step returns vt
     np.testing.assert_array_equal(
-        l1_levelset_dual_prox(L1Levelset(0.0), gamma)(vt.copy()), vt)
+        L1Levelset(0.0).dual_prox(gamma)(vt.copy()), vt)
 
 
 # ---------------------------------------------------------------------------

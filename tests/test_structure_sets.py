@@ -5,6 +5,7 @@ import pytest
 
 from buqo.io import StructureSpec
 from buqo.operators import PixelMask
+from buqo.prox import L1Levelset
 from buqo.structure_sets import (
     BackgroundSet,
     LocalizedSet,
@@ -16,7 +17,7 @@ from buqo.structure_sets import (
     project_background,
 )
 
-from instances import small_localized_set
+from instances import small_localized_set, small_region
 from oracles import subgradient_project_localized
 
 
@@ -204,6 +205,20 @@ def test_structure_projector_warm_start_reuses_duals():
     assert warm_iters < cold_total
     assert proj.converged
     assert sset.residual(second) <= 1e-6
+
+
+def test_projector_blocks_hold_their_sets():
+    # each block's dual step is built from the set it holds
+    sset, _, _ = small_localized_set(seed=28)
+    band, energy = sset.projector().blocks
+    assert band.op is sset.residual_op and band.term is sset.interval
+    assert energy.term is sset.energy_ball
+    region, _, _ = small_region(seed=3)
+    levelset, ball = region.projector().blocks
+    assert levelset.op is region.psi
+    assert levelset.term == L1Levelset(region.eta_tilde / region.lam)
+    assert ball.op is region.phi
+    assert ball.term.center is region.data and ball.term.radius == region.epsilon
 
 
 def test_project_background_idempotent_on_member():
