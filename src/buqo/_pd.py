@@ -6,7 +6,7 @@ closed-form prox. For a projection onto the box and the sets
 beta-Lipschitz with beta = 1; the MAP estimate has no h (beta = 0).
 Each block holds its term f_i, a set or norm from ``prox`` whose
 ``dual_prox(gamma)`` is the prox of gamma f_i* in closed form, for the
-projectors and the MAP alike.
+projectors and the MAP alike, and its ``violation`` for :func:`residual`.
 
 The iteration converges when the primal step sigma and the dual step
 gamma satisfy sigma * (beta/2 + gamma * sum ||A_i||^2) < 1; for a given
@@ -48,11 +48,17 @@ INNER_MAX_ITERS = 5000
 
 
 def check_limits(tol: float, max_iters: int) -> None:
-    """Reject a tolerance <= 0 (or NaN) and an iteration limit < 1."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    """Reject a tolerance <= 0, infinite or NaN, and an iteration limit < 1."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not max_iters >= 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
+
+
+def residual(x: np.ndarray, box: IntervalBox, blocks: list[DualBlock]) -> float:
+    """Worst ``violation`` of box ∩ {A_i x in C_i} at x (0 for a member)."""
+    x = np.asarray(x).ravel()
+    return max([box.violation(x)] + [b.term.violation(b.op.forward(x)) for b in blocks])
 
 
 def pd_step_sizes(blocks: list[DualBlock], gamma: float, beta: float) -> float:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector
+from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector, residual
 from .map_solver import FEASIBILITY_SLACK, MapProblem
 from .operators import LinearMap
-from .prox import IntervalBox, L1Levelset, L2Ball, box_violation
+from .prox import IntervalBox, L1Levelset, L2Ball
 
 __all__ = [
     "CredibleRegion",
@@ -51,8 +51,8 @@ def compute_epsilon_bound(sigma: float, m: int) -> float:
     squared noise norm (2m degrees of freedom), so it holds with high
     probability for complex white noise of per-part std sigma.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if m < 1:
         raise ValueError("m must be at least 1")
     return sigma * math.sqrt(2.0 * m + 2.0 * math.sqrt(4.0 * m))
@@ -77,19 +77,15 @@ class CredibleRegion:
     def n_pixels(self) -> int:
         return self.phi.in_dim
 
-    def residual(self, x: np.ndarray) -> float:
-        """Worst relative constraint violation of x (0 when x is a member).
+    @property
+    def blocks(self) -> list[DualBlock]:
+        """The l1 level set of Psi x and the data ball of Phi x."""
+        return [DualBlock(self.psi, L1Levelset(self.eta_tilde / self.lam)),
+                DualBlock(self.phi, L2Ball(self.data, self.epsilon))]
 
-        Ball and level-set violations are relative to epsilon and the
-        threshold; the box violation is the absolute depth below the
-        lower bound (the solvers keep it exactly zero).
-        """
-        x = np.asarray(x).ravel()
-        box = box_violation(x, self.constraint)
-        ball = np.linalg.norm(self.phi.forward(x) - self.data) - self.epsilon
-        lev = self.lam * np.sum(np.abs(self.psi.forward(x))) - self.eta_tilde
-        return max(box, float(ball) / self.epsilon,
-                   float(lev) / self.eta_tilde, 0.0)
+    def residual(self, x: np.ndarray) -> float:
+        """Worst violation of x of the box and of ``blocks`` (0 inside)."""
+        return residual(x, self.constraint, self.blocks)
 
     def projector(self, tol: float = INNER_TOL,
                   max_iters: int = INNER_MAX_ITERS) -> "RegionProjector":
@@ -105,10 +101,7 @@ class RegionProjector(WarmProjector):
     """
 
     def __init__(self, region: CredibleRegion, tol: float, max_iters: int):
-        super().__init__(region.constraint, [
-            DualBlock(region.psi, L1Levelset(region.eta_tilde / region.lam)),
-            DualBlock(region.phi, L2Ball(region.data, region.epsilon)),
-        ], tol, max_iters, gamma=4.0)
+        super().__init__(region.constraint, region.blocks, tol, max_iters, gamma=4.0)
 
 
 def build_region(x_map: np.ndarray, lam: float, alpha: float,

@@ -93,7 +93,7 @@ def _stage(stage: str, prefix: str = ""):
 class SolverSettings:
     """Tolerance and iteration limit of the MAP, outer and inner solvers.
 
-    A tolerance <= 0 (or NaN) or an iteration limit < 1 raises
+    A tolerance <= 0, infinite or NaN, or an iteration limit < 1 raises
     :class:`BuqoError` with stage "map" for the ``map_*`` fields and
     "engine" for the others, naming the field.
     """

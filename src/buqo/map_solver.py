@@ -40,8 +40,8 @@ class MapProblem:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex).ravel()
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("data must be finite")
         if self.phi.out_dim != self.data.size:

@@ -9,7 +9,7 @@ after projecting it onto the set scaled by gamma. Each set's
 set built once per call. For f = w ||.||_1 (:class:`L1Norm`), f* is the
 indicator of the l-inf ball of radius w, so its dual step is the
 projection onto that ball, for every gamma. A dual step may overwrite
-its argument and return it.
+its argument and return it; ``violation(z)`` is <= 0 on the set, > 0 off it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "L1Levelset",
     "L1Norm",
     "project_box",
-    "box_violation",
     "project_l2_ball",
     "project_l1_levelset",
 ]
@@ -53,6 +52,16 @@ class IntervalBox:
             return vt
 
         return prox
+
+    def violation(self, z: np.ndarray) -> float:
+        """Largest distance of a component of z outside [lo, hi] (0 inside)."""
+        return max(float(np.max(self.lo - z, initial=0.0)),
+                   float(np.max(z - self.hi, initial=0.0)))
+
+
+def _excess(norm: float, size: float) -> float:
+    """norm - size, relative to size when 0 < size < inf (never NaN)."""
+    return (norm - size) / size if 0.0 < size < np.inf else norm - size
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,10 @@ class L2Ball:
 
         return prox
 
+    def violation(self, z: np.ndarray) -> float:
+        """The excess ||z - c|| - r, relative to r (see ``_excess``)."""
+        return _excess(float(np.linalg.norm(z - self.center)), self.radius)
+
 
 @dataclass(frozen=True)
 class L1Levelset:
@@ -110,6 +123,10 @@ class L1Levelset:
 
         return prox
 
+    def violation(self, z: np.ndarray) -> float:
+        """The excess ||z||_1 - level, relative to level (see ``_excess``)."""
+        return _excess(float(np.sum(np.abs(z))), self.level)
+
 
 @dataclass(frozen=True)
 class L1Norm:
@@ -137,13 +154,6 @@ class L1Norm:
 def project_box(x: np.ndarray, box: IntervalBox) -> np.ndarray:
     """Componentwise clip of x into [lo, hi]."""
     return np.clip(np.asarray(x, dtype=float), box.lo, box.hi)
-
-
-def box_violation(x: np.ndarray, box: IntervalBox) -> float:
-    """Largest distance of a component of x outside [lo, hi] (0 inside)."""
-    x = np.asarray(x)
-    return max(float(np.max(np.asarray(box.lo) - x, initial=0.0)),
-               float(np.max(x - np.asarray(box.hi), initial=0.0)))
 
 
 def project_l2_ball(x: np.ndarray, ball: L2Ball) -> np.ndarray:

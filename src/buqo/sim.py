@@ -122,8 +122,8 @@ def sampling_pattern(kind: str, rows: int, cols: int, ratio: float,
 
 def add_noise(clean: np.ndarray, sigma2: float, seed: int) -> np.ndarray:
     """Add complex white noise of per-part variance sigma2."""
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0 < sigma2 < np.inf:
+        raise ValueError("sigma2 must be positive and finite")
     clean = np.asarray(clean, dtype=complex).ravel()
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(sigma2)
@@ -143,8 +143,8 @@ def sample_noise(sigma2: float, n_full: int, m: int) -> tuple[float, float]:
     changes how much of the signal is seen, not the input SNR; at m equal
     to n_full the variance is sigma2 itself.
     """
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0 < sigma2 < np.inf:
+        raise ValueError("sigma2 must be positive and finite")
     if not (1 <= m <= n_full):
         raise ValueError("need 1 <= m <= n_full samples")
     variance = sigma2 * (n_full / m)
@@ -316,8 +316,8 @@ class ExperimentSpec(RunSettings):
                              "and one noise variance")
         if any(not (0.0 < r <= 1.0) for r in self.sampling_ratios):
             raise ValueError("sampling ratios must lie in (0, 1]")
-        if not all(v > 0 for v in self.noise_variances):
-            raise ValueError("noise variances must be positive")
+        if not all(0 < v < np.inf for v in self.noise_variances):
+            raise ValueError("noise variances must be positive and finite")
         compute_tau_alpha(self.alpha, self.rows * self.cols)
         # a cell's name joins its three labels (see GridCell.tag)
         for axis, labels in (

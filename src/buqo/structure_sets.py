@@ -11,11 +11,12 @@ with the structure replaced, a canonical member of the set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector
+from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector, residual
 from .operators import (
     INPAINT_KERNEL_SIZES,
     LinearMap,
@@ -25,7 +26,7 @@ from .operators import (
     mask_select,
     residual_map,
 )
-from .prox import IntervalBox, L2Ball, box_violation
+from .prox import IntervalBox, L2Ball, project_box
 
 __all__ = [
     "STRUCTURE_KINDS",
@@ -59,27 +60,36 @@ class StructureSet:
     interval: IntervalBox
     surrogate: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        bad = self.residual(self.surrogate)
+        if not bad <= 1e-8:
+            raise ValueError(
+                f"surrogate violates the structure set (residual {bad:.3e})")
+
     @property
     def n_pixels(self) -> int:
         return self.mask.n_pixels
+
+    def residual(self, x: np.ndarray) -> float:
+        """Worst violation of x of the kind's ``box`` and ``blocks``."""
+        return residual(x, self.box, self.blocks)
 
 
 @dataclass
 class LocalizedSet(StructureSet):
     """Inpainting band plus energy ball plus nonnegativity."""
 
+    box: ClassVar[IntervalBox] = IntervalBox(0.0, np.inf)
+
     inpaint: LinearMap = field(repr=False)
     residual_op: LinearMap = field(repr=False)
     energy_ball: L2Ball = field(repr=False)
 
-    def residual(self, x: np.ndarray) -> float:
-        """Worst constraint violation of x in intensity units."""
-        x = np.asarray(x).ravel()
-        ball = self.energy_ball
-        over = np.linalg.norm(x[self.mask.indices] - ball.center) - ball.radius
-        return max(float(np.max(-x, initial=0.0)),
-                   box_violation(self.residual_op.forward(x), self.interval),
-                   float(over) / max(1.0, ball.radius), 0.0)
+    @property
+    def blocks(self) -> list[DualBlock]:
+        """The inpainting band and the energy ball of the masked pixels."""
+        return [DualBlock(self.residual_op, self.interval),
+                DualBlock(mask_select(self.mask), self.energy_ball)]
 
     def projector(self, tol: float = INNER_TOL,
                   max_iters: int = INNER_MAX_ITERS):
@@ -88,13 +98,17 @@ class LocalizedSet(StructureSet):
 
 @dataclass
 class BackgroundSet(StructureSet):
-    """Interval on the masked pixels plus nonnegativity."""
+    """Interval on the masked pixels plus nonnegativity: one box."""
 
-    def residual(self, x: np.ndarray) -> float:
-        """Worst constraint violation of x in intensity units."""
-        x = np.asarray(x).ravel()
-        return max(float(np.max(-x, initial=0.0)),
-                   box_violation(x[self.mask.indices], self.interval))
+    blocks: ClassVar[tuple] = ()
+
+    @cached_property
+    def box(self) -> IntervalBox:
+        """Per-pixel bounds: [max(lo, 0), hi] on the mask, [0, inf) off it."""
+        lo, hi = np.zeros(self.n_pixels), np.full(self.n_pixels, np.inf)
+        lo[self.mask.indices] = np.maximum(self.interval.lo, 0.0)
+        hi[self.mask.indices] = self.interval.hi
+        return IntervalBox(lo, hi)
 
     def projector(self, tol: float = INNER_TOL,
                   max_iters: int = INNER_MAX_ITERS):
@@ -109,10 +123,7 @@ class StructureProjector(WarmProjector):
     """
 
     def __init__(self, sset: LocalizedSet, tol: float, max_iters: int):
-        super().__init__(IntervalBox(0.0, np.inf), [
-            DualBlock(sset.residual_op, sset.interval),
-            DualBlock(mask_select(sset.mask), sset.energy_ball),
-        ], tol, max_iters, gamma=1.0)
+        super().__init__(sset.box, sset.blocks, tol, max_iters, gamma=1.0)
 
 
 def build_localized_set(x_map: np.ndarray, mask: PixelMask,
@@ -151,15 +162,9 @@ def build_localized_set(x_map: np.ndarray, mask: PixelMask,
     gap = np.linalg.norm(inpainted) - theta
     if gap > 0:
         ball = L2Ball(0.0, theta + gap * (1.0 + 1e-6))
-    sset = LocalizedSet(mask=mask, interval=IntervalBox(-tau, tau),
+    return LocalizedSet(mask=mask, interval=IntervalBox(-tau, tau),
                         surrogate=surrogate, inpaint=inpaint,
                         residual_op=res_op, energy_ball=ball)
-    bad = sset.residual(surrogate)
-    if not bad <= 1e-8:
-        raise ValueError(
-            f"surrogate violates the structure set (residual {bad:.3e})"
-        )
-    return sset
 
 
 def background_mask(x_map: np.ndarray, rows: int, cols: int,
@@ -217,14 +222,8 @@ def build_background_set(x_map: np.ndarray, rows: int, cols: int,
     tau_hi = vartheta * float(np.linalg.norm(values)) / mask.n_selected
     surrogate = x_map.copy()
     surrogate[mask.indices] = 0.0
-    sset = BackgroundSet(mask=mask, interval=IntervalBox(0.0, tau_hi),
+    return BackgroundSet(mask=mask, interval=IntervalBox(0.0, tau_hi),
                          surrogate=surrogate)
-    bad = sset.residual(surrogate)
-    if not bad <= 1e-8:
-        raise ValueError(
-            f"surrogate violates the background set (residual {bad:.3e})"
-        )
-    return sset
 
 
 # kind -> builder; the builders are looked up when called, so rebinding
@@ -265,16 +264,7 @@ def build_structure_set(x_map: np.ndarray, spec, rows: int,
 
 
 def project_background(sset: BackgroundSet, x: np.ndarray) -> np.ndarray:
-    """Closed-form projection onto a background set.
-
-    Masked pixels clip into [max(lo, 0), hi]; the remaining pixels clip
-    to the nonnegative half-line.
-    """
+    """Closed-form projection onto a background set: a clip into its box."""
     if not isinstance(sset, BackgroundSet):
         raise ValueError("closed-form projection is for background sets")
-    x = np.asarray(x, dtype=float).ravel()
-    out = np.maximum(x, 0.0)
-    lo = np.maximum(np.asarray(sset.interval.lo, dtype=float), 0.0)
-    hi = np.asarray(sset.interval.hi, dtype=float)
-    out[sset.mask.indices] = np.clip(x[sset.mask.indices], lo, hi)
-    return out
+    return project_box(np.ravel(x), sset.box)

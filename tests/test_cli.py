@@ -90,7 +90,8 @@ def test_config_line_without_equals_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [
     {"pattern.kind": "spiral"}, {"pattern.kind": "multicoil"}, {"ratio": 1.5},
     {"rows": 16}, {"sigma2": 0}, {"pattern.kind": "cartesian", "ratio": 0},
-    {"sigma2": float("nan")}, {"mode": "dykstra"}, {"seed": -1}])
+    {"sigma2": float("nan")}, {"mode": "dykstra"}, {"seed": -1},
+    {"sigma2": float("inf")}])
 def test_bad_sampling_pattern_is_exit_2(tmp_path, overrides):
     cfg = write_cfg(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg),
@@ -284,7 +285,8 @@ def simulated(tmp_path, name, **overrides):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"epsilon": float("nan")}, {"sigma2": float("nan")}, {"epsilon": -1.0}])
+    {"epsilon": float("nan")}, {"sigma2": float("nan")}, {"epsilon": -1.0},
+    {"epsilon": float("inf")}, {"sigma2": float("inf")}])
 def test_nan_noise_level_is_exit_2(tmp_path, overrides):
     # refused before any iteration, not after the whole MAP budget
     sim = simulated(tmp_path, "sim")

@@ -102,6 +102,23 @@ def test_eta_monotone_in_alpha():
     assert region_small.eta_tilde >= region_big.eta_tilde
 
 
+def test_region_residual_reads_the_projector_blocks():
+    # the level set's and data ball's excess, relative to eta/lam and
+    # epsilon, and the box's depth: the largest of their violations
+    region, _, _ = small_region(seed=6)
+    rng = np.random.default_rng(2)
+    for scale in (0.0, 0.1, 1.0, 3.0):
+        x = region.x_map + scale * rng.standard_normal(16)
+        terms = [region.constraint.violation(x)] + [
+            b.term.violation(b.op.forward(x)) for b in region.blocks]
+        assert region.residual(x) == max(terms)
+        ball = np.linalg.norm(region.phi.forward(x) - region.data) - region.epsilon
+        lev = region.lam * np.abs(region.psi.forward(x)).sum() - region.eta_tilde
+        expected = max(float(np.max(-x, initial=0.0)), ball / region.epsilon,
+                       lev / region.eta_tilde, 0.0)
+        assert abs(region.residual(x) - expected) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # projection onto the region
 

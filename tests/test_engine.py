@@ -97,6 +97,7 @@ def test_outer_loops_refuse_a_non_callable_projector(run):
 @pytest.mark.parametrize("limits", [
     {"max_iters": 0}, {"max_iters": -1},
     {"tol": 0.0}, {"tol": -1e-5}, {"tol": float("nan")},
+    {"tol": float("inf")},
 ])
 def test_outer_loops_reject_bad_limits(run, limits):
     # a zero budget would return a None or an unprojected point
@@ -484,10 +485,12 @@ def test_run_buqo_bad_mode_raises_engine_stage():
 
 @pytest.mark.parametrize("name, value, stage", [
     ("map_tol", 0.0, "map"),
+    ("map_tol", float("inf"), "map"),
     ("map_max_iters", 0, "map"),
     ("outer_tol", -1e-5, "engine"),
     ("outer_max_iters", 0, "engine"),
     ("inner_tol", 0.0, "engine"),
+    ("inner_tol", float("inf"), "engine"),
     ("inner_max_iters", 0, "engine"),
 ])
 def test_run_buqo_rejects_bad_solver_settings_before_solving(

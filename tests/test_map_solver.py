@@ -153,7 +153,7 @@ def test_solve_map_matches_loop_oracle(epsilon, tol, max_iters):
 
 @pytest.mark.parametrize("limits", [
     {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
-    {"max_iters": 0}, {"max_iters": -5},
+    {"max_iters": 0}, {"max_iters": -5}, {"tol": float("inf")},
 ])
 def test_solve_map_rejects_bad_limits(limits):
     rows = cols = 8

@@ -289,6 +289,53 @@ def test_dual_steps_inside_the_scaled_set_are_zero():
 
 
 # ---------------------------------------------------------------------------
+# membership violation
+
+def test_violation_is_nonpositive_on_members_and_positive_outside():
+    rng = np.random.default_rng(11)
+    n = 7
+    box = IntervalBox(-rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+    ball = L2Ball(rng.standard_normal(n), 1.5)
+    lev = L1Levelset(2.0)
+    for _ in range(50):
+        member = rng.uniform(box.lo, box.hi)
+        assert box.violation(member) == 0.0
+        assert box.violation(member + 2.0) > 0.0
+        d = rng.standard_normal(n)
+        d /= np.linalg.norm(d)
+        assert ball.violation(ball.center + rng.uniform(0, 1.5) * d) <= 0.0
+        assert ball.violation(ball.center + 1.51 * d) > 0.0
+        w = rng.dirichlet(np.ones(n)) * rng.choice([-1.0, 1.0], n)
+        assert lev.violation(rng.uniform(0, 2.0) * w) <= 0.0
+        assert lev.violation(2.01 * w) > 0.0
+
+
+def test_violations_match_the_relative_excess_formulas():
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal(9)
+    lo, hi = -rng.uniform(0, 1, 9), rng.uniform(0, 1, 9)
+    for box in (IntervalBox(lo, hi), IntervalBox(-0.5, 0.25), NONNEG):
+        expected = max(float(np.max(np.asarray(box.lo) - z, initial=0.0)),
+                       float(np.max(z - np.asarray(box.hi), initial=0.0)))
+        assert box.violation(z) == expected
+    ball = L2Ball(rng.standard_normal(9), 0.7)
+    assert ball.violation(z) == pytest.approx(
+        (np.linalg.norm(z - ball.center) - 0.7) / 0.7, rel=1e-14)
+    assert L2Ball(0.0, 2.0).violation(np.array([3.0 + 4.0j])) == 1.5
+    assert L1Levelset(0.5).violation(z) == pytest.approx(
+        (np.abs(z).sum() - 0.5) / 0.5, rel=1e-14)
+
+
+def test_violation_is_absolute_at_size_zero_and_never_nan():
+    z = np.array([3.0, -4.0])
+    assert L2Ball(0.0, 0.0).violation(z) == 5.0
+    assert L1Levelset(0.0).violation(z) == 7.0
+    assert L2Ball(0.0, np.inf).violation(z) == -np.inf
+    assert L1Levelset(np.inf).violation(z) == -np.inf
+    assert IntervalBox().violation(z) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # shared properties
 
 def test_idempotence_all_projections():

@@ -140,15 +140,17 @@ def test_sample_noise_keeps_total_energy():
 
 
 def test_noise_levels_refuse_nan():
-    # NaN noise would write NaN measurements and a NaN data-ball radius
-    with pytest.raises(ValueError, match="sigma"):
-        compute_epsilon_bound(np.nan, 16)
-    with pytest.raises(ValueError, match="sigma2"):
-        sample_noise(np.nan, 16, 16)
-    with pytest.raises(ValueError, match="sigma2"):
-        add_noise(np.zeros(4, dtype=complex), np.nan, seed=0)
-    with pytest.raises(ValueError, match="noise variances"):
-        ExperimentSpec(noise_variances=(1e-3, np.nan))
+    # NaN or infinite noise would write non-finite measurements and a
+    # non-finite data-ball radius
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            compute_epsilon_bound(bad, 16)
+        with pytest.raises(ValueError, match="sigma2"):
+            sample_noise(bad, 16, 16)
+        with pytest.raises(ValueError, match="sigma2"):
+            add_noise(np.zeros(4, dtype=complex), bad, seed=0)
+        with pytest.raises(ValueError, match="noise variances"):
+            ExperimentSpec(noise_variances=(1e-3, bad))
 
 
 def test_build_problem_noise_bound_independent_of_ratio():

@@ -5,7 +5,7 @@ import pytest
 
 from buqo.io import StructureSpec
 from buqo.operators import PixelMask
-from buqo.prox import L1Levelset
+from buqo.prox import IntervalBox, L1Levelset, project_box
 from buqo.structure_sets import (
     BackgroundSet,
     LocalizedSet,
@@ -70,6 +70,31 @@ def test_localized_rejects_infeasible_surrogate():
     mask = PixelMask(8, 8, [27, 28])
     with pytest.raises(ValueError, match="surrogate"):
         build_localized_set(x, mask, kernel_sizes=[3])
+
+
+def test_localized_residual_ball_excess_is_relative_to_theta():
+    sset, x_map, mask = small_localized_set(seed=21)
+    theta = sset.energy_ball.radius
+    assert theta < 1.0
+    # push the masked pixels radially 1 % of theta past the energy cap,
+    # a move the inpainting band and nonnegativity still allow
+    x = sset.surrogate.copy()
+    patch = x[mask.indices]
+    x[mask.indices] = patch * (1.01 * theta / np.linalg.norm(patch))
+    assert sset.interval.violation(sset.residual_op.forward(x)) == 0.0
+    assert x.min() >= 0.0
+    assert sset.residual(x) == pytest.approx(0.01, rel=1e-9)
+
+
+def test_structure_sets_refuse_a_surrogate_outside():
+    x = np.zeros(64 * 64)
+    x[100] = 1.0
+    sset = build_background_set(x, 64, 64)
+    outside = sset.surrogate.copy()
+    outside[sset.mask.indices[0]] = -1.0
+    with pytest.raises(ValueError, match="surrogate violates the .* set"):
+        BackgroundSet(mask=sset.mask, interval=sset.interval,
+                      surrogate=outside)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +284,38 @@ def test_project_background_componentwise_oracle():
     expected[sset.mask.indices] = np.clip(z[sset.mask.indices], 0.0, tau_hi)
     expected[comp.indices] = np.maximum(z[comp.indices], 0.0)
     np.testing.assert_allclose(out, expected, atol=1e-14)
+
+
+def test_background_box_reproduces_the_clip_and_max():
+    # one per-pixel box: [max(lo, 0), hi] on the mask, [0, inf) off it;
+    # its projection is bit-identical to clipping the two pixel groups
+    # apart, and its violation equals the two groups' worst excess
+    rng = np.random.default_rng(8)
+    x = bright_spot_image()
+    built = build_background_set(x, 64, 64)
+    for interval in (built.interval, IntervalBox(-0.5, 0.02),
+                     IntervalBox(rng.uniform(-0.1, 0.01, built.mask.n_selected),
+                                 0.03)):
+        on = built.mask.indices
+        lo = np.maximum(np.asarray(interval.lo, dtype=float), 0.0)
+        hi = np.asarray(interval.hi, dtype=float)
+        surrogate = built.surrogate.copy()
+        surrogate[on] = lo
+        sset = BackgroundSet(mask=built.mask, interval=interval,
+                             surrogate=surrogate)
+        for _ in range(5):
+            z = rng.standard_normal(64 * 64) * 0.05
+            expected = np.maximum(z, 0.0)
+            expected[on] = np.clip(z[on], lo, hi)
+            out = project_background(sset, z)
+            assert out.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(out, project_box(z, sset.box))
+            below = float(np.max(-z, initial=0.0))
+            outside = max(float(np.max(np.asarray(interval.lo) - z[on],
+                                       initial=0.0)),
+                          float(np.max(z[on] - hi, initial=0.0)))
+            assert sset.residual(z) == max(below, outside)
+            assert sset.residual(z) == sset.box.violation(z)
 
 
 def test_project_background_nonexpansive():
