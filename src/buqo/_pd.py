@@ -170,13 +170,13 @@ class WarmProjector:
     ``unconverged_calls`` counts the calls that stopped at ``max_iters``.
     """
 
-    def __init__(self, box: IntervalBox, blocks: list[DualBlock],
-                 tol: float, max_iters: int, gamma: float):
-        self.box = box
-        self.blocks = blocks
+    gamma: float  # the dual step; each subclass fixes its own
+
+    def __init__(self, sset, tol: float, max_iters: int):
+        self.box = sset.box
+        self.blocks = sset.blocks
         self.tol = tol
         self.max_iters = max_iters
-        self.gamma = gamma
         self.duals: list[np.ndarray] | None = None
         self.converged = True
         self.inner_iterations = 0

@@ -1,7 +1,7 @@
 """Conservative posterior credible region and the projection onto it.
 
 The region bundles the data-fit ball, the weighted analysis-l1 level
-set and the constraint box; its threshold is assembled analytically
+set and nonnegativity; its threshold is assembled analytically
 from the MAP estimate. Projections run the primal-dual sub-solver with
 warm-startable dual variables.
 """
@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector, residual
 from .map_solver import FEASIBILITY_SLACK, MapProblem
 from .operators import LinearMap
-from .prox import IntervalBox, L1Levelset, L2Ball
+from .prox import NONNEGATIVE, IntervalBox, L1Levelset, L2Ball
 
 __all__ = [
     "CredibleRegion",
@@ -71,7 +72,7 @@ class CredibleRegion:
     phi: LinearMap = field(repr=False)
     psi: LinearMap = field(repr=False)
     data: np.ndarray = field(repr=False)
-    constraint: IntervalBox = field(repr=False)
+    box: ClassVar[IntervalBox] = NONNEGATIVE
 
     @property
     def n_pixels(self) -> int:
@@ -85,7 +86,7 @@ class CredibleRegion:
 
     def residual(self, x: np.ndarray) -> float:
         """Worst violation of x of the box and of ``blocks`` (0 inside)."""
-        return residual(x, self.constraint, self.blocks)
+        return residual(x, self.box, self.blocks)
 
     def projector(self, tol: float = INNER_TOL,
                   max_iters: int = INNER_MAX_ITERS) -> "RegionProjector":
@@ -100,8 +101,7 @@ class RegionProjector(WarmProjector):
     hard geometries, same fixed point).
     """
 
-    def __init__(self, region: CredibleRegion, tol: float, max_iters: int):
-        super().__init__(region.constraint, region.blocks, tol, max_iters, gamma=4.0)
+    gamma = 4.0
 
 
 def build_region(x_map: np.ndarray, lam: float, alpha: float,
@@ -134,6 +134,5 @@ def build_region(x_map: np.ndarray, lam: float, alpha: float,
         phi=problem.phi,
         psi=problem.psi,
         data=problem.data,
-        constraint=problem.constraint,
     )
 

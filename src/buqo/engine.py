@@ -136,8 +136,8 @@ class RunSettings(SolverSettings):
     credible region's significance ``alpha``, the threshold ``eta`` on
     rho_alpha and the outer loop ``mode`` (one of MODES).
 
-    An ``alpha`` outside (0, 1), a negative or NaN ``eta`` and an
-    unknown ``mode`` raise ValueError naming the field; bad solver
+    An ``alpha`` outside (0, 1), a negative, NaN or infinite ``eta``
+    and an unknown ``mode`` raise ValueError naming the field; bad solver
     limits raise BuqoError (see SolverSettings).
     """
 
@@ -149,10 +149,15 @@ class RunSettings(SolverSettings):
         super().__post_init__()
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.eta >= 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        self.check_eta(self.eta)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+
+    @staticmethod
+    def check_eta(eta: float) -> None:
+        """Refuse a negative, NaN or infinite eta: no test rejects at NaN or inf."""
+        if not 0 <= eta < np.inf:
+            raise ValueError(f"eta must be finite and nonnegative, got {eta}")
 
 
 @dataclass
@@ -161,7 +166,7 @@ class TestOutcome:
     distance: float
     decision: str
     alpha: float
-    eta_threshold: float
+    eta: float
     x_region: np.ndarray = field(repr=False)
     x_set: np.ndarray = field(repr=False)
     iterations: int
@@ -305,10 +310,9 @@ def compute_rho(region_pt: np.ndarray, set_pt: np.ndarray,
 def decide(rho: float, eta: float, alpha: float) -> tuple[str, str]:
     """Hypothesis decision and a one-line human-readable narrative.
 
-    Raises ValueError for a negative or NaN ``eta`` or ``rho``.
+    Raises ValueError for an ``eta`` RunSettings refuses and a negative or NaN ``rho``.
     """
-    if not eta >= 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    RunSettings.check_eta(eta)
     if not rho >= 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     if rho > eta:
@@ -406,7 +410,7 @@ def _test_stages(problem: MapProblem, structure, x_map: np.ndarray,
         distance=float(np.linalg.norm(x_region - x_set)),
         decision=decision,
         alpha=settings.alpha,
-        eta_threshold=settings.eta,
+        eta=settings.eta,
         x_region=x_region,
         x_set=x_set,
         iterations=iters,

@@ -248,8 +248,7 @@ def write_outcome(path, outcome: TestOutcome | dict) -> None:
     """One ``key = value`` line per outcome key, from a TestOutcome or
     from the dict :func:`read_outcome` returns (same bytes for both)."""
     if isinstance(outcome, TestOutcome):
-        outcome = {key: getattr(outcome, "eta_threshold" if key == "eta" else key)
-                   for key in _OUTCOME_KEYS}
+        outcome = {key: getattr(outcome, key) for key in _OUTCOME_KEYS}
     with open(path, "w", encoding="ascii") as fh:
         for key in _OUTCOME_KEYS:
             fh.write(f"{key} = {_format_param(outcome[key])}\n")

@@ -1,6 +1,6 @@
 """MAP estimation by primal-dual forward-backward iteration.
 
-The estimate minimizes ||Psi x||_1 subject to x in the constraint box
+The estimate minimizes ||Psi x||_1 subject to x >= 0 (``prox.NONNEGATIVE``)
 and ||Phi x - y|| <= epsilon. The l1 weight only scales the objective
 of a constrained problem, so the minimizer does not depend on it; the
 regularization weight is computed afterwards from the estimate.
@@ -9,13 +9,13 @@ regularization weight is computed afterwards from the estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._pd import DualBlock, check_limits, pd_steps
 from .operators import LinearMap
-from .prox import IntervalBox, L1Norm, L2Ball, project_box
+from .prox import NONNEGATIVE, L1Norm, L2Ball, project_box
 
 __all__ = ["MapProblem", "SolverDiagnostics", "solve_map", "compute_lambda"]
 
@@ -30,13 +30,12 @@ FEASIBILITY_SLACK = 1e-6
 
 @dataclass
 class MapProblem:
-    """Data-fit ball, analysis operator and constraint set for one problem."""
+    """Data-fit ball and analysis operator for one problem."""
 
     phi: LinearMap
     psi: LinearMap
     data: np.ndarray
     epsilon: float
-    constraint: IntervalBox = field(default_factory=lambda: IntervalBox(0.0, np.inf))
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex).ravel()
@@ -88,14 +87,14 @@ def solve_map(problem: MapProblem, tol: float = MAP_TOL,
     feasibility gap is at most FEASIBILITY_SLACK * epsilon. If
     ``max_iters`` is reached first, the best iterate seen (feasible with
     lowest objective, else smallest gap) is returned with ``converged``
-    False. The output lies in the constraint box exactly. Raises
-    ValueError for a ``tol`` <= 0 or a ``max_iters`` < 1.
+    False. The output is nonnegative exactly. Raises ValueError for a
+    ``tol`` <= 0 or a ``max_iters`` < 1.
 
     ``l1_weight`` scales the objective; since the rest of the problem is
     a pair of hard constraints, the minimizer does not depend on it.
 
-    The iteration starts from x0, the box-clipped back-projection
-    Phi^T y, with zero duals. Its dual step is
+    The iteration starts from x0, the back-projection Phi^T y clipped to
+    x >= 0, with zero duals. Its dual step is
 
         gamma = 8 * l1_weight * sqrt(n_coeffs) / ||x0||,
 
@@ -111,7 +110,7 @@ def solve_map(problem: MapProblem, tol: float = MAP_TOL,
     scales the duals and gamma by c. Either way the iterates are the same
     up to rounding, so the iteration count is the same and the estimate
     is c x (or x). If ||x0|| is 0 (zero data, or a back-projection that
-    the box clips away), the primal scale falls back to
+    the clip zeroes), the primal scale falls back to
     max(||y||, epsilon), which is positive and scales with the data too,
     so gamma stays finite. ``diag.gamma`` reports the step taken.
     """
@@ -119,15 +118,14 @@ def solve_map(problem: MapProblem, tol: float = MAP_TOL,
               DualBlock(problem.phi, L2Ball(problem.data, problem.epsilon))]
     check_limits(tol, max_iters)
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
-    box = problem.constraint
-    x = project_box(phi.adjoint(y), box)
+    x = project_box(phi.adjoint(y), NONNEGATIVE)
     gamma = _dual_step(x, problem, l1_weight)
     gap_tol = FEASIBILITY_SLACK * eps
 
     # x_new = (bar + x) / 2, so Psi x and Phi x follow by linearity
     psi_x = psi.forward(x)
     phi_x = phi.forward(x)
-    steps = pd_steps(x, box, blocks, [b.zero_dual() for b in blocks], gamma)
+    steps = pd_steps(x, NONNEGATIVE, blocks, [b.zero_dual() for b in blocks], gamma)
 
     residuals = []
     objectives = []

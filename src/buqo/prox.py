@@ -23,6 +23,7 @@ DualProx = Callable[[np.ndarray], np.ndarray]
 
 __all__ = [
     "IntervalBox",
+    "NONNEGATIVE",
     "L2Ball",
     "L1Levelset",
     "L1Norm",
@@ -57,6 +58,10 @@ class IntervalBox:
         """Largest distance of a component of z outside [lo, hi] (0 inside)."""
         return max(float(np.max(self.lo - z, initial=0.0)),
                    float(np.max(z - self.hi, initial=0.0)))
+
+
+# the nonnegative orthant: every image of the model lies in it
+NONNEGATIVE = IntervalBox(0.0, np.inf)
 
 
 def _excess(norm: float, size: float) -> float:

@@ -256,12 +256,11 @@ def make_phantom(kind: str, rows: int, cols: int, seed: int = 0) -> np.ndarray:
     raise ValueError(f"unknown phantom kind {kind!r}")
 
 
-# the multicoil operator's default coil count: one profile per image edge
+# the multicoil operator's coil count: one profile per image edge
 N_COILS = 4
 
 
-def coil_sensitivities(rows: int, cols: int,
-                       n_coils: int = N_COILS) -> list[np.ndarray]:
+def coil_sensitivities(rows: int, cols: int) -> list[np.ndarray]:
     """Smooth half-plane-weighted coil profiles with unit pointwise energy.
 
     One broad Gaussian per image edge, normalized so the pointwise sum
@@ -273,11 +272,8 @@ def coil_sensitivities(rows: int, cols: int,
         (rows / 2.0, 0.0),
         (rows / 2.0, cols - 1.0),
     ]
-    if n_coils > len(centers):
-        raise ValueError("at most four coil profiles are defined")
     width = 0.8 * max(rows, cols)
-    profiles = [_gaussian_bump(rows, cols, cy, cx, width)
-                for (cy, cx) in centers[:n_coils]]
+    profiles = [_gaussian_bump(rows, cols, cy, cx, width) for (cy, cx) in centers]
     energy = np.sqrt(sum(p ** 2 for p in profiles))
     return [p / energy for p in profiles]
 
@@ -307,7 +303,6 @@ class ExperimentSpec(RunSettings):
     structures: Sequence = ()
     seed: int = 0
     wavelet_levels: int = 3
-    n_coils: int = N_COILS
 
     def __post_init__(self):
         super().__post_init__()
@@ -415,11 +410,11 @@ def build_problem(spec: ExperimentSpec, truth: np.ndarray, ratio: float,
     rows, cols = spec.rows, spec.cols
     n_full = rows * cols
     if spec.pattern_kind == "multicoil":
-        child = np.random.SeedSequence(pattern_seed).generate_state(spec.n_coils)
+        child = np.random.SeedSequence(pattern_seed).generate_state(N_COILS)
         patterns = [gaussian_random_pattern(rows, cols, ratio, int(s))
                     for s in child]
-        phi = multicoil_map(patterns, coil_sensitivities(rows, cols, spec.n_coils))
-        n_full *= spec.n_coils
+        phi = multicoil_map(patterns, coil_sensitivities(rows, cols))
+        n_full *= N_COILS
     else:
         phi = masked_dft(sampling_pattern(spec.pattern_kind, rows, cols, ratio,
                                           pattern_seed))

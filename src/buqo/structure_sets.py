@@ -26,7 +26,7 @@ from .operators import (
     mask_select,
     residual_map,
 )
-from .prox import IntervalBox, L2Ball, project_box
+from .prox import NONNEGATIVE, IntervalBox, L2Ball, project_box
 
 __all__ = [
     "STRUCTURE_KINDS",
@@ -79,7 +79,7 @@ class StructureSet:
 class LocalizedSet(StructureSet):
     """Inpainting band plus energy ball plus nonnegativity."""
 
-    box: ClassVar[IntervalBox] = IntervalBox(0.0, np.inf)
+    box: ClassVar[IntervalBox] = NONNEGATIVE
 
     inpaint: LinearMap = field(repr=False)
     residual_op: LinearMap = field(repr=False)
@@ -104,9 +104,9 @@ class BackgroundSet(StructureSet):
 
     @cached_property
     def box(self) -> IntervalBox:
-        """Per-pixel bounds: [max(lo, 0), hi] on the mask, [0, inf) off it."""
-        lo, hi = np.zeros(self.n_pixels), np.full(self.n_pixels, np.inf)
-        lo[self.mask.indices] = np.maximum(self.interval.lo, 0.0)
+        """Per-pixel bounds: [max(lo, 0), hi] on the mask, NONNEGATIVE off it."""
+        lo, hi = np.full((2, self.n_pixels), [[NONNEGATIVE.lo], [NONNEGATIVE.hi]])
+        lo[self.mask.indices] = np.maximum(self.interval.lo, NONNEGATIVE.lo)
         hi[self.mask.indices] = self.interval.hi
         return IntervalBox(lo, hi)
 
@@ -122,8 +122,7 @@ class StructureProjector(WarmProjector):
     same projection and sets only the iteration count.
     """
 
-    def __init__(self, sset: LocalizedSet, tol: float, max_iters: int):
-        super().__init__(sset.box, sset.blocks, tol, max_iters, gamma=1.0)
+    gamma = 1.0
 
 
 def build_localized_set(x_map: np.ndarray, mask: PixelMask,

@@ -14,6 +14,8 @@ refactoring of the solver can be held to the same iterates bit for bit.
 import numpy as np
 from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
+from buqo.prox import NONNEGATIVE
+
 
 def l1_projection_bisection(x, beta, iters=200):
     """Exact-to-machine l1-ball projection via bisection on the threshold."""
@@ -119,7 +121,7 @@ def map_iterations(problem, iters):
     feasibility gaps max(0, ||Phi x - y|| - epsilon).
     """
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
-    lo, hi = problem.constraint.lo, problem.constraint.hi
+    lo, hi = NONNEGATIVE.lo, NONNEGATIVE.hi
     x = np.clip(np.real(phi.adjoint(y)), lo, hi)
     gamma = 8.0 * np.sqrt(psi.out_dim) / np.linalg.norm(x)
     sigma = 0.99 / (gamma * (psi.norm_bound ** 2 + phi.norm_bound ** 2))

@@ -69,7 +69,7 @@ def test_bad_alpha_is_exit_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--alpha", "2.0"]) == 2
 
 
-@pytest.mark.parametrize("eta", ["nan", "-0.1"])
+@pytest.mark.parametrize("eta", ["nan", "-0.1", "inf"])
 def test_bad_eta_is_exit_2(tmp_path, eta):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

@@ -109,7 +109,7 @@ def test_region_residual_reads_the_projector_blocks():
     rng = np.random.default_rng(2)
     for scale in (0.0, 0.1, 1.0, 3.0):
         x = region.x_map + scale * rng.standard_normal(16)
-        terms = [region.constraint.violation(x)] + [
+        terms = [region.box.violation(x)] + [
             b.term.violation(b.op.forward(x)) for b in region.blocks]
         assert region.residual(x) == max(terms)
         ball = np.linalg.norm(region.phi.forward(x) - region.data) - region.epsilon

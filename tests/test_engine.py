@@ -21,7 +21,7 @@ from buqo.engine import (
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import (PixelMask, SamplingPattern, build_inpainting,
                             db8_analysis, masked_dft)
-from buqo.sim import ExperimentSpec, add_noise, coil_sensitivities
+from buqo.sim import ExperimentSpec, add_noise
 from buqo.structure_sets import (BackgroundSet, LocalizedSet, background_mask,
                                  build_background_set, build_localized_set)
 
@@ -292,8 +292,9 @@ class RecordingProjector(WarmProjector):
     """A projector that records the tolerance each call ran at."""
 
     def __init__(self, projector: WarmProjector):
-        super().__init__(projector.box, projector.blocks, projector.tol,
-                         projector.max_iters, projector.gamma)
+        # a projector holds the box and blocks it was built from
+        super().__init__(projector, projector.tol, projector.max_iters)
+        self.gamma = projector.gamma
         self.tols = []
 
     def __call__(self, x, tol=None):
@@ -388,6 +389,7 @@ def test_run_buqo_invalid_alpha_raises_region_stage():
     ("eta", -1.0, "engine"),
     ("alpha", 3.0, "region"),
     ("alpha", 0.0, "region"),
+    ("eta", float("inf"), "engine"),
 ])
 def test_run_buqo_rejects_bad_eta_and_alpha_before_solving(
         monkeypatch, name, value, stage):
@@ -403,9 +405,9 @@ def test_run_buqo_rejects_bad_eta_and_alpha_before_solving(
     assert name in str(err.value)
 
 
-@pytest.mark.parametrize("eta", [float("nan"), -0.01])
+@pytest.mark.parametrize("eta", [float("nan"), -0.01, float("inf")])
 def test_bad_eta_is_refused_everywhere(eta):
-    # a NaN eta would leave every test "not rejected"
+    # a NaN or infinite eta would leave every test "not rejected"
     with pytest.raises(ValueError, match="eta"):
         decide(0.5, eta, 0.01)
     with pytest.raises(ValueError, match="eta"):
@@ -462,7 +464,6 @@ def test_each_default_is_declared_once():
             ((background_mask, build_background_set), "dilation_radius"),
             ((run_fb_distance, run_buqo), "gamma")):
         assert default(fn, name) == default(other, name), name
-    assert default(coil_sensitivities, "n_coils") == spec.n_coils
 
 
 def test_run_buqo_misspelt_keyword_is_a_type_error(monkeypatch):

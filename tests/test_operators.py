@@ -248,7 +248,7 @@ def test_multicoil_two_unit_coils_stack():
 
 def test_multicoil_dot_test_four_coils():
     patterns = [gaussian_random_pattern(8, 8, 0.4, seed=s) for s in range(4)]
-    op = multicoil_map(patterns, coil_sensitivities(8, 8, 4))
+    op = multicoil_map(patterns, coil_sensitivities(8, 8))
     assert dot_test(op, n_probes=20, seed=9) < 1e-10
 
 
@@ -285,7 +285,7 @@ def test_multicoil_dimension_mismatch():
 
 def test_multicoil_normalized_profiles_nonexpansive():
     patterns = [gaussian_random_pattern(8, 8, 0.6, seed=s) for s in range(4)]
-    op = multicoil_map(patterns, coil_sensitivities(8, 8, 4))
+    op = multicoil_map(patterns, coil_sensitivities(8, 8))
     assert op.norm_bound <= 1.0 + 1e-12
     rng = np.random.default_rng(13)
     for _ in range(5):

@@ -18,7 +18,8 @@ from buqo.sim import (
     sample_noise,
 )
 from buqo.credible_region import compute_epsilon_bound
-from buqo.sim import _observation_seeds, build_problem
+from buqo.map_solver import FEASIBILITY_SLACK, solve_map
+from buqo.sim import N_COILS, _observation_seeds, build_problem
 
 from instances import perfbench_spans
 
@@ -169,6 +170,19 @@ def test_build_problem_noise_bound_independent_of_ratio():
     assert noise <= at_half.epsilon
 
 
+def test_build_problem_multicoil_stacks_n_coils_patterns():
+    # each of the N_COILS coils samples its own half of the 32x32 grid
+    spec = ExperimentSpec(rows=32, cols=32, pattern_kind="multicoil",
+                          wavelet_levels=2)
+    truth = make_phantom("compact", 32, 32, seed=0)
+    problem = build_problem(spec, truth, 0.5, 0.01, 1, 2)
+    assert problem.phi.out_dim == N_COILS * 512
+    assert problem.phi.norm_bound <= 1.0 + 1e-12
+    x_map, diag = solve_map(problem)
+    assert diag.converged
+    assert problem.feasibility_gap(x_map) <= FEASIBILITY_SLACK * problem.epsilon
+
+
 # ---------------------------------------------------------------------------
 # phantoms
 
@@ -204,7 +218,7 @@ def test_phantom_rejects_tiny_dims():
 
 
 def test_coil_sensitivities_unit_energy():
-    profiles = coil_sensitivities(32, 32, 4)
+    profiles = coil_sensitivities(32, 32)
     energy = sum(p ** 2 for p in profiles)
     np.testing.assert_allclose(energy, 1.0, atol=1e-12)
 
