@@ -8,7 +8,7 @@ import numpy as np
 from buqo.credible_region import build_region, compute_epsilon_bound
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import LinearMap, PixelMask, db8_analysis, masked_dft
-from buqo.sim import add_noise, gaussian_random_pattern
+from buqo.sim import add_noise, gaussian_random_pattern, phantom_layout
 from buqo.structure_sets import build_localized_set
 
 
@@ -84,3 +84,12 @@ def perfbench_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bright_source_mask(seed=0, rows=64, cols=64):
+    """The criterion-7 mask: 9x9 pixels centred on the phantom's first
+    bright source."""
+    py, px = phantom_layout("compact", rows, cols, seed)["bright"][0][:2]
+    sel = np.zeros((rows, cols), dtype=bool)
+    sel[py - 4:py + 5, px - 4:px + 5] = True
+    return PixelMask.from_boolean(sel)

@@ -50,13 +50,12 @@ from buqo.sim import (
     coil_sensitivities,
     gaussian_random_pattern,
     make_phantom,
-    phantom_layout,
     run_grid,
 )
 from buqo.structure_sets import build_localized_set
 
 from conftest import record_criterion
-from instances import Disk, small_localized_set, small_region
+from instances import Disk, bright_source_mask, small_localized_set, small_region
 from oracles import (
     l1_projection_subgradient_batch,
     nlp_polish_localized,
@@ -294,13 +293,6 @@ GRID_SEED = 0
 GRID_ROWS = GRID_COLS = 64
 
 
-def bright_source_mask():
-    py, px = phantom_layout("compact", GRID_ROWS, GRID_COLS, GRID_SEED)["bright"][0][:2]
-    sel = np.zeros((GRID_ROWS, GRID_COLS), dtype=bool)
-    sel[py - 4:py + 5, px - 4:px + 5] = True
-    return PixelMask.from_boolean(sel)
-
-
 def empty_background_mask():
     sel = np.zeros((GRID_ROWS, GRID_COLS), dtype=bool)
     sel[48:53, 48:53] = True
@@ -316,7 +308,7 @@ def grid_report():
         rows=GRID_ROWS, cols=GRID_COLS, phantom="compact",
         pattern_kind="gaussian", sampling_ratios=(0.5, 0.75, 1.0),
         noise_variances=(0.01, 0.02, 0.03),
-        structures=(bright_source_mask(),),
+        structures=(bright_source_mask(GRID_SEED, GRID_ROWS, GRID_COLS),),
         alpha=0.01, eta=0.03, mode="pocs", seed=GRID_SEED,
         wavelet_levels=3, outer_max_iters=250,
         inner_tol=1e-7, inner_max_iters=3000,

@@ -21,11 +21,12 @@ from buqo.engine import (
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import (PixelMask, SamplingPattern, build_inpainting,
                             db8_analysis, masked_dft)
-from buqo.sim import ExperimentSpec, add_noise
+from buqo.sim import ExperimentSpec, add_noise, build_problem, make_phantom
 from buqo.structure_sets import (BackgroundSet, LocalizedSet, background_mask,
                                  build_background_set, build_localized_set)
 
-from instances import Disk, perfbench_spans, small_localized_set, small_region
+from instances import (Disk, bright_source_mask, perfbench_spans,
+                       small_localized_set, small_region)
 
 
 def pipeline_16(seed, bright=3.0, sigma2=1e-4, ratio=1.0):
@@ -375,6 +376,71 @@ def test_inexact_laps_keep_the_exact_answer_for_fewer_iterations():
     assert outcome.decision == decide(rho, 0.03, 0.01)[0] == "rejected"
     assert outcome.rho_alpha == pytest.approx(rho, rel=1e-4)
     assert 0 < outcome.inner_iterations < exact_iterations
+
+
+def plain_fb(project_region, project_set, x0_region, x0_set, gamma, tol,
+             max_iters):
+    """Forward-backward without momentum, driven through the shared outer
+    loop: the step run_fb_distance takes for a gamma above 1/2."""
+    def step(project_region, project_set, a, b):
+        return (project_region((1.0 - gamma) * a + gamma * b),
+                project_set((1.0 - gamma) * b + gamma * a))
+
+    return buqo.engine._outer_loop((project_region, project_set), step,
+                                   x0_region.copy(), x0_set.copy(), tol,
+                                   max_iters)
+
+
+def fb_runs(problem, mask, gamma, max_iters, inner=None, map_limits=None):
+    """run_fb_distance and plain_fb on fresh projectors of one instance:
+    per run its pair, laps, stop reason, deltas and the projectors."""
+    x_map, diag = solve_map(problem, **(map_limits or {}))
+    assert diag.converged
+    region = build_region(x_map, compute_lambda(x_map, problem.psi), 0.01,
+                          problem)
+    sset = build_localized_set(x_map, mask)
+    runs = []
+    for run in (run_fb_distance, plain_fb):
+        projectors = (region.projector(**(inner or {})),
+                      sset.projector(**(inner or {})))
+        runs.append((*run(*projectors, region.x_map, sset.surrogate,
+                          gamma=gamma, tol=1e-5, max_iters=max_iters),
+                     projectors))
+    return runs, x_map, sset.surrogate
+
+
+def test_fb_above_half_gamma_takes_the_plain_step():
+    # momentum needs gamma <= 1/2; above it the iteration is unchanged
+    problem, mask, _ = pipeline_16(seed=52, bright=2.0, sigma2=1e-4)
+    runs, *_ = fb_runs(problem, mask, 0.9, 500,
+                       map_limits=dict(tol=1e-8, max_iters=60000))
+    (a1, b1, it1, stop1, d1, _), (a2, b2, it2, stop2, d2, _) = runs
+    assert it1 == it2 > 2 and stop1 == stop2
+    np.testing.assert_array_equal(a1, a2)
+    np.testing.assert_array_equal(b1, b2)
+    np.testing.assert_array_equal(d1, d2)
+
+
+def test_fb_momentum_takes_fewer_laps_for_the_same_rho():
+    # the seed-0 64x64 bright test at the benchmark's solver settings;
+    # the 16x16 instances converge in too few laps to show the gain
+    spec = ExperimentSpec(rows=64, cols=64, wavelet_levels=3)
+    truth = make_phantom("compact", 64, 64, 0)
+    seeds = np.random.SeedSequence([0]).generate_state(2)
+    problem = build_problem(spec, truth, 1.0, 0.01, *map(int, seeds))
+    runs, x_map, surrogate = fb_runs(problem, bright_source_mask(0, 64, 64),
+                                     0.5, 250, inner=dict(tol=1e-7,
+                                                          max_iters=3000))
+    results = []
+    for x_region, x_set, laps, stop, _, projectors in runs:
+        assert stop != "max_iters"
+        assert sum(p.unconverged_calls for p in projectors) == 0
+        results.append((laps, sum(p.inner_iterations for p in projectors),
+                        compute_rho(x_region, x_set, x_map, surrogate)))
+    (laps, iterations, rho), (plain_laps, plain_iterations, plain_rho) = results
+    assert laps < plain_laps
+    assert iterations < plain_iterations
+    assert rho == pytest.approx(plain_rho, rel=1e-4)
 
 
 def test_run_buqo_invalid_alpha_raises_region_stage():
