@@ -15,7 +15,6 @@ from .credible_region import (
 from .engine import (
     BuqoError,
     RunSettings,
-    SolverSettings,
     TestOutcome,
     compute_rho,
     decide,

@@ -242,8 +242,8 @@ def cmd_test(cfg: RunConfig) -> int:
     problem, rows, cols = _load_problem(cfg)
     with _config_errors():
         structure = bio.read_structure_spec(cfg.structure_file)
-    outcome = run_buqo(problem, structure, alpha=cfg.alpha, mode=cfg.mode,
-                       eta=cfg.eta, rows=rows, cols=cols, **cfg.limits())
+    outcome = run_buqo(problem, structure, rows=rows, cols=cols,
+                       **cfg.keywords())
     with _AtomicWriter(cfg.out) as writer:
         bio.write_image(writer.path("x_region.img"), outcome.x_region, rows, cols)
         bio.write_image(writer.path("x_set.img"), outcome.x_set, rows, cols)
@@ -265,8 +265,7 @@ def cmd_grid(cfg: RunConfig) -> int:
             rows=cfg.rows, cols=cfg.cols, phantom=cfg.phantom,
             pattern_kind=cfg.pattern_kind, sampling_ratios=cfg.grid_ratios,
             noise_variances=cfg.grid_variances, structures=structures,
-            alpha=cfg.alpha, eta=cfg.eta, mode=cfg.mode, seed=cfg.seed,
-            wavelet_levels=cfg.levels, **cfg.limits()))
+            seed=cfg.seed, wavelet_levels=cfg.levels, **cfg.keywords()))
     with _AtomicWriter(cfg.out) as writer:
         with open(writer.path("grid_table.tsv"), "w", encoding="ascii") as fh:
             fh.write(report.table())

@@ -28,7 +28,6 @@ from .structure_sets import build_structure_set
 __all__ = [
     "TestOutcome",
     "BuqoError",
-    "SolverSettings",
     "RunSettings",
     "run_pocs",
     "run_fb_distance",
@@ -95,12 +94,17 @@ def _stage(stage: str, prefix: str = ""):
 
 
 @dataclass
-class SolverSettings:
-    """Tolerance and iteration limit of the MAP, outer and inner solvers.
+class RunSettings:
+    """The settings of one hypothesis test: the tolerance and iteration
+    limit of the MAP, outer and inner solvers, the credible region's
+    significance ``alpha``, the threshold ``eta`` on rho_alpha and the
+    outer loop ``mode`` (one of MODES).
 
     A tolerance <= 0, infinite or NaN, or an iteration limit < 1 raises
     :class:`BuqoError` with stage "map" for the ``map_*`` fields and
-    "engine" for the others, naming the field.
+    "engine" for the others, naming the field. Then an ``alpha`` outside
+    (0, 1), a negative, NaN or infinite ``eta`` and an unknown ``mode``
+    raise ValueError naming the field.
     """
 
     map_tol: float = MAP_TOL
@@ -109,6 +113,9 @@ class SolverSettings:
     outer_max_iters: int = 2000
     inner_tol: float = INNER_TOL
     inner_max_iters: int = INNER_MAX_ITERS
+    alpha: float = 0.01
+    eta: float = 0.03
+    mode: str = "pocs"
 
     def __post_init__(self):
         for prefix in ("map", "outer", "inner"):
@@ -116,10 +123,21 @@ class SolverSettings:
             with _stage("map" if prefix == "map" else "engine", f"{prefix}_"):
                 check_limits(getattr(self, f"{prefix}_tol"),
                              getattr(self, f"{prefix}_max_iters"))
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        self.check_eta(self.eta)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
-    def limits(self) -> dict:
-        """The six settings as keyword arguments, e.g. for :func:`run_buqo`."""
-        return {f.name: getattr(self, f.name) for f in fields(SolverSettings)}
+    def keywords(self) -> dict:
+        """The nine settings as keyword arguments, e.g. for :func:`run_buqo`."""
+        return {f.name: getattr(self, f.name) for f in fields(RunSettings)}
+
+    @staticmethod
+    def check_eta(eta: float) -> None:
+        """Refuse a negative, NaN or infinite eta: no test rejects at NaN or inf."""
+        if not 0 <= eta < np.inf:
+            raise ValueError(f"eta must be finite and nonnegative, got {eta}")
 
     def map_estimate(
             self, problem: MapProblem) -> tuple[np.ndarray, SolverDiagnostics]:
@@ -133,36 +151,6 @@ class SolverSettings:
                             f"{diag.iterations} iterations (feasibility gap "
                             f"{diag.feasibility_gap:.3e})")
         return x_map, diag
-
-
-@dataclass
-class RunSettings(SolverSettings):
-    """The settings of one hypothesis test: the solver limits, the
-    credible region's significance ``alpha``, the threshold ``eta`` on
-    rho_alpha and the outer loop ``mode`` (one of MODES).
-
-    An ``alpha`` outside (0, 1), a negative, NaN or infinite ``eta``
-    and an unknown ``mode`` raise ValueError naming the field; bad solver
-    limits raise BuqoError (see SolverSettings).
-    """
-
-    alpha: float = 0.01
-    eta: float = 0.03
-    mode: str = "pocs"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        self.check_eta(self.eta)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    @staticmethod
-    def check_eta(eta: float) -> None:
-        """Refuse a negative, NaN or infinite eta: no test rejects at NaN or inf."""
-        if not 0 <= eta < np.inf:
-            raise ValueError(f"eta must be finite and nonnegative, got {eta}")
 
 
 @dataclass
@@ -256,7 +244,7 @@ def _outer_loop(projectors, step, a, b, tol, max_iters):
 
 
 def run_pocs(project_region, project_set, x0: np.ndarray,
-             tol=SolverSettings.outer_tol, max_iters=SolverSettings.outer_max_iters):
+             tol=RunSettings.outer_tol, max_iters=RunSettings.outer_max_iters):
     """Alternate the projections P_C (``project_region``) and P_S
     (``project_set``), starting with P_C at ``x0``.
 
@@ -277,8 +265,8 @@ def run_pocs(project_region, project_set, x0: np.ndarray,
 
 def run_fb_distance(project_region, project_set, x0_region: np.ndarray,
                     x0_set: np.ndarray, gamma: float = FB_GAMMA,
-                    tol=SolverSettings.outer_tol,
-                    max_iters=SolverSettings.outer_max_iters):
+                    tol=RunSettings.outer_tol,
+                    max_iters=RunSettings.outer_max_iters):
     """Forward-backward iteration on the squared distance between the sets,
     with projections P_C (``project_region``) and P_S (``project_set``).
 
@@ -375,9 +363,10 @@ def run_buqo(problem: MapProblem, structure, alpha: float = RunSettings.alpha,
     ``x_map`` holds the estimate used either way, as does the
     BuqoError of a test that fails after its map stage. Stage failures are
     re-raised as :class:`BuqoError` with the stage label. ``alpha``,
-    ``eta``, ``mode`` and ``limits`` are the :class:`RunSettings`
-    fields (defaults for those left out), checked before any solve
-    starts: ``alpha`` first, against the grid size, as a "region"
+    ``eta``, ``mode`` and the solver ``limits`` are the
+    :class:`RunSettings` fields (defaults for those left out; a record
+    passes them all as ``**settings.keywords()``), checked before any
+    solve starts: ``alpha`` first, against the grid size, as a "region"
     error.
     """
     with _stage("region"):

@@ -52,9 +52,6 @@ class LinearMap:
     norm_bound: float | None = None
     complex_output: bool = False
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
 
 @dataclass(frozen=True)
 class PixelMask:

@@ -168,8 +168,6 @@ def project_l2_ball(x: np.ndarray, ball: L2Ball) -> np.ndarray:
     norm = np.linalg.norm(d)
     if norm <= ball.radius:
         return x.copy()
-    if norm == 0.0:
-        return np.broadcast_to(ball.center, x.shape).astype(x.dtype).copy()
     return ball.center + d * (ball.radius / norm)
 
 

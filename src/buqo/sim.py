@@ -217,6 +217,7 @@ def make_phantom(kind: str, rows: int, cols: int, seed: int = 0) -> np.ndarray:
     "compact" stacks bright compact sources, faint background sources
     and a smooth extended emission; "brain" is a piecewise-smooth
     ellipse phantom. Fully determined by (kind, rows, cols, seed).
+    :func:`phantom_layout` refuses any other kind with ValueError.
     """
     if rows < 32 or cols < 32:
         raise ValueError("phantom dims must be at least 32")
@@ -253,7 +254,6 @@ def make_phantom(kind: str, rows: int, cols: int, seed: int = 0) -> np.ndarray:
         img = np.maximum(img, 0.0)
         img = img / img.max()
         return img.ravel()
-    raise ValueError(f"unknown phantom kind {kind!r}")
 
 
 # the multicoil operator's coil count: one profile per image edge
@@ -332,7 +332,8 @@ def _structure_names(structures: Sequence) -> list[str]:
 
 @dataclass
 class GridCell:
-    """One structure's test on the observation of one (ratio, variance).
+    """One structure's test on the observation of one (ratio, variance):
+    its ``outcome``, or the ``error`` that ended it.
 
     ``runtime_s`` is the cell's wall time. The first structure of a
     (ratio, variance) builds the observation and solves its MAP, and the
@@ -343,11 +344,7 @@ class GridCell:
     ratio: float
     sigma2: float
     structure: str
-    rho_percent: float | None
-    decision: str | None
-    iterations: int | None
-    stop_reason: str | None
-    runtime_s: float
+    runtime_s: float = 0.0
     error: str | None = None
     outcome: TestOutcome | None = field(default=None, repr=False)
 
@@ -366,16 +363,11 @@ class GridReport:
         """Deterministic tab-separated table (no wall-clock columns)."""
         lines = ["ratio\tsigma2\tstructure\trho_percent\tdecision\titerations\tstop_reason"]
         for c in self.cells:
-            if c.error is None:
-                lines.append(
-                    f"{c.ratio:g}\t{c.sigma2:g}\t{c.structure}\t"
-                    f"{c.rho_percent:.6f}\t{c.decision}\t{c.iterations}\t{c.stop_reason}"
-                )
-            else:
-                lines.append(
-                    f"{c.ratio:g}\t{c.sigma2:g}\t{c.structure}\t"
-                    f"error\terror\terror\t{c.error}"
-                )
+            o = c.outcome
+            result = (f"error\terror\terror\t{c.error}" if o is None else
+                      f"{100.0 * o.rho_alpha:.6f}\t{o.decision}\t"
+                      f"{o.iterations}\t{o.stop_reason}")
+            lines.append(f"{c.ratio:g}\t{c.sigma2:g}\t{c.structure}\t{result}")
         return "\n".join(lines) + "\n"
 
     def timing(self) -> str:
@@ -435,11 +427,12 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
     again: its error is recorded for every later structure of that
     (ratio, variance) too.
 
-    Per-cell failures are recorded in the report and do not stop the
-    remaining cells. Inputs that would fail every cell alike (no
-    structures, a bad phantom, pattern kind or wavelet depth) raise
-    ValueError before the first cell. The seeds of each observation
-    derive deterministically from the master seed and its grid index.
+    Each cell holds its test's TestOutcome or, when the test failed,
+    its error; a failure does not stop the remaining cells. Inputs that
+    would fail every cell alike (no structures, a bad phantom, pattern
+    kind or wavelet depth) raise ValueError before the first cell. The
+    seeds of each observation derive deterministically from the master
+    seed and its grid index.
     """
     if not spec.structures:
         raise ValueError("experiment spec declares no structures")
@@ -453,6 +446,7 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
             pattern_seed, noise_seed = _observation_seeds(spec.seed, i, j)
             problem = x_map = failed = None
             for name, structure in zip(names, spec.structures):
+                cell = GridCell(ratio, sigma2, name)
                 start = time.perf_counter()
                 try:
                     if failed is not None:
@@ -460,20 +454,10 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
                     if problem is None:
                         problem = build_problem(spec, truth, ratio, sigma2,
                                                 pattern_seed, noise_seed)
-                    outcome = run_buqo(
-                        problem, structure, alpha=spec.alpha, mode=spec.mode,
-                        eta=spec.eta, rows=spec.rows, cols=spec.cols,
-                        x_map=x_map, **spec.limits())
-                    x_map = outcome.x_map
-                    cells.append(GridCell(
-                        ratio=ratio, sigma2=sigma2, structure=name,
-                        rho_percent=100.0 * outcome.rho_alpha,
-                        decision=outcome.decision,
-                        iterations=outcome.iterations,
-                        stop_reason=outcome.stop_reason,
-                        runtime_s=time.perf_counter() - start,
-                        outcome=outcome,
-                    ))
+                    cell.outcome = run_buqo(problem, structure, rows=spec.rows,
+                                            cols=spec.cols, x_map=x_map,
+                                            **spec.keywords())
+                    x_map = cell.outcome.x_map
                 except Exception as exc:
                     # the observation or its MAP failed: so will the others
                     if problem is None or getattr(exc, "stage", None) == "map":
@@ -481,11 +465,7 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
                     # a test that failed after its map stage hands its MAP on
                     if x_map is None:
                         x_map = getattr(exc, "x_map", None)
-                    cells.append(GridCell(
-                        ratio=ratio, sigma2=sigma2, structure=name,
-                        rho_percent=None, decision=None, iterations=None,
-                        stop_reason=None,
-                        runtime_s=time.perf_counter() - start,
-                        error=str(exc).replace("\t", " ").replace("\n", " "),
-                    ))
+                    cell.error = str(exc).replace("\t", " ").replace("\n", " ")
+                cell.runtime_s = time.perf_counter() - start
+                cells.append(cell)
     return GridReport(spec=spec, cells=cells)

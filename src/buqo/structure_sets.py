@@ -136,8 +136,9 @@ def build_localized_set(x_map: np.ndarray, mask: PixelMask,
     the masked energy inside a ball of radius theta around zero, and be
     nonnegative. Defaults: tau is the standard deviation of the MAP's
     inpainting residual, theta the norm of the inpainted patch (inflated
-    by 1e-6 so the surrogate is strictly inside). Raises if the surrogate
-    fails its own set's constraints.
+    by 1e-6 so the surrogate is strictly inside). Raises ValueError if
+    the surrogate fails its own set's constraints, as it does for a theta
+    below the norm of the inpainted patch.
     """
     x_map = np.asarray(x_map, dtype=float).ravel()
     if x_map.size != mask.n_pixels:
@@ -156,14 +157,9 @@ def build_localized_set(x_map: np.ndarray, mask: PixelMask,
 
     surrogate = x_map.copy()
     surrogate[mask.indices] = inpainted
-    ball = L2Ball(0.0, theta)
-    # the energy cap may need widening when tau/theta were overridden
-    gap = np.linalg.norm(inpainted) - theta
-    if gap > 0:
-        ball = L2Ball(0.0, theta + gap * (1.0 + 1e-6))
     return LocalizedSet(mask=mask, interval=IntervalBox(-tau, tau),
                         surrogate=surrogate, inpaint=inpaint,
-                        residual_op=res_op, energy_ball=ball)
+                        residual_op=res_op, energy_ball=L2Ball(0.0, theta))
 
 
 def background_mask(x_map: np.ndarray, rows: int, cols: int,

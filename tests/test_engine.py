@@ -11,7 +11,6 @@ from buqo.credible_region import CredibleRegion, build_region
 from buqo.engine import (
     BuqoError,
     RunSettings,
-    SolverSettings,
     compute_rho,
     decide,
     run_buqo,
@@ -26,7 +25,7 @@ from buqo.structure_sets import (BackgroundSet, LocalizedSet, background_mask,
                                  build_background_set, build_localized_set)
 
 from instances import (Disk, bright_source_mask, perfbench_spans,
-                       small_localized_set, small_region)
+                       small_localized_set, small_map_problem, small_region)
 
 
 def pipeline_16(seed, bright=3.0, sigma2=1e-4, ratio=1.0):
@@ -257,6 +256,44 @@ def test_run_buqo_rho_matches_recomputation():
     assert outcome.rho_alpha == pytest.approx(rho, rel=1e-6)
 
 
+def test_run_buqo_takes_a_prebuilt_structure_set():
+    problem, mask, _ = pipeline_16(seed=52, bright=2.0, sigma2=1e-4)
+    x_map, diag = solve_map(problem, tol=1e-8, max_iters=60000)
+    assert diag.converged
+    settings = dict(alpha=0.01, x_map=x_map, outer_tol=1e-5,
+                    outer_max_iters=500)
+    from_mask = run_buqo(problem, mask, **settings)
+    prebuilt = run_buqo(problem, build_localized_set(x_map, mask), **settings)
+    assert prebuilt.rho_alpha == from_mask.rho_alpha
+    assert prebuilt.decision == from_mask.decision
+
+
+def test_run_buqo_needs_rows_and_cols_on_a_non_square_grid():
+    problem, _ = small_map_problem(seed=34, rows=4, cols=8)
+    mask = PixelMask(4, 8, [10, 11])
+    settings = dict(alpha=0.1, outer_max_iters=5, inner_max_iters=50)
+    with pytest.raises(BuqoError) as err:
+        run_buqo(problem, mask, **settings)
+    assert err.value.stage == "set"
+    assert "rows/cols" in str(err.value)
+    # the grid is all the test lacked
+    run_buqo(problem, mask, rows=4, cols=8, x_map=err.value.x_map, **settings)
+
+
+def test_undersized_theta_is_refused_not_widened():
+    region, problem, _ = small_region(seed=33)
+    mask = PixelMask(4, 4, [5, 6])
+    theta = 0.5 * build_localized_set(region.x_map, mask).energy_ball.radius
+    assert theta > 0.0
+    with pytest.raises(ValueError, match="surrogate violates"):
+        build_localized_set(region.x_map, mask, theta=theta)
+    spec = StructureSpec("localized", mask, {"theta": theta})
+    with pytest.raises(BuqoError) as err:
+        run_buqo(problem, spec, alpha=0.1, x_map=region.x_map, rows=4, cols=4)
+    assert err.value.stage == "set"
+    assert "surrogate violates" in str(err.value)
+
+
 @pytest.mark.parametrize("mode", ["pocs", "fb"])
 def test_run_buqo_counts_inner_projections_cut_short(mode):
     problem, mask, _ = pipeline_16(seed=52, bright=2.0, sigma2=1e-4)
@@ -360,7 +397,7 @@ def test_inexact_laps_keep_the_exact_answer_for_fewer_iterations():
     region = build_region(x_map, compute_lambda(x_map, problem.psi), 0.01,
                           problem)
     sset = build_localized_set(x_map, mask)
-    limits = SolverSettings()
+    limits = RunSettings()
     region_p = region.projector(tol=limits.inner_tol,
                                 max_iters=limits.inner_max_iters)
     set_p = sset.projector(tol=limits.inner_tol,
@@ -495,8 +532,18 @@ def test_experiment_spec_refuses_an_unknown_mode():
         ExperimentSpec(mode="bogus")
 
 
+def test_run_settings_keywords_are_all_nine_settings():
+    spec = ExperimentSpec(alpha=0.05, eta=0.1, mode="fb", outer_max_iters=7)
+    keywords = spec.keywords()
+    assert list(keywords) == ["map_tol", "map_max_iters", "outer_tol",
+                              "outer_max_iters", "inner_tol",
+                              "inner_max_iters", "alpha", "eta", "mode"]
+    assert RunSettings(**keywords) == RunSettings(alpha=0.05, eta=0.1,
+                                                  mode="fb", outer_max_iters=7)
+
+
 def test_public_solver_defaults_are_the_settings_defaults():
-    settings = SolverSettings()
+    settings = RunSettings()
     for fn, prefix in ((solve_map, "map"),
                        (CredibleRegion.projector, "inner"),
                        (LocalizedSet.projector, "inner"),
@@ -574,7 +621,7 @@ def test_run_buqo_rejects_bad_solver_settings_before_solving(
     assert err.value.stage == stage
     assert name in str(err.value)
     # the settings, the grid spec and the CLI config refuse the same value
-    for cls in (SolverSettings, ExperimentSpec, RunConfig):
+    for cls in (RunSettings, ExperimentSpec, RunConfig):
         with pytest.raises(BuqoError) as err:
             cls(**{name: value})
         assert err.value.stage == stage

@@ -3,7 +3,7 @@ import pytest
 
 import buqo.engine
 import buqo.sim
-from buqo.engine import run_buqo
+from buqo.engine import BuqoError, run_buqo
 from buqo.io import StructureSpec
 from buqo.operators import PixelMask
 from buqo.sim import (
@@ -16,6 +16,7 @@ from buqo.sim import (
     phantom_layout,
     run_grid,
     sample_noise,
+    sampling_pattern,
 )
 from buqo.credible_region import compute_epsilon_bound
 from buqo.map_solver import FEASIBILITY_SLACK, solve_map
@@ -104,6 +105,14 @@ def test_cartesian_64_lines():
 def test_cartesian_defaults_match_published_count():
     p = cartesian_pattern(256, 256)
     assert abs(p.n_selected - 21248) <= 0.05 * 21248
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
+def test_sampling_pattern_cartesian_undersamples_the_phase_axis(ratio):
+    p = sampling_pattern("cartesian", 32, 48, ratio, seed=9)
+    q = cartesian_pattern(32, 48, phase_factor=1.0 / ratio)
+    assert (p.rows, p.cols) == (32, 48)
+    np.testing.assert_array_equal(p.indices, q.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +272,9 @@ def test_grid_single_cell_equals_direct_run():
                        outer_max_iters=spec.outer_max_iters,
                        inner_tol=spec.inner_tol,
                        inner_max_iters=spec.inner_max_iters)
-    assert cell.rho_percent == pytest.approx(100.0 * outcome.rho_alpha,
-                                             rel=1e-12)
-    assert cell.decision == outcome.decision
+    assert cell.outcome.rho_alpha == pytest.approx(outcome.rho_alpha,
+                                                   rel=1e-12)
+    assert cell.outcome.decision == outcome.decision
 
 
 def test_grid_reproducible_and_failures_recorded():
@@ -299,6 +308,19 @@ def test_grid_table_layout():
     assert int(timing[1].split("\t")[4]) == report.cells[0].outcome.inner_iterations > 0
 
 
+def test_grid_table_writes_a_failed_cell_as_error_columns(monkeypatch):
+    def fail(*args, **kwargs):
+        raise BuqoError("set", "mask\ton the\nborder")
+
+    monkeypatch.setattr(buqo.sim, "run_buqo", fail)
+    report = run_grid(small_spec())
+    (cell,) = report.cells
+    assert cell.outcome is None
+    # tabs and newlines of the message would break the table's layout
+    assert report.table().split("\n")[1] == (
+        "1\t0.0001\tstructure0\terror\terror\terror\t[set] mask on the border")
+
+
 def two_structure_spec(**overrides):
     """Two bright sources scrutinised on each of two observations."""
     base = dict(structures=(grid_mask(0), grid_mask(1)),
@@ -329,16 +351,15 @@ def test_grid_structures_share_one_observation_and_map(monkeypatch):
         # the second structure is tested on the first one's observation
         problem = build_problem(spec, truth, 1.0, sigma2,
                                 *_observation_seeds(spec.seed, 0, j))
-        outcome = run_buqo(problem, spec.structures[1], alpha=spec.alpha,
-                           mode=spec.mode, eta=spec.eta, rows=32, cols=32,
-                           x_map=first.outcome.x_map, **spec.limits())
-        assert second.decision == outcome.decision == "rejected"
-        assert second.rho_percent == pytest.approx(100.0 * outcome.rho_alpha,
-                                                   rel=1e-12)
+        outcome = run_buqo(problem, spec.structures[1], rows=32, cols=32,
+                           x_map=first.outcome.x_map, **spec.keywords())
+        assert second.outcome.decision == outcome.decision == "rejected"
+        assert second.outcome.rho_alpha == pytest.approx(outcome.rho_alpha,
+                                                          rel=1e-12)
         # and the first structure's cell is that of a one-structure grid
-        single = alone.cells[j]
-        assert (first.rho_percent, first.iterations, first.stop_reason) == (
-            single.rho_percent, single.iterations, single.stop_reason)
+        mine, single = first.outcome, alone.cells[j].outcome
+        assert (mine.rho_alpha, mine.iterations, mine.stop_reason) == (
+            single.rho_alpha, single.iterations, single.stop_reason)
 
 
 def test_grid_failed_map_is_recorded_by_every_structure(monkeypatch):
@@ -387,9 +408,10 @@ def test_grid_structure_failing_after_its_map_hands_the_map_on(monkeypatch):
     alone = run_grid(small_spec(noise_variances=(0.01,),
                                 structures=(grid_mask(half=3),))).cells[0]
     assert alone.error is None
-    assert (second.rho_percent, second.decision, second.iterations,
-            second.stop_reason) == (alone.rho_percent, alone.decision,
-                                    alone.iterations, alone.stop_reason)
+    mine, theirs = second.outcome, alone.outcome
+    assert (mine.rho_alpha, mine.decision, mine.iterations,
+            mine.stop_reason) == (theirs.rho_alpha, theirs.decision,
+                                  theirs.iterations, theirs.stop_reason)
 
 
 def test_grid_failed_build_is_recorded_by_every_structure(monkeypatch):
@@ -442,7 +464,7 @@ def test_benchmark_tracer_charges_a_shared_map_to_its_first_test():
     assert counts["first.map_iters"] > 0
     assert "second.map_iters" not in counts
     for name, cell in zip(names, report.cells):
-        assert counts[f"{name}.outer_iters"] == cell.iterations
-        assert counts[f"{name}.stop_reason"] == cell.stop_reason
+        assert counts[f"{name}.outer_iters"] == cell.outcome.iterations
+        assert counts[f"{name}.stop_reason"] == cell.outcome.stop_reason
         assert (counts[f"{name}.region_inner_iters"]
                 + counts[f"{name}.set_inner_iters"]) == cell.outcome.inner_iterations
