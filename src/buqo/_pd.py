@@ -119,23 +119,19 @@ def project_intersection(
     blocks: list[DualBlock],
     tol: float,
     max_iters: int,
-    duals: list[np.ndarray] | None = None,
-    gamma: float = 1.0,
-    u0: np.ndarray | None = None,
+    duals: list[np.ndarray],
+    gamma: float,
+    u0: np.ndarray,
 ) -> tuple[np.ndarray, list[np.ndarray], bool, int]:
     """Run the primal-dual iteration; returns (point, duals, converged, iters).
 
-    ``duals`` and ``u0`` warm-start the dual and primal variables (inputs
-    are not mutated; fresh arrays are returned). Stops on relative primal
-    change <= tol, with the box projection applied at the last primal step
-    so the output lies in the box exactly.
+    Starts from the primal point P_box(``u0``) and the dual variables
+    ``duals``, a list that the iteration updates in place and that is
+    returned (see :func:`pd_steps`). Stops on relative primal change
+    <= tol, with the box projection applied at the last primal step so
+    the output lies in the box exactly.
     """
-    start = anchor if u0 is None else u0
-    u = project_box(np.asarray(start, dtype=float), box)
-    if duals is None:
-        duals = [b.zero_dual() for b in blocks]
-    else:
-        duals = [np.array(d, copy=True) for d in duals]
+    u = project_box(u0, box)
     steps = pd_steps(u, box, blocks, duals, gamma, anchor)
     converged = False
     it = 0
@@ -145,8 +141,9 @@ def project_intersection(
         # Stop when the estimated distance to the fixed point (geometric
         # tail change * q / (1 - q)) is below tol, not merely the step
         # size: a slowly contracting iteration can satisfy the naive test
-        # while still far from the solution. Iteration 1 is excluded since
-        # zero-initialized duals cannot have acted on the primal yet.
+        # while still far from the solution. Iteration 1 is excluded: from
+        # u0 = anchor - sum A_i* v_i (see WarmProjector) its gradient is
+        # only the box's clip of u0, so its change tells nothing.
         if it >= 2:
             scale = max(np.linalg.norm(u), 1e-300)
             q = min(change / prev_change, 0.999) if prev_change > 0 else 0.0
@@ -161,12 +158,13 @@ def project_intersection(
 class WarmProjector:
     """Projection onto box ∩ {A_i u in C_i}, warm-started across calls.
 
-    Keeps the duals between calls. A call for a new point x starts from
-    the primal point those duals imply for it, P_box(x - sum A_i* v_i),
-    so successive projections along a slowly-moving outer iteration start
-    near their solution. A call iterates to ``tol``, or to a looser
-    per-call tolerance (never a tighter one). ``converged`` is the last
-    call's flag; ``inner_iterations`` sums the calls' iterations and
+    Keeps the duals between calls, zero before the first. Every call for
+    a point x starts from the primal point those duals imply for it,
+    P_box(x - sum A_i* v_i) (P_box(x) at the first call), so successive
+    projections along a slowly-moving outer iteration start near their
+    solution. A call iterates to ``tol``, or to a looser per-call
+    tolerance (never a tighter one). ``converged`` is the last call's
+    flag; ``inner_iterations`` sums the calls' iterations and
     ``unconverged_calls`` counts the calls that stopped at ``max_iters``.
     """
 
@@ -177,7 +175,7 @@ class WarmProjector:
         self.blocks = sset.blocks
         self.tol = tol
         self.max_iters = max_iters
-        self.duals: list[np.ndarray] | None = None
+        self.duals = [b.zero_dual() for b in self.blocks]
         self.converged = True
         self.inner_iterations = 0
         self.unconverged_calls = 0
@@ -185,10 +183,8 @@ class WarmProjector:
     def __call__(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
         tol = self.tol if tol is None else max(self.tol, tol)
         x = np.asarray(x, dtype=float).ravel()
-        u0 = None
-        if self.duals is not None:
-            u0 = x - sum(b.op.adjoint(v) for b, v in zip(self.blocks, self.duals))
-        point, self.duals, self.converged, its = project_intersection(
+        u0 = x - sum(b.op.adjoint(v) for b, v in zip(self.blocks, self.duals))
+        point, _, self.converged, its = project_intersection(
             x, self.box, self.blocks, tol=tol, max_iters=self.max_iters,
             duals=self.duals, gamma=self.gamma, u0=u0)
         self.inner_iterations += its

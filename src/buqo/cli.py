@@ -83,13 +83,19 @@ def _coerce(default, raw):
 
 
 def config_from_dict(values: dict) -> RunConfig:
-    """Build a validated RunConfig from flat keys (dots map to underscores)."""
+    """Build a validated RunConfig from flat keys (dots map to underscores);
+    two keys that map to one field, such as ``map.tol`` and ``map_tol``,
+    are refused."""
     defaults = {f.name: f.default for f in fields(RunConfig)}
-    kwargs = {}
+    kwargs, keys = {}, {}
     for key, raw in values.items():
         name = key.replace(".", "_")
         if name not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
+        if name in keys:
+            raise ConfigError(f"config keys {keys[name]!r} and {key!r} "
+                              f"both set {name!r}")
+        keys[name] = key
         try:
             kwargs[name] = _coerce(defaults[name], raw)
         except ValueError as exc:

@@ -38,13 +38,10 @@ __all__ = [
 
 # the outer loops: alternating projections and forward-backward
 MODES = ("pocs", "fb")
-# forward-backward's step toward the other set, in (0, 1); the default
-# sits on FB_MOMENTUM_MAX_GAMMA, so it takes the momentum
+# forward-backward's step toward the other set, in (0, 1/2]: FISTA's
+# step bound 1/L, with L = 2 the Lipschitz constant of the gradient of
+# 1/2 ||a - b||^2 in the pair (a, b)
 FB_GAMMA = 0.5
-# FISTA's step bound 1/L, with L = 2 the Lipschitz constant of the
-# gradient of 1/2 ||a - b||^2 in the pair (a, b): forward-backward takes
-# momentum only at a gamma up to it
-FB_MOMENTUM_MAX_GAMMA = 0.5
 
 REJECTED = "rejected"
 NOT_REJECTED = "not_rejected"
@@ -196,9 +193,8 @@ def _outer_loop(projectors, step, a, b, tol, max_iters):
     """The outer loop that :func:`run_pocs` and :func:`run_fb_distance` share.
 
     ``projectors`` is the pair (P_C, P_S) of callables and (a, b) the
-    start pair, with a None when the mode has no region iterate before
-    lap 1; ``step(project_region, project_set, a, b)`` returns the next
-    pair. The loop stops when the larger relative change of the two
+    start pair; ``step(project_region, project_set, a, b)`` returns the
+    next pair. The loop stops when the larger relative change of the two
     iterates, or the relative change of the gap delta_k = ||a_k - b_k||,
     falls below ``tol``, on a lap run at full inner tolerance (see
     INEXACT_FACTOR).
@@ -226,10 +222,8 @@ def _outer_loop(projectors, step, a, b, tol, max_iters):
         a_new, b_new = step(*lap, a, b)
         deltas.append(float(np.linalg.norm(a_new - b_new)))
 
-        change = _rel_change(b_new, b)
-        if a is not None:
-            change = max(change, _rel_change(a_new, a))
-        iterate_ok = a is not None and change < tol
+        change = max(_rel_change(a_new, a), _rel_change(b_new, b))
+        iterate_ok = change < tol
         delta_ok = len(deltas) >= 2 and _rel(
             abs(deltas[-1] - deltas[-2]), deltas[-1]) < tol
 
@@ -246,7 +240,8 @@ def _outer_loop(projectors, step, a, b, tol, max_iters):
 def run_pocs(project_region, project_set, x0: np.ndarray,
              tol=RunSettings.outer_tol, max_iters=RunSettings.outer_max_iters):
     """Alternate the projections P_C (``project_region``) and P_S
-    (``project_set``), starting with P_C at ``x0``.
+    (``project_set``), starting with P_C at ``x0``, from the pair
+    (``x0``, ``x0``).
 
     Stops when both relative iterate changes fall below ``tol``, or
     when the relative change of the gap delta_k does, whichever happens
@@ -259,8 +254,9 @@ def run_pocs(project_region, project_set, x0: np.ndarray,
         a = project_region(b)
         return a, project_set(a)
 
-    return _outer_loop((project_region, project_set), step, None, _point(x0),
-                       tol, max_iters)
+    x0 = _point(x0)
+    return _outer_loop((project_region, project_set), step, x0, x0, tol,
+                       max_iters)
 
 
 def run_fb_distance(project_region, project_set, x0_region: np.ndarray,
@@ -271,30 +267,24 @@ def run_fb_distance(project_region, project_set, x0_region: np.ndarray,
     with projections P_C (``project_region``) and P_S (``project_set``).
 
     Starts from the pair (``x0_region``, ``x0_set``). Each side moves a
-    fraction ``gamma`` in (0, 1) toward the other and is projected back;
-    the pair converges to the minimizing pair of the distance problem
-    (alternating projections are the gamma -> 1 limit).
-
-    At a ``gamma`` up to FB_MOMENTUM_MAX_GAMMA the step is FISTA's (Beck
-    and Teboulle 2009): lap k steps from the extrapolated pair
-    z_k + beta_k (z_k - z_{k-1}), with beta_k = (t_k - 1) / t_{k+1} and
-    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 from t_1 = 1, and t goes back
-    to 1 whenever the gap ||a - b|| grows (O'Donoghue and Candes 2015).
-    A larger ``gamma`` takes the plain step, which momentum would make
-    diverge.
+    fraction ``gamma`` in (0, 1/2] toward the other, from FISTA's
+    extrapolated pair (Beck and Teboulle 2009), and is projected back;
+    the pair converges to the minimizing pair of the distance problem.
+    Lap k steps from z_k + beta_k (z_k - z_{k-1}), with
+    beta_k = (t_k - 1) / t_{k+1} and t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2
+    from t_1 = 1, and t goes back to 1 whenever the gap ||a - b|| grows
+    (O'Donoghue and Candes 2015). A ``gamma`` above 1/2, FISTA's step
+    bound, would make the momentum diverge.
     Same return convention and stopping criteria as :func:`run_pocs`.
+    Raises ValueError for a ``gamma`` outside (0, 1/2].
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie strictly between 0 and 1")
-
-    def plain(project_region, project_set, a, b):
-        return (project_region((1.0 - gamma) * a + gamma * b),
-                project_set((1.0 - gamma) * b + gamma * a))
+    if not 0.0 < gamma <= 0.5:
+        raise ValueError(f"gamma must lie in (0, 1/2], got {gamma!r}")
 
     # the previous pair, the momentum sequence t_k and the last gap
     previous, t, gap = None, 1.0, np.inf
 
-    def accelerated(project_region, project_set, a, b):
+    def step(project_region, project_set, a, b):
         nonlocal previous, t, gap
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         ya, yb = a, b
@@ -303,14 +293,14 @@ def run_fb_distance(project_region, project_set, x0_region: np.ndarray,
             ya = a + beta * (a - previous[0])
             yb = b + beta * (b - previous[1])
         previous, t = (a, b), t_next
-        a_new, b_new = plain(project_region, project_set, ya, yb)
+        a_new = project_region((1.0 - gamma) * ya + gamma * yb)
+        b_new = project_set((1.0 - gamma) * yb + gamma * ya)
         new_gap = float(np.linalg.norm(a_new - b_new))
         if new_gap > gap:
-            t = 1.0   # restart: the next lap takes a plain step
+            t = 1.0   # restart: the next lap takes no momentum
         gap = new_gap
         return a_new, b_new
 
-    step = accelerated if gamma <= FB_MOMENTUM_MAX_GAMMA else plain
     return _outer_loop((project_region, project_set), step, _point(x0_region),
                        _point(x0_set), tol, max_iters)
 

@@ -44,15 +44,12 @@ class StructureSpec:
 
 
 def _read_header_line(fh) -> str:
-    chars = bytearray()
-    while True:
-        b = fh.read(1)
-        if not b:
-            raise ValueError("unexpected end of file in header")
-        if b == b"\n":
-            break
-        chars.extend(b)
-    return chars.decode("ascii")
+    """The next line of binary ``fh``, without its newline, as ASCII; a
+    line without a newline raises ValueError, as does a non-ASCII byte."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise ValueError("unexpected end of file in header")
+    return line[:-1].decode("ascii")
 
 
 def write_image(path, image: np.ndarray, rows: int, cols: int) -> None:
@@ -228,9 +225,12 @@ def _key_value_lines(path, first: int = 1):
     """(``path:line``, key, raw value) of each ``key = value`` line from
     line ``first`` on.
 
-    Blank lines and ``#`` comments are skipped; a line without ``=``
-    raises ValueError naming the file and the line.
+    Blank lines and ``#`` comments are skipped; a line without ``=``,
+    and a key given on an earlier line, raise ValueError naming the file
+    and the line. Dots and underscores in a key are one character, as
+    the CLI reads config keys: ``map.tol`` repeats ``map_tol``.
     """
+    seen: dict[str, int] = {}
     with open(path, "r", encoding="ascii") as fh:
         for n, line in enumerate(fh, 1):
             if n < first:
@@ -241,7 +241,12 @@ def _key_value_lines(path, first: int = 1):
             key, sep, raw = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{n}: line without '=': {line!r}")
-            yield f"{path}:{n}", key.strip(), raw.strip()
+            key = key.strip()
+            earlier = seen.setdefault(key.replace(".", "_"), n)
+            if earlier != n:
+                raise ValueError(f"{path}:{n}: repeated key {key!r}, already "
+                                 f"given on line {earlier}")
+            yield f"{path}:{n}", key, raw.strip()
 
 
 def write_outcome(path, outcome: TestOutcome | dict) -> None:

@@ -1,12 +1,16 @@
-"""Closed-form Euclidean projections used by every sub-solver, and the
-sets whose closed-form dual steps the primal-dual solvers take.
+"""The sets whose closed-form dual steps the primal-dual solvers take,
+and closed-form Euclidean projections onto them.
 
 The dual step of the primal-dual iteration for a term f = i_C (the
 indicator of a set C) is the prox of gamma f*. By the Moreau identity it
 is vt - gamma P_C(vt / gamma) = vt - P_{gamma C}(vt): what is left of vt
 after projecting it onto the set scaled by gamma. Each set's
 ``dual_prox(gamma)`` computes that residual directly, with the scaled
-set built once per call. For f = w ||.||_1 (:class:`L1Norm`), f* is the
+set built once per call. The l1-ball projection is that step read back
+through the identity at gamma = 1, P_C(x) = x - dual_prox(1)(x); the
+box and the l2 ball keep their own closed forms, since x minus the
+residual loses digits when the set is small beside x. For
+f = w ||.||_1 (:class:`L1Norm`), f* is the
 indicator of the l-inf ball of radius w, so its dual step is the
 projection onto that ball, for every gamma. A dual step may overwrite
 its argument and return it; ``violation(z)`` is <= 0 on the set, > 0 off it.
@@ -199,15 +203,10 @@ def _l1_threshold(mags: np.ndarray, level: float) -> float:
 def project_l1_levelset(x: np.ndarray, levelset: L1Levelset) -> np.ndarray:
     """Euclidean projection onto the l1 ball of radius ``levelset.level``.
 
-    A soft threshold at the level that makes the l1 norm hit the budget
-    (``_l1_threshold``); points already inside are returned unchanged.
+    Moreau's identity at gamma = 1, x = P_C(x) + (x - P_C(x)), read the
+    other way: the projection is what the dual step
+    ``levelset.dual_prox(1.0)`` leaves of x. The step runs on a copy, so
+    x is not written.
     """
     x = np.asarray(x, dtype=float)
-    beta = levelset.level
-    mags = np.abs(x)
-    if mags.sum() <= beta:
-        return x.copy()
-    if beta == 0.0:
-        return np.zeros_like(x)
-    theta = _l1_threshold(mags, beta)
-    return np.sign(x) * np.maximum(mags - theta, 0.0)
+    return x - levelset.dual_prox(1.0)(x.copy())

@@ -9,6 +9,7 @@ import pytest
 import buqo
 from buqo import io as bio
 from buqo.cli import (
+    ConfigError,
     RunConfig,
     _load_problem,
     config_from_dict,
@@ -85,6 +86,23 @@ def test_config_line_without_equals_is_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
     assert f"{path}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, bad_line", [
+    ("alpha = 0.05\nalpha = 0.2\n", 2),
+    ("map.tol = 1e-6\nrows = 32\nmap_tol = 1e-9\n", 3)])
+def test_repeated_config_key_is_exit_2(tmp_path, capsys, lines, bad_line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(lines)
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    assert f"{path}:{bad_line}: repeated key" in capsys.readouterr().err
+
+
+def test_config_keys_of_one_field_are_refused():
+    with pytest.raises(ConfigError, match="'map.tol' and 'map_tol' both set"):
+        config_from_dict({"map.tol": "1e-6", "map_tol": "1e-9"})
 
 
 @pytest.mark.parametrize("overrides", [
@@ -333,7 +351,8 @@ def test_unparseable_input_file_is_exit_2(tmp_path, capsys, key):
     assert str(garbage) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("defect", ["parameter without '='", "short mask block"])
+@pytest.mark.parametrize("defect", ["parameter without '='", "short mask block",
+                                    "repeated parameter"])
 def test_bad_structure_spec_names_file_and_line(tmp_path, capsys, defect):
     sim = simulated(tmp_path, "sim")
     spec = bright_mask_file(tmp_path)
@@ -341,6 +360,10 @@ def test_bad_structure_spec_names_file_and_line(tmp_path, capsys, defect):
     n_indices = int(lines[1].split()[3])
     if defect == "parameter without '='":
         lines.append("tau")
+        bad_line = len(lines)
+    elif defect == "repeated parameter":
+        # a later value used to win silently
+        lines += ["tau=0.1", "tau=0.5"]
         bad_line = len(lines)
     else:
         # the mask header promises one index more than the block holds,

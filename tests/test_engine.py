@@ -129,21 +129,16 @@ def test_fb_disjoint_disks_distance_one():
     assert deltas[-1] == pytest.approx(1.0, abs=1e-5)
 
 
-def test_fb_gamma_near_one_matches_pocs():
-    a = Disk([0.2, -0.4], 0.7)
-    b = Disk([2.5, 0.3], 0.9)
-    _, _, _, _, d_pocs = run_pocs(a.project, b.project, np.array([2.5, 0.3]),
-                                  tol=1e-10, max_iters=20000)
-    _, _, _, _, d_fb = run_fb_distance(
-        a.project, b.project, np.array([0.2, -0.4]), np.array([2.5, 0.3]),
-        gamma=0.99, tol=1e-10, max_iters=50000)
-    assert abs(d_pocs[-1] - d_fb[-1]) <= 1e-3 * d_pocs[-1]
-
-
 def test_fb_rejects_bad_gamma():
+    # FISTA's momentum needs a step in (0, 1/2]
     a = Disk([0.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        run_fb_distance(a.project, a.project, a.center, a.center, gamma=1.0)
+    for gamma in (0.0, float("nan"), 0.5000001, 0.9, 1.0):
+        with pytest.raises(ValueError, match="gamma"):
+            run_fb_distance(a.project, a.project, a.center, a.center,
+                            gamma=gamma)
+    *_, deltas = run_fb_distance(a.project, a.project, a.center, a.center,
+                                 gamma=0.5)
+    assert deltas[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +413,7 @@ def test_inexact_laps_keep_the_exact_answer_for_fewer_iterations():
 def plain_fb(project_region, project_set, x0_region, x0_set, gamma, tol,
              max_iters):
     """Forward-backward without momentum, driven through the shared outer
-    loop: the step run_fb_distance takes for a gamma above 1/2."""
+    loop: run_fb_distance's step with beta_k = 0 on every lap."""
     def step(project_region, project_set, a, b):
         return (project_region((1.0 - gamma) * a + gamma * b),
                 project_set((1.0 - gamma) * b + gamma * a))
@@ -444,18 +439,6 @@ def fb_runs(problem, mask, gamma, max_iters, inner=None, map_limits=None):
                           gamma=gamma, tol=1e-5, max_iters=max_iters),
                      projectors))
     return runs, x_map, sset.surrogate
-
-
-def test_fb_above_half_gamma_takes_the_plain_step():
-    # momentum needs gamma <= 1/2; above it the iteration is unchanged
-    problem, mask, _ = pipeline_16(seed=52, bright=2.0, sigma2=1e-4)
-    runs, *_ = fb_runs(problem, mask, 0.9, 500,
-                       map_limits=dict(tol=1e-8, max_iters=60000))
-    (a1, b1, it1, stop1, d1, _), (a2, b2, it2, stop2, d2, _) = runs
-    assert it1 == it2 > 2 and stop1 == stop2
-    np.testing.assert_array_equal(a1, a2)
-    np.testing.assert_array_equal(b1, b2)
-    np.testing.assert_array_equal(d1, d2)
 
 
 def test_fb_momentum_takes_fewer_laps_for_the_same_rho():

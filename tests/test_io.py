@@ -130,6 +130,52 @@ def test_structure_spec_mask_header_counts_name_the_line(tmp_path, counts):
         bio.read_structure_spec(path)
 
 
+@pytest.mark.parametrize("reader, header", [
+    (bio.read_image, b"BUQO1 2 2"), (bio.read_measurements, b"BUQOMEAS1 2")])
+def test_header_without_newline_is_refused(tmp_path, reader, header):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match="unexpected end of file in header"):
+        reader(path)
+    path.write_bytes(header.replace(b" ", b"\xff", 1) + b"\n")
+    with pytest.raises(ValueError):
+        reader(path)
+
+
+def test_repeated_key_is_refused_naming_its_line(tmp_path):
+    # a later line used to win silently
+    path = tmp_path / "c.cfg"
+    path.write_text("alpha = 0.05\nrows = 32\nalpha = 0.2\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:3: repeated key 'alpha', already given on line 1")):
+        bio.read_config(path)
+    # dots and underscores are one character: both name the field map_tol
+    path.write_text("map.tol = 1e-6\nmap_tol = 1e-9\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: repeated key 'map_tol', already given on line 1")):
+        bio.read_config(path)
+
+    spec = tmp_path / "s.struct"
+    bio.write_structure_spec(spec, bio.StructureSpec(
+        "localized", PixelMask(4, 4, [5, 6]), {"tau": 0.1}))
+    with open(spec, "a", encoding="ascii") as fh:
+        fh.write("tau=0.5\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{spec}:6: repeated key 'tau', already given on line 5")):
+        bio.read_structure_spec(spec)
+
+    outcome = tmp_path / "o.txt"
+    bio.write_outcome(outcome, {"rho_alpha": 0.5, "distance": 0.1,
+                                "decision": "rejected", "alpha": 0.01,
+                                "eta": 0.03, "iterations": 4,
+                                "stop_reason": "max_iters"})
+    with open(outcome, "a", encoding="ascii") as fh:
+        fh.write("rho_alpha = 0.01\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{outcome}:8: repeated key 'rho_alpha', already given on line 1")):
+        bio.read_outcome(outcome)
+
+
 def test_outcome_round_trip(tmp_path):
     outcome = Outcome(
         rho_alpha=0.123456789, distance=0.5, decision="rejected",

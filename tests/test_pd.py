@@ -71,7 +71,8 @@ def test_projector_dual_step_is_read_at_each_call():
     x = truth + 2.0
     point = projector(x)
     iterations = projector.inner_iterations
-    projector.duals, projector.gamma = None, 1.0
+    projector.duals = [b.zero_dual() for b in projector.blocks]
+    projector.gamma = 1.0
     np.testing.assert_allclose(projector(x), point, rtol=1e-6)
     assert projector.inner_iterations - iterations != iterations
 
@@ -109,16 +110,17 @@ def test_projector_operator_budget_per_iteration():
          x_map, [res_calls]),
     ]
     for projector, x, calls in cases:
-        for warm, point in enumerate((x + 2.0, 0.5 * x + 1.5)):
+        for point in (x + 2.0, 0.5 * x + 1.5):
             for c in calls:
                 c.update(forward=0, adjoint=0)
             before = projector.inner_iterations
             projector(point)
             its = projector.inner_iterations - before
             # one forward (of the extrapolated point) and one adjoint per
-            # iteration; a warm call adds one adjoint for its start point
+            # iteration; every call, the first included, adds one adjoint
+            # for its start point
             for c in calls:
-                assert c == {"forward": its, "adjoint": its + warm}
+                assert c == {"forward": its, "adjoint": its + 1}
 
 
 @pytest.mark.parametrize("kind", ["region", "set"])

@@ -343,7 +343,11 @@ def test_idempotence_all_projections():
     for proj, _ in all_projections(rng, 8):
         for _ in range(20):
             x = rng.standard_normal(8) * 4.0
+            x_before = x.copy()
             once = proj(x)
+            # a projection never writes its input (the l1 one runs a dual
+            # step, which works in place, on a copy)
+            np.testing.assert_array_equal(x, x_before)
             np.testing.assert_allclose(proj(once), once, atol=1e-12)
 
 
