@@ -72,38 +72,6 @@ class RunConfig(RunSettings):
     epsilon: float = 0.0
 
 
-def _coerce(default, raw):
-    """Parse a config-file string as the type of the field's default."""
-    if not isinstance(raw, str):
-        return raw
-    if isinstance(default, tuple):
-        item = type(default[0]) if default else str
-        return tuple(item(v.strip()) for v in raw.split(",") if v.strip())
-    return type(default)(raw)
-
-
-def config_from_dict(values: dict) -> RunConfig:
-    """Build a validated RunConfig from flat keys (dots map to underscores);
-    two keys that map to one field, such as ``map.tol`` and ``map_tol``,
-    are refused."""
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    kwargs, keys = {}, {}
-    for key, raw in values.items():
-        name = key.replace(".", "_")
-        if name not in defaults:
-            raise ConfigError(f"unknown config key {key!r}")
-        if name in keys:
-            raise ConfigError(f"config keys {keys[name]!r} and {key!r} "
-                              f"both set {name!r}")
-        keys[name] = key
-        try:
-            kwargs[name] = _coerce(defaults[name], raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    with _config_errors():
-        return RunConfig(**kwargs)
-
-
 def config_to_dict(cfg: RunConfig, volatile: bool = True) -> dict:
     """Flat dotted-key dict that round-trips through the config file.
 
@@ -134,14 +102,16 @@ def _config_errors():
 
 
 def load_config(args) -> RunConfig:
-    """The config file overridden by the flags, as one validated RunConfig."""
+    """The config file overridden by the flags, as one validated RunConfig;
+    the file's keys are its fields, read by :func:`buqo.io.read_fields`."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     with _config_errors():
-        values = bio.read_config(args.config) if args.config else {}
-    for flag in ("seed", "alpha", "eta", "mode", "out"):
-        if getattr(args, flag, None) is not None:
-            values[flag] = getattr(args, flag)
-    values["command"] = args.command
-    return config_from_dict(values)
+        values = bio.read_fields(args.config, defaults) if args.config else {}
+        for flag in ("seed", "alpha", "eta", "mode", "out"):
+            if getattr(args, flag, None) is not None:
+                values[flag] = getattr(args, flag)
+        values["command"] = args.command
+        return RunConfig(**values)
 
 
 class _AtomicWriter:
@@ -248,8 +218,7 @@ def cmd_test(cfg: RunConfig) -> int:
     problem, rows, cols = _load_problem(cfg)
     with _config_errors():
         structure = bio.read_structure_spec(cfg.structure_file)
-    outcome = run_buqo(problem, structure, rows=rows, cols=cols,
-                       **cfg.keywords())
+    outcome = run_buqo(problem, structure, **cfg.keywords())
     with _AtomicWriter(cfg.out) as writer:
         bio.write_image(writer.path("x_region.img"), outcome.x_region, rows, cols)
         bio.write_image(writer.path("x_set.img"), outcome.x_set, rows, cols)

@@ -347,10 +347,11 @@ def run_buqo(problem: MapProblem, structure, alpha: float = RunSettings.alpha,
     Runs the four stages (MAP estimate, credible region, structure set,
     feasibility loop) and returns the decision with the counter-example
     pair. ``structure`` may be a StructureSet, a PixelMask (treated as a
-    localized structure) or a parsed structure spec; see
-    :func:`~buqo.structure_sets.build_structure_set`. A precomputed MAP
-    estimate can be passed to skip the first stage; the outcome's
-    ``x_map`` holds the estimate used either way, as does the
+    localized structure) or a parsed structure spec on the ``rows`` x
+    ``cols`` grid, by default that of the problem's Db8 transform (else
+    the mask's); see :func:`~buqo.structure_sets.build_structure_set`.
+    A precomputed MAP estimate can be passed to skip the first stage; the
+    outcome's ``x_map`` holds the estimate used either way, as does the
     BuqoError of a test that fails after its map stage. Stage failures are
     re-raised as :class:`BuqoError` with the stage label. ``alpha``,
     ``eta``, ``mode`` and the solver ``limits`` are the
@@ -388,10 +389,9 @@ def _test_stages(problem: MapProblem, structure, x_map: np.ndarray,
 
     with _stage("set"):
         if rows is None or cols is None:
-            side = int(round(np.sqrt(problem.n_pixels)))
-            if side * side != problem.n_pixels:
-                raise ValueError("rows/cols required for non-square grids")
-            rows = cols = side
+            # the grid of the problem's Db8 transform, else of the mask
+            mask = getattr(structure, "mask", structure)
+            rows, cols = problem.psi.grid or (mask.rows, mask.cols)
         sset = build_structure_set(x_map, structure, rows, cols)
 
     with _stage("engine"):

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import TestOutcome
+from .engine import (NOT_REJECTED, REJECTED, STOP_DISTANCE, STOP_ITERATE,
+                     STOP_MAX_ITERS, TestOutcome)
 from .operators import PixelMask, SamplingPattern
-from .structure_sets import STRUCTURE_KINDS
+from .structure_sets import STRUCTURE_KINDS, structure_params
 
 __all__ = [
     "StructureSpec",
@@ -28,7 +29,7 @@ __all__ = [
     "read_measurements", "write_measurements",
     "read_structure_spec", "write_structure_spec",
     "read_outcome", "write_outcome",
-    "read_config", "write_config",
+    "read_config", "write_config", "read_fields",
     "write_manifest",
 ]
 
@@ -177,12 +178,18 @@ def _format_param(value) -> str:
     return str(value)
 
 
-def _parse_param(key: str, raw: str):
-    if key == "kernel_sizes":
-        return tuple(int(v) for v in raw.split(","))
-    if key == "dilation_radius":
-        return int(raw)
-    return float(raw)
+def _parse_value(default, raw: str):
+    """``raw`` as the type of ``default``: a tuple is a comma list of its
+    items' type (strings for an empty tuple), None reads as a float, and
+    a frozenset holds the values ``raw`` may take."""
+    if isinstance(default, tuple):
+        item = type(default[0]) if default else str
+        return tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+    if isinstance(default, frozenset):
+        if raw not in default:
+            raise ValueError(f"expected one of {sorted(default)}, got {raw!r}")
+        return raw
+    return float(raw) if default is None else type(default)(raw)
 
 
 def write_structure_spec(path, spec: StructureSpec) -> None:
@@ -205,20 +212,17 @@ def read_structure_spec(path) -> StructureSpec:
         rows, cols, indices = _read_index_block(
             fh, path, "BUQOMASK1", line=2,
             expected="an embedded BUQOMASK1 block")
-    params = {}
-    for where, key, raw in _key_value_lines(path, first=indices.size + 3):
-        try:
-            params[key] = _parse_param(key, raw)
-        except ValueError as exc:
-            raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
-    name = Path(path).stem
+    params = read_fields(path, structure_params(kind), first=indices.size + 3)
     return StructureSpec(kind=kind, mask=PixelMask(rows, cols, indices),
-                         params=params, name=name)
+                         params=params, name=Path(path).stem)
 
 
-_OUTCOME_KEYS = ("rho_alpha", "distance", "decision", "alpha", "eta",
-                 "iterations", "stop_reason")
-_OUTCOME_TYPES = {"decision": str, "stop_reason": str, "iterations": int}
+# the outcome keys in file order, each with a value of its type
+_OUTCOME = {"rho_alpha": 0.0, "distance": 0.0,
+            "decision": frozenset({REJECTED, NOT_REJECTED}),
+            "alpha": 0.0, "eta": 0.0, "iterations": 0,
+            "stop_reason": frozenset({STOP_ITERATE, STOP_DISTANCE,
+                                      STOP_MAX_ITERS})}
 
 
 def _key_value_lines(path, first: int = 1):
@@ -228,7 +232,7 @@ def _key_value_lines(path, first: int = 1):
     Blank lines and ``#`` comments are skipped; a line without ``=``,
     and a key given on an earlier line, raise ValueError naming the file
     and the line. Dots and underscores in a key are one character, as
-    the CLI reads config keys: ``map.tol`` repeats ``map_tol``.
+    :func:`read_fields` reads keys: ``map.tol`` repeats ``map_tol``.
     """
     seen: dict[str, int] = {}
     with open(path, "r", encoding="ascii") as fh:
@@ -249,24 +253,39 @@ def _key_value_lines(path, first: int = 1):
             yield f"{path}:{n}", key, raw.strip()
 
 
+def read_fields(path, defaults: dict, first: int = 1) -> dict:
+    """``{name: value}`` of the ``key = value`` lines of ``path`` from line
+    ``first`` on: a dot in a key reads as an underscore, and each value
+    parses as the type of its name's entry in ``defaults`` (see
+    :func:`_parse_value`). An unknown key, a repeated key and a value
+    that does not parse raise ValueError naming ``path:line``."""
+    values = {}
+    for where, key, raw in _key_value_lines(path, first):
+        name = key.replace(".", "_")
+        if name not in defaults:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        try:
+            values[name] = _parse_value(defaults[name], raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
+    return values
+
+
 def write_outcome(path, outcome: TestOutcome | dict) -> None:
     """One ``key = value`` line per outcome key, from a TestOutcome or
     from the dict :func:`read_outcome` returns (same bytes for both)."""
     if isinstance(outcome, TestOutcome):
-        outcome = {key: getattr(outcome, key) for key in _OUTCOME_KEYS}
+        outcome = {key: getattr(outcome, key) for key in _OUTCOME}
     with open(path, "w", encoding="ascii") as fh:
-        for key in _OUTCOME_KEYS:
+        for key in _OUTCOME:
             fh.write(f"{key} = {_format_param(outcome[key])}\n")
 
 
 def read_outcome(path) -> dict:
-    values: dict = {}
-    for where, key, raw in _key_value_lines(path):
-        try:
-            values[key] = _OUTCOME_TYPES.get(key, float)(raw)
-        except ValueError as exc:
-            raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
-    missing = [k for k in _OUTCOME_KEYS if k not in values]
+    """The outcome's values by key; a key missing, unknown or repeated,
+    or a decision or stop reason the engine does not give, is refused."""
+    values = read_fields(path, _OUTCOME)
+    missing = [k for k in _OUTCOME if k not in values]
     if missing:
         raise ValueError(f"{path}: outcome file missing keys {missing}")
     return values

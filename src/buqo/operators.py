@@ -42,7 +42,8 @@ class LinearMap:
     them to complex data (``complex_output``), and on R^N x C^M the
     identity is Re<A u, v> = <u, A* v>, so their adjoint returns a real
     image. ``norm_bound`` is an upper bound on the spectral norm, used by
-    the solvers' step-size conditions.
+    the solvers' step-size conditions. ``grid`` is the (rows, cols) image
+    grid of the input, for a map built on one (the Db8 transform).
     """
 
     in_dim: int
@@ -51,6 +52,7 @@ class LinearMap:
     adjoint: Callable[[np.ndarray], np.ndarray]
     norm_bound: float | None = None
     complex_output: bool = False
+    grid: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -384,7 +386,7 @@ def db8_analysis(rows: int, cols: int, levels: int) -> LinearMap:
             a[:r, :c] = _dwt_level(r).T @ a[:r, :c] @ _dwt_level(c)
         return a.ravel()
 
-    return LinearMap(n, n, forward, adjoint, norm_bound=1.0)
+    return LinearMap(n, n, forward, adjoint, norm_bound=1.0, grid=(rows, cols))
 
 
 # ---------------------------------------------------------------------------

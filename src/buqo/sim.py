@@ -109,14 +109,16 @@ def sampling_pattern(kind: str, rows: int, cols: int, ratio: float,
                      seed: int) -> SamplingPattern:
     """Single-coil pattern of ``kind``, "gaussian" or "cartesian", at ``ratio``.
 
-    Raises ValueError for an unknown kind or a ratio outside (0, 1].
+    A Cartesian pattern samples full rows: ``round(ratio * rows)`` of
+    them. Raises ValueError for an unknown kind or a ratio outside (0, 1].
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
     if kind == "gaussian":
         return gaussian_random_pattern(rows, cols, ratio, seed)
     if kind == "cartesian":
-        return cartesian_pattern(rows, cols, phase_factor=1.0 / ratio)
+        return cartesian_pattern(rows, cols, freq_factor=1.0,
+                                 phase_factor=1.0 / ratio)
     raise ValueError(f"unknown pattern kind {kind!r}")
 
 
@@ -454,8 +456,7 @@ def run_grid(spec: ExperimentSpec) -> GridReport:
                     if problem is None:
                         problem = build_problem(spec, truth, ratio, sigma2,
                                                 pattern_seed, noise_seed)
-                    cell.outcome = run_buqo(problem, structure, rows=spec.rows,
-                                            cols=spec.cols, x_map=x_map,
+                    cell.outcome = run_buqo(problem, structure, x_map=x_map,
                                             **spec.keywords())
                     x_map = cell.outcome.x_map
                 except Exception as exc:

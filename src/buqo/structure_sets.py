@@ -10,6 +10,7 @@ with the structure replaced, a canonical member of the set.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Sequence
@@ -37,6 +38,7 @@ __all__ = [
     "build_localized_set",
     "build_background_set",
     "build_structure_set",
+    "structure_params",
     "background_mask",
     "project_background",
 ]
@@ -221,17 +223,17 @@ def build_background_set(x_map: np.ndarray, rows: int, cols: int,
                          surrogate=surrogate)
 
 
-# kind -> builder; the builders are looked up when called, so rebinding
-# one (e.g. with a tracing wrapper) takes effect. An empty background
-# mask means "derive it from the MAP estimate".
-_BUILDERS = {
-    "localized": lambda x_map, mask, rows, cols, **params:
-        build_localized_set(x_map, mask, **params),
-    "background": lambda x_map, mask, rows, cols, **params:
-        build_background_set(x_map, rows, cols, mask=mask if mask and
-                             mask.n_selected else None, **params),
-}
-STRUCTURE_KINDS = tuple(_BUILDERS)
+STRUCTURE_KINDS = ("localized", "background")
+
+
+def structure_params(kind: str) -> dict:
+    """The parameters a spec of ``kind`` may set, with their defaults:
+    its builder's keyword parameters other than ``mask``."""
+    builder = {"localized": build_localized_set,
+               "background": build_background_set}[kind]
+    params = inspect.signature(builder).parameters.values()
+    return {p.name: p.default for p in params
+            if p.default is not p.empty and p.name != "mask"}
 
 
 def build_structure_set(x_map: np.ndarray, spec, rows: int,
@@ -252,10 +254,15 @@ def build_structure_set(x_map: np.ndarray, spec, rows: int,
         return spec
     if isinstance(spec, PixelMask):
         return build_localized_set(x_map, spec)
-    if spec.kind not in _BUILDERS:
-        raise ValueError(f"unknown structure kind {spec.kind!r}")
-    return _BUILDERS[spec.kind](x_map, mask, rows, cols,
-                                **(getattr(spec, "params", None) or {}))
+    # named at each call, so a rebound builder (a tracing wrapper) is used
+    params = getattr(spec, "params", None) or {}
+    if spec.kind == "localized":
+        return build_localized_set(x_map, mask, **params)
+    if spec.kind == "background":
+        # an empty background mask means "derive it from the MAP estimate"
+        return build_background_set(x_map, rows, cols, mask=mask if
+                                    mask.n_selected else None, **params)
+    raise ValueError(f"unknown structure kind {spec.kind!r}")
 
 
 def project_background(sset: BackgroundSet, x: np.ndarray) -> np.ndarray:

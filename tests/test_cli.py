@@ -9,11 +9,11 @@ import pytest
 import buqo
 from buqo import io as bio
 from buqo.cli import (
-    ConfigError,
     RunConfig,
     _load_problem,
-    config_from_dict,
+    build_parser,
     config_to_dict,
+    load_config,
     main,
 )
 from buqo.operators import PixelMask
@@ -53,16 +53,19 @@ def test_config_round_trip_through_file(tmp_path):
                     inner_tol=1e-9, inner_max_iters=4321)
     path = tmp_path / "c.cfg"
     bio.write_config(path, config_to_dict(cfg))
-    raw = {k.replace(".", "_"): v for k, v in bio.read_config(path).items()}
-    back = config_from_dict(raw)
+    back = load_config(build_parser().parse_args(
+        ["simulate", "--config", str(path)]))
     back.command = cfg.command
     assert back == cfg
 
 
-def test_unknown_config_key_is_exit_2(tmp_path):
+def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text("no_such_key = 1\n")
-    assert main(["simulate", "--config", str(path)]) == 2
+    path.write_text("rows = 32\nno_such_key = 1\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{path}:2: unknown key 'no_such_key'" in capsys.readouterr().err
 
 
 def test_bad_alpha_is_exit_2(tmp_path):
@@ -100,11 +103,6 @@ def test_repeated_config_key_is_exit_2(tmp_path, capsys, lines, bad_line):
     assert f"{path}:{bad_line}: repeated key" in capsys.readouterr().err
 
 
-def test_config_keys_of_one_field_are_refused():
-    with pytest.raises(ConfigError, match="'map.tol' and 'map_tol' both set"):
-        config_from_dict({"map.tol": "1e-6", "map_tol": "1e-9"})
-
-
 @pytest.mark.parametrize("overrides", [
     {"pattern.kind": "spiral"}, {"pattern.kind": "multicoil"}, {"ratio": 1.5},
     {"rows": 16}, {"sigma2": 0}, {"pattern.kind": "cartesian", "ratio": 0},
@@ -140,9 +138,9 @@ def test_simulate_writes_files_and_is_deterministic(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_half), "--out", str(out3)]) == 0
     meta = bio.read_config(out3 / "metadata.txt")
     assert int(meta["n.measurements"]) == 512
-    loaded = config_from_dict({"sigma2": "1e-4",
-                               "measurements": str(out3 / "measurements.meas"),
-                               "pattern_file": str(out3 / "pattern.freq")})
+    loaded = RunConfig(sigma2=1e-4,
+                       measurements=str(out3 / "measurements.meas"),
+                       pattern_file=str(out3 / "pattern.freq"))
     problem, _, _ = _load_problem(loaded)
     assert float(meta["epsilon"]) == problem.epsilon
     # ... and the one a grid cell at (0.5, sigma2) uses
@@ -173,9 +171,9 @@ def test_map_command_writes_estimate(tmp_path, capsys):
     diag = bio.read_config(map_out / "map_diagnostics.txt")
     assert float(diag["feasibility.gap"]) <= 1e-6 * 10
     # the dual step is the scale rule's, written exactly and printed
-    problem, _, _ = _load_problem(config_from_dict({
-        "sigma2": "1e-4", "measurements": str(sim_out / "measurements.meas"),
-        "pattern_file": str(sim_out / "pattern.freq"), "levels": "2"}))
+    problem, _, _ = _load_problem(RunConfig(
+        sigma2=1e-4, measurements=str(sim_out / "measurements.meas"),
+        pattern_file=str(sim_out / "pattern.freq"), levels=2))
     x0 = np.maximum(problem.phi.adjoint(problem.data), 0.0)
     gamma = float(diag["gamma"])
     assert gamma == 8.0 * np.sqrt(problem.psi.out_dim) / np.linalg.norm(x0)
@@ -230,6 +228,16 @@ def test_full_test_command_and_report_round_trip(tmp_path, capsys):
     assert ((rep_out / "report_outcome.txt").read_bytes()
             == (test_out / "outcome.txt").read_bytes())
 
+    # a key the outcome file does not have is refused, not dropped
+    extra = tmp_path / "extra.txt"
+    extra.write_text((test_out / "outcome.txt").read_text() + "bogus = 7\n")
+    cfg4 = write_cfg(tmp_path, name="extra.cfg", **{"outcome.file": str(extra)})
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg4),
+                 "--out", str(tmp_path / "rep2")]) == 2
+    assert not (tmp_path / "rep2").exists()
+    assert f"{extra}:8: unknown key 'bogus'" in capsys.readouterr().err
+
 
 def test_stage_exit_codes(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
@@ -259,18 +267,21 @@ def test_stage_exit_codes(tmp_path, capsys):
     code = main(["test", "--config", str(cfg_bad_set),
                  "--out", str(tmp_path / "s")])
     assert code == 5
-    # set stage: a spec key the localized builder does not take
+    # a spec key the localized builder does not take: a config error
+    # naming the line, not a set-stage error after the MAP solve
     typo_spec = bio.read_structure_spec(struct)
     typo_spec.params["tua"] = 0.05
     typo_path = tmp_path / "typo.struct"
     bio.write_structure_spec(typo_path, typo_spec)
+    typo_line = typo_path.read_text().splitlines().index("tua=0.05") + 1
     cfg_typo = write_cfg(tmp_path, name="k.cfg",
                          **{**base, "structure.file": str(typo_path)})
     capsys.readouterr()
     code = main(["test", "--config", str(cfg_typo),
                  "--out", str(tmp_path / "k")])
-    assert code == 5
-    assert "'tua'" in capsys.readouterr().err
+    assert code == 2
+    assert not (tmp_path / "k").exists()
+    assert f"{typo_path}:{typo_line}: unknown key 'tua'" in capsys.readouterr().err
     # map stage from `buqo map`: a tolerance no solve can meet, refused
     # before iterating
     cfg_bad_tol = write_cfg(tmp_path, name="t.cfg", **{**base, "map.tol": 0})
@@ -352,7 +363,8 @@ def test_unparseable_input_file_is_exit_2(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("defect", ["parameter without '='", "short mask block",
-                                    "repeated parameter"])
+                                    "repeated parameter", "unknown parameter",
+                                    "background parameter"])
 def test_bad_structure_spec_names_file_and_line(tmp_path, capsys, defect):
     sim = simulated(tmp_path, "sim")
     spec = bright_mask_file(tmp_path)
@@ -365,6 +377,12 @@ def test_bad_structure_spec_names_file_and_line(tmp_path, capsys, defect):
         # a later value used to win silently
         lines += ["tau=0.1", "tau=0.5"]
         bad_line = len(lines)
+    elif defect in ("unknown parameter", "background parameter"):
+        # a key the localized builder does not take used to fail only
+        # after the MAP solve
+        lines.append("bogus=1.0" if defect == "unknown parameter"
+                     else "vartheta=0.01")
+        bad_line = len(lines)
     else:
         # the mask header promises one index more than the block holds,
         # so the parameter line is read as an index
@@ -375,11 +393,13 @@ def test_bad_structure_spec_names_file_and_line(tmp_path, capsys, defect):
                     measurements=str(sim / "measurements.meas"),
                     **{"pattern.file": str(sim / "pattern.freq"),
                        "structure.file": str(spec)})
+    grid_cfg = write_cfg(tmp_path, name="g.cfg", structures=str(spec))
     out = tmp_path / "out"
-    capsys.readouterr()
-    assert main(["test", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not out.exists()
-    assert f"{spec}:{bad_line}:" in capsys.readouterr().err
+    for command, config in (("test", cfg), ("grid", grid_cfg)):
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{spec}:{bad_line}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides", [

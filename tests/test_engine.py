@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,16 +264,19 @@ def test_run_buqo_takes_a_prebuilt_structure_set():
     assert prebuilt.decision == from_mask.decision
 
 
-def test_run_buqo_needs_rows_and_cols_on_a_non_square_grid():
+def test_run_buqo_reads_a_non_square_grid_without_rows_and_cols():
     problem, _ = small_map_problem(seed=34, rows=4, cols=8)
     mask = PixelMask(4, 8, [10, 11])
     settings = dict(alpha=0.1, outer_max_iters=5, inner_max_iters=50)
-    with pytest.raises(BuqoError) as err:
-        run_buqo(problem, mask, **settings)
-    assert err.value.stage == "set"
-    assert "rows/cols" in str(err.value)
-    # the grid is all the test lacked
-    run_buqo(problem, mask, rows=4, cols=8, x_map=err.value.x_map, **settings)
+    explicit = run_buqo(problem, mask, rows=4, cols=8, **settings)
+    # the grid of the Db8 transform, or of the mask for an analysis
+    # operator that records none
+    bare = replace(problem, psi=replace(problem.psi, grid=None))
+    for implicit in (run_buqo(problem, mask, **settings),
+                     run_buqo(bare, mask, **settings)):
+        assert implicit.rho_alpha == explicit.rho_alpha
+        assert implicit.iterations == explicit.iterations
+        np.testing.assert_array_equal(implicit.x_set, explicit.x_set)
 
 
 def test_undersized_theta_is_refused_not_widened():

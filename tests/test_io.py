@@ -5,7 +5,12 @@ import pytest
 
 from buqo import io as bio
 from buqo.engine import TestOutcome as Outcome
-from buqo.operators import PixelMask, SamplingPattern
+from buqo.operators import INPAINT_KERNEL_SIZES, PixelMask, SamplingPattern
+from buqo.structure_sets import (
+    BACKGROUND_DILATION_RADIUS,
+    BACKGROUND_THRESHOLD_FRAC,
+    structure_params,
+)
 
 
 def test_image_round_trip_exact(tmp_path):
@@ -63,7 +68,7 @@ def test_structure_spec_round_trip(tmp_path):
     spec = bio.StructureSpec(
         kind="localized",
         mask=PixelMask(8, 8, [18, 19]),
-        params={"kernel_sizes": (3, 7, 11), "vartheta": 0.01},
+        params={"kernel_sizes": (3, 7, 11), "tau": 0.01},
     )
     path = tmp_path / "s.struct"
     bio.write_structure_spec(path, spec)
@@ -71,8 +76,31 @@ def test_structure_spec_round_trip(tmp_path):
     assert back.kind == "localized"
     np.testing.assert_array_equal(back.mask.indices, spec.mask.indices)
     assert back.params["kernel_sizes"] == (3, 7, 11)
-    assert back.params["vartheta"] == 0.01
+    assert back.params["tau"] == 0.01
     assert back.name == "s"
+
+
+@pytest.mark.parametrize("kind, expected, values", [
+    ("localized",
+     {"kernel_sizes": INPAINT_KERNEL_SIZES, "tau": None, "theta": None},
+     {"kernel_sizes": (3, 5), "tau": 0.25, "theta": 1.5}),
+    ("background",
+     {"threshold_frac": BACKGROUND_THRESHOLD_FRAC,
+      "dilation_radius": BACKGROUND_DILATION_RADIUS, "vartheta": 1e-2},
+     {"threshold_frac": 0.01, "dilation_radius": 3, "vartheta": 0.02})])
+def test_structure_params_are_the_builders_keywords(tmp_path, kind, expected,
+                                                     values):
+    # a spec may set exactly its builder's keywords other than the mask
+    assert structure_params(kind) == expected
+    path = tmp_path / "s.struct"
+    bio.write_structure_spec(path, bio.StructureSpec(
+        kind, PixelMask(8, 8, [18, 19]), params=values))
+    back = bio.read_structure_spec(path).params
+    assert back == values
+    assert {k: type(v) for k, v in back.items()} == {
+        k: type(v) for k, v in values.items()}
+    if kind == "localized":
+        assert all(type(size) is int for size in back["kernel_sizes"])
 
 
 def test_structure_spec_background_empty_mask(tmp_path):
@@ -190,6 +218,48 @@ def test_outcome_round_trip(tmp_path):
     assert values["decision"] == "rejected"
     assert values["iterations"] == 42
     assert values["stop_reason"] == "iterate_change"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bogus = 7", "unknown key 'bogus'"),
+    ("decision = maybe", "bad value for 'decision'"),
+    ("stop_reason = converged", "bad value for 'stop_reason'"),
+    ("iterations = 4.5", "bad value for 'iterations'")])
+def test_outcome_values_are_checked_naming_their_line(tmp_path, line,
+                                                       message):
+    path = tmp_path / "o.txt"
+    values = {"rho_alpha": 0.5, "distance": 0.1, "decision": "rejected",
+              "alpha": 0.01, "eta": 0.03, "iterations": 4,
+              "stop_reason": "max_iters"}
+    bio.write_outcome(path, values)
+    assert bio.read_outcome(path) == values
+    key = line.split(" = ")[0]
+    lines = [text for text in path.read_text().splitlines()
+             if not text.startswith(f"{key} ")] + [line]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{len(lines)}: {message}")):
+        bio.read_outcome(path)
+
+
+@pytest.mark.parametrize("kind", ["config", "structure spec"])
+def test_unknown_key_is_refused_naming_its_line(tmp_path, kind):
+    # the outcome file's case is in the test above
+    path = tmp_path / "f.txt"
+    if kind == "config":
+        bio.write_config(path, {"rows": 32, "map.tol": 1e-6})
+        read = lambda: bio.read_fields(path, {"rows": 64, "map_tol": 1e-4})
+    else:
+        bio.write_structure_spec(path, bio.StructureSpec(
+            "localized", PixelMask(4, 4, [5, 6]), {"tau": 0.1}))
+        read = lambda: bio.read_structure_spec(path)
+    assert read()
+    n = len(path.read_text().splitlines())
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("tua = 0.05\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{n + 1}: unknown key 'tua'")):
+        read()
 
 
 def test_outcome_missing_keys_rejected(tmp_path):

@@ -109,10 +109,12 @@ def test_cartesian_defaults_match_published_count():
 
 @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
 def test_sampling_pattern_cartesian_undersamples_the_phase_axis(ratio):
+    # the ratio is the sampled share of the lines, full rows of the grid
     p = sampling_pattern("cartesian", 32, 48, ratio, seed=9)
-    q = cartesian_pattern(32, 48, phase_factor=1.0 / ratio)
+    q = cartesian_pattern(32, 48, freq_factor=1.0, phase_factor=1.0 / ratio)
     assert (p.rows, p.cols) == (32, 48)
     np.testing.assert_array_equal(p.indices, q.indices)
+    assert p.n_selected == round(ratio * 32) * 48
 
 
 # ---------------------------------------------------------------------------
