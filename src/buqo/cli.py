@@ -176,7 +176,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_problem(cfg: RunConfig) -> tuple[MapProblem, int, int]:
+def _load_problem(cfg: RunConfig) -> MapProblem:
     if not cfg.measurements or not cfg.pattern_file:
         raise ConfigError("map/test need 'measurements' and 'pattern.file' paths")
     # measurements that do not fit the pattern are a config error too
@@ -190,15 +190,15 @@ def _load_problem(cfg: RunConfig) -> tuple[MapProblem, int, int]:
             _, epsilon = sample_noise(cfg.sigma2, pattern.rows * pattern.cols,
                                       phi.out_dim)
         psi = db8_analysis(pattern.rows, pattern.cols, cfg.levels)
-        return MapProblem(phi, psi, y, epsilon), pattern.rows, pattern.cols
+        return MapProblem(phi, psi, y, epsilon)
 
 
 def cmd_map(cfg: RunConfig) -> int:
     """Compute and write the MAP estimate for stored measurements."""
-    problem, rows, cols = _load_problem(cfg)
+    problem = _load_problem(cfg)
     x_map, diag = cfg.map_estimate(problem)
     with _AtomicWriter(cfg.out) as writer:
-        bio.write_image(writer.path("x_map.img"), x_map, rows, cols)
+        bio.write_image(writer.path("x_map.img"), x_map, *problem.grid)
         bio.write_config(writer.path("map_diagnostics.txt"), {
             "iterations": diag.iterations,
             "feasibility.gap": diag.feasibility_gap,
@@ -215,13 +215,13 @@ def cmd_test(cfg: RunConfig) -> int:
     """Run the four-stage hypothesis test and write the outcome files."""
     if not cfg.structure_file:
         raise ConfigError("test needs a 'structure.file' path")
-    problem, rows, cols = _load_problem(cfg)
+    problem = _load_problem(cfg)
     with _config_errors():
         structure = bio.read_structure_spec(cfg.structure_file)
     outcome = run_buqo(problem, structure, **cfg.keywords())
     with _AtomicWriter(cfg.out) as writer:
-        bio.write_image(writer.path("x_region.img"), outcome.x_region, rows, cols)
-        bio.write_image(writer.path("x_set.img"), outcome.x_set, rows, cols)
+        bio.write_image(writer.path("x_region.img"), outcome.x_region, *problem.grid)
+        bio.write_image(writer.path("x_set.img"), outcome.x_set, *problem.grid)
         bio.write_outcome(writer.path("outcome.txt"), outcome)
     print(outcome.narrative)
     return 0

@@ -16,7 +16,6 @@ import numpy as np
 
 from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector, residual
 from .map_solver import FEASIBILITY_SLACK, MapProblem
-from .operators import LinearMap
 from .prox import NONNEGATIVE, IntervalBox, L1Levelset, L2Ball
 
 __all__ = [
@@ -61,28 +60,23 @@ def compute_epsilon_bound(sigma: float, m: int) -> float:
 
 @dataclass
 class CredibleRegion:
-    """Convex credible region defined by box, data ball and l1 level set."""
+    """Convex credible region of the observation ``problem``: the box, the
+    data ball of its Phi, y and epsilon and the l1 level set of its Psi."""
 
     alpha: float
     tau_alpha: float
     eta_tilde: float
     lam: float
-    epsilon: float
     x_map: np.ndarray = field(repr=False)
-    phi: LinearMap = field(repr=False)
-    psi: LinearMap = field(repr=False)
-    data: np.ndarray = field(repr=False)
+    problem: MapProblem = field(repr=False)
     box: ClassVar[IntervalBox] = NONNEGATIVE
-
-    @property
-    def n_pixels(self) -> int:
-        return self.phi.in_dim
 
     @property
     def blocks(self) -> list[DualBlock]:
         """The l1 level set of Psi x and the data ball of Phi x."""
-        return [DualBlock(self.psi, L1Levelset(self.eta_tilde / self.lam)),
-                DualBlock(self.phi, L2Ball(self.data, self.epsilon))]
+        p = self.problem
+        return [DualBlock(p.psi, L1Levelset(self.eta_tilde / self.lam)),
+                DualBlock(p.phi, L2Ball(p.data, p.epsilon))]
 
     def residual(self, x: np.ndarray) -> float:
         """Worst violation of x of the box and of ``blocks`` (0 inside)."""
@@ -129,10 +123,7 @@ def build_region(x_map: np.ndarray, lam: float, alpha: float,
         tau_alpha=tau,
         eta_tilde=eta,
         lam=lam,
-        epsilon=problem.epsilon,
         x_map=x_map,
-        phi=problem.phi,
-        psi=problem.psi,
-        data=problem.data,
+        problem=problem,
     )
 

@@ -347,9 +347,9 @@ def run_buqo(problem: MapProblem, structure, alpha: float = RunSettings.alpha,
     Runs the four stages (MAP estimate, credible region, structure set,
     feasibility loop) and returns the decision with the counter-example
     pair. ``structure`` may be a StructureSet, a PixelMask (treated as a
-    localized structure) or a parsed structure spec on the ``rows`` x
-    ``cols`` grid, by default that of the problem's Db8 transform (else
-    the mask's); see :func:`~buqo.structure_sets.build_structure_set`.
+    localized structure) or a parsed structure spec on ``problem.grid``
+    (else on its own); see :func:`~buqo.structure_sets.build_structure_set`.
+    ``rows`` and ``cols``, if given, are only checked against that grid.
     A precomputed MAP estimate can be passed to skip the first stage; the
     outcome's ``x_map`` holds the estimate used either way, as does the
     BuqoError of a test that fails after its map stage. Stage failures are
@@ -358,7 +358,7 @@ def run_buqo(problem: MapProblem, structure, alpha: float = RunSettings.alpha,
     :class:`RunSettings` fields (defaults for those left out; a record
     passes them all as ``**settings.keywords()``), checked before any
     solve starts: ``alpha`` first, against the grid size, as a "region"
-    error.
+    error, and the grids last, as a "set" error.
     """
     with _stage("region"):
         compute_tau_alpha(alpha, problem.n_pixels)
@@ -366,14 +366,24 @@ def run_buqo(problem: MapProblem, structure, alpha: float = RunSettings.alpha,
         settings = RunSettings(alpha=alpha, eta=eta, mode=mode, **limits)
     except ValueError as exc:
         raise BuqoError("engine", str(exc)) from exc
+    with _stage("set"):
+        mask = getattr(structure, "mask", structure)
+        grid = problem.grid or (mask.rows, mask.cols)
+        for name, other in (("structure mask", (mask.rows, mask.cols)),
+                            ("rows x cols", (rows or grid[0], cols or grid[1]))):
+            if other != grid:
+                raise ValueError("{} is on a {}x{} grid, the problem on {}x{}"
+                                 .format(name, *other, *grid))
+        if mask.n_pixels != problem.n_pixels:
+            raise ValueError(f"structure mask is on a {mask.rows}x{mask.cols} "
+                             f"grid, the problem has {problem.n_pixels} pixels")
 
     with _stage("map"):
         if x_map is None:
             x_map, _ = settings.map_estimate(problem)
         lam = compute_lambda(x_map, problem.psi)
     try:
-        return _test_stages(problem, structure, x_map, lam, settings, rows,
-                            cols, gamma)
+        return _test_stages(problem, structure, x_map, lam, settings, gamma)
     except BuqoError as exc:
         # another structure seen in the same reconstruction can reuse it
         exc.x_map = x_map
@@ -381,18 +391,13 @@ def run_buqo(problem: MapProblem, structure, alpha: float = RunSettings.alpha,
 
 
 def _test_stages(problem: MapProblem, structure, x_map: np.ndarray,
-                 lam: float, settings: RunSettings, rows: int | None,
-                 cols: int | None, gamma: float) -> TestOutcome:
+                 lam: float, settings: RunSettings, gamma: float) -> TestOutcome:
     """The region, set and engine stages of :func:`run_buqo`."""
     with _stage("region"):
         region = build_region(x_map, lam, settings.alpha, problem)
 
     with _stage("set"):
-        if rows is None or cols is None:
-            # the grid of the problem's Db8 transform, else of the mask
-            mask = getattr(structure, "mask", structure)
-            rows, cols = problem.psi.grid or (mask.rows, mask.cols)
-        sset = build_structure_set(x_map, structure, rows, cols)
+        sset = build_structure_set(x_map, structure)
 
     with _stage("engine"):
         inner = dict(tol=settings.inner_tol, max_iters=settings.inner_max_iters)

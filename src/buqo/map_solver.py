@@ -30,7 +30,8 @@ FEASIBILITY_SLACK = 1e-6
 
 @dataclass
 class MapProblem:
-    """Data-fit ball and analysis operator for one problem."""
+    """One observation: data-fit ball, analysis operator and the image
+    ``grid`` that Phi or Psi records (None when neither does)."""
 
     phi: LinearMap
     psi: LinearMap
@@ -47,6 +48,13 @@ class MapProblem:
             raise ValueError("data length does not match the operator")
         if self.phi.in_dim != self.psi.in_dim:
             raise ValueError("phi and psi act on different image spaces")
+        if self.phi.grid and self.psi.grid and self.phi.grid != self.psi.grid:
+            raise ValueError("phi is on a {}x{} grid, psi on {}x{}".format(
+                *self.phi.grid, *self.psi.grid))
+
+    @property
+    def grid(self) -> tuple[int, int] | None:
+        return self.phi.grid or self.psi.grid
 
     @property
     def n_pixels(self) -> int:

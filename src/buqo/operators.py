@@ -43,7 +43,7 @@ class LinearMap:
     identity is Re<A u, v> = <u, A* v>, so their adjoint returns a real
     image. ``norm_bound`` is an upper bound on the spectral norm, used by
     the solvers' step-size conditions. ``grid`` is the (rows, cols) image
-    grid of the input, for a map built on one (the Db8 transform).
+    grid of the input, for a map built on one (Fourier and Db8 maps).
     """
 
     in_dim: int
@@ -253,7 +253,7 @@ def masked_dft(pattern: SamplingPattern) -> LinearMap:
         return np.fft.irfft(half, n=cols, axis=1, norm="ortho").ravel()
 
     return LinearMap(rows * cols, m, forward, adjoint, norm_bound=1.0,
-                     complex_output=True)
+                     complex_output=True, grid=(rows, cols))
 
 
 def multicoil_map(patterns: Sequence[SamplingPattern],
@@ -310,7 +310,7 @@ def multicoil_map(patterns: Sequence[SamplingPattern],
         return acc
 
     return LinearMap(n, m_total, forward, adjoint, norm_bound=bound,
-                     complex_output=True)
+                     complex_output=True, grid=(rows, cols))
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,9 @@ class ExperimentSpec(RunSettings):
     the inherited RunSettings (``alpha``, ``eta``, ``mode`` and the
     solver limits), checked as RunSettings checks them. Empty or bad
     grid axes, two cells that would share a name (axis values equal
-    under the table's ``:g`` format, or two structures of one name) and
-    an ``alpha`` outside the concentration bound's validity interval at
+    under the table's ``:g`` format, or two structures of one name), a
+    structure whose mask is on another grid than rows x cols and an
+    ``alpha`` outside the concentration bound's validity interval at
     rows x cols pixels raise ValueError too.
     """
 
@@ -316,6 +317,13 @@ class ExperimentSpec(RunSettings):
         if not all(0 < v < np.inf for v in self.noise_variances):
             raise ValueError("noise variances must be positive and finite")
         compute_tau_alpha(self.alpha, self.rows * self.cols)
+        for name, structure in zip(_structure_names(self.structures),
+                                   self.structures):
+            mask = getattr(structure, "mask", structure)
+            if (mask.rows, mask.cols) != (self.rows, self.cols):
+                raise ValueError(
+                    f"structure {name!r} is on a {mask.rows}x{mask.cols} "
+                    f"grid, the experiment on {self.rows}x{self.cols}")
         # a cell's name joins its three labels (see GridCell.tag)
         for axis, labels in (
                 ("sampling ratio", [f"{r:g}" for r in self.sampling_ratios]),

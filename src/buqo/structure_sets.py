@@ -203,13 +203,17 @@ def build_background_set(x_map: np.ndarray, rows: int, cols: int,
     """Structure-absent set for the low-intensity background.
 
     The background mask is derived from the MAP estimate (threshold then
-    disk dilation) unless given explicitly. Members keep their masked
+    disk dilation) unless given explicitly; a given mask on another grid
+    than rows x cols raises ValueError. Members keep their masked
     pixels in [0, vartheta ||M(x)||_2 / N_M] and are nonnegative; the
     surrogate zeroes the background of the MAP estimate.
     """
     x_map = np.asarray(x_map, dtype=float).ravel()
     if x_map.size != rows * cols:
         raise ValueError("MAP estimate does not match the grid")
+    if mask is not None and (mask.rows, mask.cols) != (rows, cols):
+        raise ValueError(f"background mask is on a {mask.rows}x{mask.cols} "
+                         f"grid, the image on {rows}x{cols}")
     if mask is None:
         mask = background_mask(x_map, rows, cols, threshold_frac,
                                dilation_radius)
@@ -236,31 +240,25 @@ def structure_params(kind: str) -> dict:
             if p.default is not p.empty and p.name != "mask"}
 
 
-def build_structure_set(x_map: np.ndarray, spec, rows: int,
-                        cols: int) -> StructureSet:
+def build_structure_set(x_map: np.ndarray, spec) -> StructureSet:
     """Set for a StructureSet (returned as is), a PixelMask (a localized
     structure) or a parsed structure spec (see ``buqo.io.StructureSpec``).
 
     The spec's kind picks the builder and its ``params`` are that
     builder's keywords: a key the builder does not take raises
-    TypeError naming the key. A mask on another grid than rows x cols
-    raises ValueError, even when its flat indices fit.
+    TypeError naming the key.
     """
-    mask = spec if isinstance(spec, PixelMask) else getattr(spec, "mask", None)
-    if mask is not None and (mask.rows, mask.cols) != (rows, cols):
-        raise ValueError(f"structure mask is on a {mask.rows}x{mask.cols} grid, "
-                         f"the problem on {rows}x{cols}")
     if isinstance(spec, StructureSet):
         return spec
     if isinstance(spec, PixelMask):
         return build_localized_set(x_map, spec)
     # named at each call, so a rebound builder (a tracing wrapper) is used
-    params = getattr(spec, "params", None) or {}
+    mask, params = spec.mask, getattr(spec, "params", None) or {}
     if spec.kind == "localized":
         return build_localized_set(x_map, mask, **params)
     if spec.kind == "background":
         # an empty background mask means "derive it from the MAP estimate"
-        return build_background_set(x_map, rows, cols, mask=mask if
+        return build_background_set(x_map, mask.rows, mask.cols, mask=mask if
                                     mask.n_selected else None, **params)
     raise ValueError(f"unknown structure kind {spec.kind!r}")
 

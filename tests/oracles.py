@@ -169,10 +169,11 @@ def subgradient_project_region(region, z, iters=300000):
     level-set constraints get Polyak feasibility steps on their worst
     violation; feasible iterates take diminishing steps toward z.
     """
-    n = region.n_pixels
-    phi_mat = dense_matrix(region.phi)
-    psi_mat = dense_matrix(region.psi)
-    y, eps = region.data, region.epsilon
+    problem = region.problem
+    n = problem.n_pixels
+    phi_mat = dense_matrix(problem.phi)
+    psi_mat = dense_matrix(problem.psi)
+    y, eps = problem.data, problem.epsilon
     lam, eta = region.lam, region.eta_tilde
     u = np.maximum(np.asarray(z, dtype=float), 0.0)
     best = u.copy()
@@ -248,10 +249,11 @@ def nlp_polish_region(region, z, start):
     constraints only. Used to polish the projected-subgradient output to
     well below the acceptance tolerance.
     """
-    n = region.n_pixels
-    phi_mat = dense_matrix(region.phi)
-    psi_mat = dense_matrix(region.psi)
-    y, eps = region.data, region.epsilon
+    problem = region.problem
+    n = problem.n_pixels
+    phi_mat = dense_matrix(problem.phi)
+    psi_mat = dense_matrix(problem.psi)
+    y, eps = problem.data, problem.epsilon
     lam, eta = region.lam, region.eta_tilde
     psi_t = psi_mat.T
     fwd = phi_mat @ psi_t  # measurements of synthesized coefficients

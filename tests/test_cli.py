@@ -141,7 +141,7 @@ def test_simulate_writes_files_and_is_deterministic(tmp_path, capsys):
     loaded = RunConfig(sigma2=1e-4,
                        measurements=str(out3 / "measurements.meas"),
                        pattern_file=str(out3 / "pattern.freq"))
-    problem, _, _ = _load_problem(loaded)
+    problem = _load_problem(loaded)
     assert float(meta["epsilon"]) == problem.epsilon
     # ... and the one a grid cell at (0.5, sigma2) uses
     assert problem.epsilon == sample_noise(1e-4, 32 * 32, 512)[1]
@@ -171,7 +171,7 @@ def test_map_command_writes_estimate(tmp_path, capsys):
     diag = bio.read_config(map_out / "map_diagnostics.txt")
     assert float(diag["feasibility.gap"]) <= 1e-6 * 10
     # the dual step is the scale rule's, written exactly and printed
-    problem, _, _ = _load_problem(RunConfig(
+    problem = _load_problem(RunConfig(
         sigma2=1e-4, measurements=str(sim_out / "measurements.meas"),
         pattern_file=str(sim_out / "pattern.freq"), levels=2))
     x0 = np.maximum(problem.phi.adjoint(problem.data), 0.0)
@@ -237,6 +237,28 @@ def test_full_test_command_and_report_round_trip(tmp_path, capsys):
                  "--out", str(tmp_path / "rep2")]) == 2
     assert not (tmp_path / "rep2").exists()
     assert f"{extra}:8: unknown key 'bogus'" in capsys.readouterr().err
+
+
+def test_non_square_simulate_map_and_test(tmp_path):
+    # map and test write their images on the observation's 32x48 grid
+    grid = {"rows": 32, "cols": 48, "ratio": 0.5}
+    sim = simulated(tmp_path, "sim", **grid)
+    py, px = phantom_layout("compact", 32, 48, seed=70)["bright"][0][:2]
+    sel = np.zeros((32, 48), dtype=bool)
+    sel[py - 2:py + 3, px - 2:px + 3] = True
+    struct = tmp_path / "bright.struct"
+    bio.write_structure_spec(struct, bio.StructureSpec(
+        "localized", PixelMask.from_boolean(sel)))
+    cfg = write_cfg(tmp_path, name="run32x48.cfg",
+                    measurements=str(sim / "measurements.meas"),
+                    **grid, **{"pattern.file": str(sim / "pattern.freq"),
+                               "structure.file": str(struct)})
+    for command, images in (("map", ["x_map.img"]),
+                            ("test", ["x_region.img", "x_set.img"])):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        for name in images:
+            assert (out / name).read_bytes()[:12] == b"BUQO1 32 48\n"
 
 
 def test_stage_exit_codes(tmp_path, capsys):
@@ -406,7 +428,8 @@ def test_bad_structure_spec_names_file_and_line(tmp_path, capsys, defect):
     {"grid.ratios": 1.5}, {"grid.variances": 0}, {"rows": 16},
     {"pattern.kind": "spiral"}, {"levels": 9},
     {"grid.ratios": ""}, {"grid.variances": ""},
-    {"grid.ratios": "0.5,0.5000001"}])
+    {"grid.ratios": "0.5,0.5000001"},
+    {"cols": 64}])   # the 32x32 structure is on another grid
 def test_bad_grid_is_exit_2(tmp_path, overrides):
     cfg = write_cfg(tmp_path, structures=str(bright_mask_file(tmp_path)),
                     **overrides)

@@ -112,9 +112,10 @@ def test_region_residual_reads_the_projector_blocks():
         terms = [region.box.violation(x)] + [
             b.term.violation(b.op.forward(x)) for b in region.blocks]
         assert region.residual(x) == max(terms)
-        ball = np.linalg.norm(region.phi.forward(x) - region.data) - region.epsilon
-        lev = region.lam * np.abs(region.psi.forward(x)).sum() - region.eta_tilde
-        expected = max(float(np.max(-x, initial=0.0)), ball / region.epsilon,
+        p = region.problem
+        ball = np.linalg.norm(p.phi.forward(x) - p.data) - p.epsilon
+        lev = region.lam * np.abs(p.psi.forward(x)).sum() - region.eta_tilde
+        expected = max(float(np.max(-x, initial=0.0)), ball / p.epsilon,
                        lev / region.eta_tilde, 0.0)
         assert abs(region.residual(x) - expected) <= 1e-12
 

@@ -269,14 +269,21 @@ def test_run_buqo_reads_a_non_square_grid_without_rows_and_cols():
     mask = PixelMask(4, 8, [10, 11])
     settings = dict(alpha=0.1, outer_max_iters=5, inner_max_iters=50)
     explicit = run_buqo(problem, mask, rows=4, cols=8, **settings)
-    # the grid of the Db8 transform, or of the mask for an analysis
-    # operator that records none
+    # the grid the operators record, the Fourier map's when the analysis
+    # operator records none, or the mask's when neither does
     bare = replace(problem, psi=replace(problem.psi, grid=None))
+    neither = replace(bare, phi=replace(problem.phi, grid=None))
+    assert (bare.grid, neither.grid) == ((4, 8), None)
     for implicit in (run_buqo(problem, mask, **settings),
-                     run_buqo(bare, mask, **settings)):
+                     run_buqo(bare, mask, **settings),
+                     run_buqo(neither, mask, **settings)):
         assert implicit.rho_alpha == explicit.rho_alpha
         assert implicit.iterations == explicit.iterations
         np.testing.assert_array_equal(implicit.x_set, explicit.x_set)
+    # with no grid recorded, a mask of another pixel count is refused
+    # before the MAP, not by the set builder after it
+    with pytest.raises(BuqoError, match="4x4 grid, the problem has 32 pixels"):
+        run_buqo(neither, PixelMask(4, 4, [5, 6]), **settings)
 
 
 def test_undersized_theta_is_refused_not_widened():
@@ -649,24 +656,35 @@ def test_run_buqo_refuses_nan_inputs(structure, nan_pixel, stage):
     assert err.value.stage == stage
 
 
-@pytest.mark.parametrize("make", [
-    lambda block, x_map: PixelMask(8, 32, block),
-    lambda block, x_map: StructureSpec("localized", PixelMask(8, 32, block), {}),
-    lambda block, x_map: StructureSpec(
+@pytest.mark.parametrize("make, given, other", [
+    (lambda block, image: PixelMask(8, 32, block), {}, "8x32"),
+    (lambda block, image: StructureSpec("localized", PixelMask(8, 32, block), {}),
+     {}, "8x32"),
+    (lambda block, image: StructureSpec(
         "background", PixelMask(32, 8, []),
-        {"threshold_frac": 0.3, "dilation_radius": 1}),
-    lambda block, x_map: build_localized_set(x_map, PixelMask(8, 32, block)),
-], ids=["mask", "localized-spec", "background-spec", "prebuilt-set"])
-def test_run_buqo_refuses_a_mask_from_another_grid(make):
+        {"threshold_frac": 0.3, "dilation_radius": 1}), {}, "32x8"),
+    (lambda block, image: build_localized_set(image, PixelMask(8, 32, block)),
+     {}, "8x32"),
+    # a mask on the problem's grid, with rows and cols naming another
+    (lambda block, image: PixelMask(16, 16, block), {"rows": 8, "cols": 32},
+     "8x32"),
+], ids=["mask", "localized-spec", "background-spec", "prebuilt-set",
+        "rows-cols"])
+def test_run_buqo_refuses_a_mask_from_another_grid(make, given, other,
+                                                   monkeypatch):
     # the flat indices fit a 16x16 image, but the inpainting windows and
-    # the background dilation would come from the mask's own geometry
-    problem, mask, _ = pipeline_16(seed=50, bright=3.0, sigma2=1e-4)
-    x_map, _ = solve_map(problem, tol=1e-8, max_iters=60000)
+    # the background dilation would come from the other grid's geometry
+    problem, mask, truth = pipeline_16(seed=50, bright=3.0, sigma2=1e-4)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the grid was checked")
+
+    monkeypatch.setattr(buqo.engine, "solve_map", no_solve)
     with pytest.raises(BuqoError) as err:
-        run_buqo(problem, make(mask.indices, x_map), alpha=0.01, x_map=x_map,
-                 outer_max_iters=3)
+        run_buqo(problem, make(mask.indices, truth), alpha=0.01,
+                 outer_max_iters=3, **given)
     assert err.value.stage == "set"
-    assert "grid" in str(err.value)
+    assert f"on a {other} grid, the problem on 16x16" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

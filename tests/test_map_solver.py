@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
-from buqo.operators import LinearMap, db8_analysis, masked_dft, SamplingPattern
+from buqo.operators import (LinearMap, SamplingPattern, db8_analysis,
+                            masked_dft, multicoil_map)
 from buqo.sim import add_noise, gaussian_random_pattern
 
 from instances import counting
@@ -198,6 +199,23 @@ def test_map_problem_validation():
         MapProblem(phi, psi, np.zeros(16), epsilon=0.0)
     with pytest.raises(ValueError):
         MapProblem(phi, psi, np.zeros(5), epsilon=1.0)
+    # the same pixel count on another grid: the Fourier map reads 4x4
+    # images, the wavelet transform 2x8 ones
+    with pytest.raises(ValueError, match="4x4 grid, psi on 2x8"):
+        MapProblem(phi, db8_analysis(2, 8, 1), np.zeros(16), epsilon=1.0)
+
+
+def test_map_problem_grid_is_the_one_its_operators_record():
+    pattern = SamplingPattern(4, 8, np.arange(32))
+    coils = multicoil_map([pattern, pattern],
+                          [np.full((4, 8), np.sqrt(0.5))] * 2)
+    psi = db8_analysis(4, 8, 1)
+    for phi in (masked_dft(pattern), coils):
+        assert phi.grid == (4, 8)
+        for analysis in (psi, identity_map(32)):
+            assert MapProblem(phi, analysis, np.zeros(phi.out_dim), 1.0).grid == (4, 8)
+    assert MapProblem(identity_map(32), psi, np.zeros(32), 1.0).grid == (4, 8)
+    assert MapProblem(identity_map(32), identity_map(32), np.zeros(32), 1.0).grid is None
 
 
 def test_map_problem_refuses_nan():

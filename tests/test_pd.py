@@ -99,12 +99,13 @@ def test_pd_steps_never_write_a_yielded_array(kind, anchored):
 
 def test_projector_operator_budget_per_iteration():
     region, truth = truth_region()
-    psi, psi_calls = counting(region.psi)
-    phi, phi_calls = counting(region.phi)
+    psi, psi_calls = counting(region.problem.psi)
+    phi, phi_calls = counting(region.problem.phi)
     sset, x_map, _ = small_localized_set(seed=41)
     res, res_calls = counting(sset.residual_op)
     cases = [
-        (dataclasses.replace(region, psi=psi, phi=phi).projector(tol=1e-10),
+        (dataclasses.replace(region, problem=dataclasses.replace(
+            region.problem, psi=psi, phi=phi)).projector(tol=1e-10),
          truth, [psi_calls, phi_calls]),
         (dataclasses.replace(sset, residual_op=res).projector(tol=1e-10),
          x_map, [res_calls]),

@@ -450,6 +450,16 @@ def test_spec_refuses_cells_of_one_name(overrides, duplicate):
         small_spec(**overrides)
 
 
+def test_spec_refuses_a_structure_on_another_grid():
+    # a grid would otherwise solve each MAP, then record the same set
+    # error in every cell
+    wide = StructureSpec("localized", PixelMask(16, 64, grid_mask().indices),
+                         name="wide")
+    with pytest.raises(ValueError, match="structure 'wide' is on a 16x64 "
+                                         "grid, the experiment on 32x32"):
+        small_spec(structures=(grid_mask(), wide))
+
+
 def test_benchmark_tracer_charges_a_shared_map_to_its_first_test():
     # perfbench/spans.py gives each run_buqo call its own test; the MAP
     # solved in the first structure's test must not leak into the second

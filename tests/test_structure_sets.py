@@ -240,10 +240,11 @@ def test_projector_blocks_hold_their_sets():
     assert energy.term is sset.energy_ball
     region, _, _ = small_region(seed=3)
     levelset, ball = region.projector().blocks
-    assert levelset.op is region.psi
+    p = region.problem
+    assert levelset.op is p.psi
     assert levelset.term == L1Levelset(region.eta_tilde / region.lam)
-    assert ball.op is region.phi
-    assert ball.term.center is region.data and ball.term.radius == region.epsilon
+    assert ball.op is p.phi
+    assert ball.term.center is p.data and ball.term.radius == p.epsilon
 
 
 def test_project_background_idempotent_on_member():
@@ -362,11 +363,18 @@ def test_project_background_refuses_a_localized_set():
         project_background(sset, x_map)
 
 
+def test_background_set_refuses_a_mask_on_another_grid():
+    # the same pixel count: flat indices would fit the 16x16 image
+    x = bright_spot_image(16, 16)
+    with pytest.raises(ValueError, match="8x32 grid, the image on 16x16"):
+        build_background_set(x, 16, 16, mask=PixelMask(8, 32, np.arange(10)))
+
+
 def test_background_spec_builds_the_builder_set():
     x = bright_spot_image()
     params = {"threshold_frac": 0.05, "dilation_radius": 3}
     spec = StructureSpec("background", PixelMask(64, 64, []), dict(params))
-    got = build_structure_set(x, spec, 64, 64)
+    got = build_structure_set(x, spec)
     want = build_background_set(x, 64, 64, **params)
     assert type(got) is BackgroundSet
     np.testing.assert_array_equal(got.mask.indices, want.mask.indices)
