@@ -1,22 +1,23 @@
 """Shared primal-dual forward-backward (Condat–Vũ) core.
 
 Solves min_u h(u) + i_box(u) + sum_i f_i(A_i u) where each f_i has a
-closed-form prox. For a projection onto the box and the sets
-{A_i u in C_i}, h is 1/2 ||u - anchor||^2, whose gradient is
-beta-Lipschitz with beta = 1; the MAP estimate has no h (beta = 0).
-Each block holds its term f_i, a set or norm from ``prox`` whose
-``dual_prox(gamma)`` is the prox of gamma f_i* in closed form, for the
-projectors and the MAP alike, and its ``violation`` for :func:`residual`.
+closed-form prox and h, if any, a beta-Lipschitz gradient. Each client
+passes its own h and primal step: the MAP has no h (beta = 0), a
+projection of x has h = 1/2 ||u - x||^2 (beta = 1), and a pair problem
+may couple its halves. Each block holds its term f_i, a set or norm from
+``prox`` whose ``dual_prox(gamma)`` is the prox of gamma f_i* in closed
+form, and its ``violation`` for :func:`residual`.
 
 The iteration converges when the primal step sigma and the dual step
-gamma satisfy sigma * (beta/2 + gamma * sum ||A_i||^2) < 1; for a given
-gamma, :func:`pd_step_sizes` takes the largest such sigma (times 0.99).
+gamma satisfy sigma * (beta/2 + gamma * sum ||A_i||^2) < 1 (for each
+component, given a sigma per component); for a given gamma,
+:func:`pd_step_sizes` takes the largest such sigma (times 0.99).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,11 +49,13 @@ INNER_MAX_ITERS = 5000
 
 
 def check_limits(tol: float, max_iters: int) -> None:
-    """Reject a tolerance <= 0, infinite or NaN, and an iteration limit < 1."""
+    """Reject a tolerance <= 0, infinite or NaN, and an iteration limit
+    that is not an integer (a bool included) or is < 1."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if not max_iters >= 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
+    if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
+            or max_iters < 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 
 def residual(x: np.ndarray, box: IntervalBox, blocks: list[DualBlock]) -> float:
@@ -73,28 +76,28 @@ def pd_step_sizes(blocks: list[DualBlock], gamma: float, beta: float) -> float:
 
 
 def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
-             duals: list[np.ndarray], gamma: float = 1.0,
-             anchor: np.ndarray | None = None) -> Iterator[tuple]:
+             duals: list[np.ndarray], sigma: float | np.ndarray, gamma: float,
+             gradient: Callable | None = None) -> Iterator[tuple]:
     """Endless Condat–Vũ iteration from ``u``, updating ``duals`` in place.
 
-    Each step yields (new point, previous point, [A_i bar]), where bar is
-    the extrapolated point 2 * new - previous. Without ``anchor`` there
-    is no smooth term (beta = 0); with it, h = 1/2 ||u - anchor||^2
-    (beta = 1). The gradient, the extrapolated point and the dual
-    temporaries live in buffers reused across steps: the arrays held in
-    ``duals`` on entry become scratch, while yielded arrays are never
-    written again.
+    ``sigma`` is the primal step, a number or one per component of ``u``,
+    and ``gamma`` the dual step (see :func:`pd_step_sizes`); ``gradient(u,
+    out)`` writes the smooth term's gradient at u into ``out`` (None: no
+    smooth term). Each step yields (new point, previous point, [A_i bar]),
+    where bar is the extrapolated point 2 * new - previous. The gradient,
+    the extrapolated point and the dual temporaries live in buffers reused
+    across steps: the arrays held in ``duals`` on entry become scratch,
+    while yielded arrays are never written again.
     """
-    sigma = pd_step_sizes(blocks, gamma, beta=0.0 if anchor is None else 1.0)
     dual_steps = [b.term.dual_prox(gamma) for b in blocks]
     grad = np.empty_like(u)
     bar = np.empty_like(u)
     scratch = [np.empty_like(v) for v in duals]
     while True:
-        if anchor is None:
+        if gradient is None:
             grad.fill(0.0)
         else:
-            np.subtract(u, anchor, out=grad)
+            gradient(u, grad)
         for b, v in zip(blocks, duals):
             grad += b.op.adjoint(v)
         grad *= sigma
@@ -113,26 +116,20 @@ def pd_steps(u: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
         u = u_new
 
 
-def project_intersection(
-    anchor: np.ndarray,
-    box: IntervalBox,
-    blocks: list[DualBlock],
-    tol: float,
-    max_iters: int,
-    duals: list[np.ndarray],
-    gamma: float,
-    u0: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray], bool, int]:
-    """Run the primal-dual iteration; returns (point, duals, converged, iters).
+def project_intersection(anchor: np.ndarray, box: IntervalBox, blocks: list[DualBlock],
+                         tol: float, max_iters: int, duals: list[np.ndarray],
+                         gamma: float) -> tuple[np.ndarray, list[np.ndarray], bool, int]:
+    """Project ``anchor``; returns (point, duals, converged, iters).
 
-    Starts from the primal point P_box(``u0``) and the dual variables
-    ``duals``, a list that the iteration updates in place and that is
-    returned (see :func:`pd_steps`). Stops on relative primal change
-    <= tol, with the box projection applied at the last primal step so
-    the output lies in the box exactly.
+    Starts from the dual variables ``duals``, a list that the iteration
+    updates in place and that is returned (see :func:`pd_steps`), and
+    from the primal point they imply, P_box(anchor - sum A_i* v_i). Stops
+    on relative primal change <= tol, with the box projection applied at
+    the last primal step so the output lies in the box exactly.
     """
-    u = project_box(u0, box)
-    steps = pd_steps(u, box, blocks, duals, gamma, anchor)
+    u = project_box(anchor - sum(b.op.adjoint(v) for b, v in zip(blocks, duals)), box)
+    steps = pd_steps(u, box, blocks, duals, pd_step_sizes(blocks, gamma, beta=1.0),
+                     gamma, lambda v, out: np.subtract(v, anchor, out=out))
     converged = False
     it = 0
     prev_change = 0.0
@@ -142,8 +139,8 @@ def project_intersection(
         # tail change * q / (1 - q)) is below tol, not merely the step
         # size: a slowly contracting iteration can satisfy the naive test
         # while still far from the solution. Iteration 1 is excluded: from
-        # u0 = anchor - sum A_i* v_i (see WarmProjector) its gradient is
-        # only the box's clip of u0, so its change tells nothing.
+        # the start point its gradient is only the box's clip of
+        # anchor - sum A_i* v_i, so its change tells nothing.
         if it >= 2:
             scale = max(np.linalg.norm(u), 1e-300)
             q = min(change / prev_change, 0.999) if prev_change > 0 else 0.0
@@ -158,19 +155,20 @@ def project_intersection(
 class WarmProjector:
     """Projection onto box ∩ {A_i u in C_i}, warm-started across calls.
 
-    Keeps the duals between calls, zero before the first. Every call for
-    a point x starts from the primal point those duals imply for it,
-    P_box(x - sum A_i* v_i) (P_box(x) at the first call), so successive
+    Keeps the duals between calls, zero before the first, so successive
     projections along a slowly-moving outer iteration start near their
-    solution. A call iterates to ``tol``, or to a looser per-call
-    tolerance (never a tighter one). ``converged`` is the last call's
-    flag; ``inner_iterations`` sums the calls' iterations and
-    ``unconverged_calls`` counts the calls that stopped at ``max_iters``.
+    solution (see :func:`project_intersection`). A call iterates to
+    ``tol``, or to a looser per-call tolerance (never a tighter one).
+    ``converged`` is the last call's flag; ``inner_iterations`` sums the
+    calls' iterations and ``unconverged_calls`` counts the calls that
+    stopped at ``max_iters``. Limits that :func:`check_limits` refuses
+    raise ValueError.
     """
 
     gamma: float  # the dual step; each subclass fixes its own
 
     def __init__(self, sset, tol: float, max_iters: int):
+        check_limits(tol, max_iters)
         self.box = sset.box
         self.blocks = sset.blocks
         self.tol = tol
@@ -182,11 +180,9 @@ class WarmProjector:
 
     def __call__(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
         tol = self.tol if tol is None else max(self.tol, tol)
-        x = np.asarray(x, dtype=float).ravel()
-        u0 = x - sum(b.op.adjoint(v) for b, v in zip(self.blocks, self.duals))
         point, _, self.converged, its = project_intersection(
-            x, self.box, self.blocks, tol=tol, max_iters=self.max_iters,
-            duals=self.duals, gamma=self.gamma, u0=u0)
+            np.asarray(x, dtype=float).ravel(), self.box, self.blocks, tol=tol,
+            max_iters=self.max_iters, duals=self.duals, gamma=self.gamma)
         self.inner_iterations += its
         self.unconverged_calls += not self.converged
         return point

@@ -104,7 +104,7 @@ def _config_errors():
 def load_config(args) -> RunConfig:
     """The config file overridden by the flags, as one validated RunConfig;
     the file's keys are its fields, read by :func:`buqo.io.read_fields`."""
-    defaults = {f.name: f.default for f in fields(RunConfig)}
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
     with _config_errors():
         values = bio.read_fields(args.config, defaults) if args.config else {}
         for flag in ("seed", "alpha", "eta", "mode", "out"):

@@ -97,11 +97,11 @@ class RunSettings:
     significance ``alpha``, the threshold ``eta`` on rho_alpha and the
     outer loop ``mode`` (one of MODES).
 
-    A tolerance <= 0, infinite or NaN, or an iteration limit < 1 raises
-    :class:`BuqoError` with stage "map" for the ``map_*`` fields and
-    "engine" for the others, naming the field. Then an ``alpha`` outside
-    (0, 1), a negative, NaN or infinite ``eta`` and an unknown ``mode``
-    raise ValueError naming the field.
+    A tolerance <= 0, infinite or NaN, or an iteration limit that is not
+    an integer >= 1, raises :class:`BuqoError` with stage "map" for the
+    ``map_*`` fields and "engine" for the others, naming the field. Then
+    an ``alpha`` outside (0, 1), a negative, NaN or infinite ``eta`` and
+    an unknown ``mode`` raise ValueError naming the field.
     """
 
     map_tol: float = MAP_TOL
@@ -204,7 +204,7 @@ def _outer_loop(projectors, step, a, b, tol, max_iters):
     and never make a lap loose. A lap runs at the projectors' own
     tolerance once the schedule reaches it, after a stop test passed on
     a loose lap, and at ``max_iters``.
-    Raises ValueError for a ``tol`` <= 0 or a ``max_iters`` < 1.
+    Raises ValueError for a ``tol`` <= 0 or a ``max_iters`` not an integer >= 1.
     """
     check_limits(tol, max_iters)
     floor = min((p.tol for p in projectors if isinstance(p, WarmProjector)),
@@ -248,7 +248,7 @@ def run_pocs(project_region, project_set, x0: np.ndarray,
     first, on a lap whose projections ran at full tolerance (see
     INEXACT_FACTOR). Returns (x_region, x_set, iterations, stop_reason,
     deltas).
-    Raises ValueError for a ``tol`` <= 0 or a ``max_iters`` < 1.
+    Raises ValueError for a ``tol`` <= 0 or a ``max_iters`` not an integer >= 1.
     """
     def step(project_region, project_set, a, b):
         a = project_region(b)

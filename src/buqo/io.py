@@ -44,15 +44,6 @@ class StructureSpec:
     name: str | None = None
 
 
-def _read_header_line(fh) -> str:
-    """The next line of binary ``fh``, without its newline, as ASCII; a
-    line without a newline raises ValueError, as does a non-ASCII byte."""
-    line = fh.readline()
-    if not line.endswith(b"\n"):
-        raise ValueError("unexpected end of file in header")
-    return line[:-1].decode("ascii")
-
-
 def write_image(path, image: np.ndarray, rows: int, cols: int) -> None:
     data = np.asarray(image, dtype="<f8").ravel()
     if data.size != rows * cols:
@@ -63,15 +54,31 @@ def write_image(path, image: np.ndarray, rows: int, cols: int) -> None:
 
 
 def read_image(path) -> tuple[np.ndarray, int, int]:
-    with open(path, "rb") as fh:
-        header = _read_header_line(fh).split()
-        if len(header) != 3 or header[0] != "BUQO1":
-            raise ValueError(f"{path}: not a BUQO1 image file")
-        rows, cols = _header_counts(path, header[1:])
-        data = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8")
-        if data.size != rows * cols:
-            raise ValueError(f"{path}: truncated image payload")
+    (rows, cols), data = _read_binary(path, "BUQO1", 2, "image")
     return data.astype(float), rows, cols
+
+
+def _read_binary(path, magic: str, n_counts: int, what: str,
+                 width: int = 1) -> tuple[list[int], np.ndarray]:
+    """The header counts of a binary ``magic`` file and the float64 payload,
+    ``width`` values per counted item, that ends it. A header line without
+    a newline, a non-ASCII byte in it, a short payload and a byte after it
+    raise ValueError."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            raise ValueError(f"{path}: unexpected end of file in header")
+        header = header.decode("ascii").split()
+        if len(header) != 1 + n_counts or header[0] != magic:
+            raise ValueError(f"{path}: not a {magic} {what} file")
+        counts = _header_counts(path, header[1:])
+        size = width * int(np.prod(counts))
+        data = np.frombuffer(fh.read(8 * size), dtype="<f8")
+        if data.size != size:
+            raise ValueError(f"{path}: truncated {what} payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: data after the {what} payload")
+    return counts, data
 
 
 def _write_index_block(fh, magic: str, rows: int, cols: int,
@@ -87,12 +94,22 @@ def _read_index_block(fh, path, magic: str, line: int = 1,
     """The index block written by :func:`_write_index_block`, its header
     at line ``line`` of ``path``. A header that is not a ``magic`` block
     raises ValueError saying the file is not ``expected`` (by default
-    "a <magic> file"); a bad count or index names ``path:line``."""
+    "a <magic> file"); a bad count, and a missing or non-integer index
+    line, name ``path:line``."""
     header = fh.readline().split()
     if len(header) != 4 or header[0] != magic:
         raise ValueError(f"{path}: expected {expected or f'a {magic} file'}")
     rows, cols, n = _header_counts(path, header[1:], line=line)
-    return rows, cols, _read_indices(fh, path, n, first=line + 1)
+    indices = np.empty(n, dtype=np.int64)
+    for k in range(n):
+        text = fh.readline()
+        try:
+            indices[k] = int(text)
+        except ValueError:
+            what = repr(text.strip()) if text else "end of file"
+            raise ValueError(f"{path}:{line + 1 + k}: expected a pixel index, "
+                             f"got {what}") from None
+    return rows, cols, indices
 
 
 def _header_counts(path, fields, line: int = 1) -> list[int]:
@@ -111,30 +128,22 @@ def _header_counts(path, fields, line: int = 1) -> list[int]:
     return counts
 
 
-def _read_indices(fh, path, n: int, first: int) -> np.ndarray:
-    """The next ``n`` lines of ``fh``, one integer each, starting at line
-    ``first``; a missing or non-integer line raises ValueError naming
-    ``path:line``."""
-    indices = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        line = fh.readline()
-        try:
-            indices[k] = int(line)
-        except ValueError:
-            what = repr(line.strip()) if line else "end of file"
-            raise ValueError(f"{path}:{first + k}: expected a pixel index, "
-                             f"got {what}") from None
-    return indices
-
-
 def write_mask(path, mask: PixelMask) -> None:
     with open(path, "w", encoding="ascii") as fh:
         _write_index_block(fh, "BUQOMASK1", mask.rows, mask.cols, mask.indices)
 
 
-def read_mask(path) -> PixelMask:
+def _read_index_file(path, magic: str) -> tuple[int, int, np.ndarray]:
+    """The index block that is all of ``path``; a line after it is refused."""
     with open(path, "r", encoding="ascii") as fh:
-        return PixelMask(*_read_index_block(fh, path, "BUQOMASK1"))
+        block = _read_index_block(fh, path, magic)
+        if fh.readline():
+            raise ValueError(f"{path}:{block[2].size + 2}: line after the last index")
+    return block
+
+
+def read_mask(path) -> PixelMask:
+    return PixelMask(*_read_index_file(path, "BUQOMASK1"))
 
 
 def write_pattern(path, pattern: SamplingPattern) -> None:
@@ -144,8 +153,7 @@ def write_pattern(path, pattern: SamplingPattern) -> None:
 
 
 def read_pattern(path) -> SamplingPattern:
-    with open(path, "r", encoding="ascii") as fh:
-        return SamplingPattern(*_read_index_block(fh, path, "BUQOFREQ1"))
+    return SamplingPattern(*_read_index_file(path, "BUQOFREQ1"))
 
 
 def write_measurements(path, data: np.ndarray) -> None:
@@ -159,14 +167,7 @@ def write_measurements(path, data: np.ndarray) -> None:
 
 
 def read_measurements(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = _read_header_line(fh).split()
-        if len(header) != 2 or header[0] != "BUQOMEAS1":
-            raise ValueError(f"{path}: not a BUQOMEAS1 file")
-        (m,) = _header_counts(path, header[1:])
-        inter = np.frombuffer(fh.read(16 * m), dtype="<f8")
-        if inter.size != 2 * m:
-            raise ValueError(f"{path}: truncated measurement payload")
+    _, inter = _read_binary(path, "BUQOMEAS1", 1, "measurement", width=2)
     return inter[0::2] + 1j * inter[1::2]
 
 

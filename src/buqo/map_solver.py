@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pd import DualBlock, check_limits, pd_steps
+from ._pd import DualBlock, check_limits, pd_step_sizes, pd_steps
 from .operators import LinearMap
 from .prox import NONNEGATIVE, L1Norm, L2Ball, project_box
 
@@ -96,7 +96,7 @@ def solve_map(problem: MapProblem, tol: float = MAP_TOL,
     ``max_iters`` is reached first, the best iterate seen (feasible with
     lowest objective, else smallest gap) is returned with ``converged``
     False. The output is nonnegative exactly. Raises ValueError for a
-    ``tol`` <= 0 or a ``max_iters`` < 1.
+    ``tol`` <= 0 or a ``max_iters`` not an integer >= 1.
 
     ``l1_weight`` scales the objective; since the rest of the problem is
     a pair of hard constraints, the minimizer does not depend on it.
@@ -133,7 +133,8 @@ def solve_map(problem: MapProblem, tol: float = MAP_TOL,
     # x_new = (bar + x) / 2, so Psi x and Phi x follow by linearity
     psi_x = psi.forward(x)
     phi_x = phi.forward(x)
-    steps = pd_steps(x, NONNEGATIVE, blocks, [b.zero_dual() for b in blocks], gamma)
+    steps = pd_steps(x, NONNEGATIVE, blocks, [b.zero_dual() for b in blocks],
+                     pd_step_sizes(blocks, gamma, beta=0.0), gamma)
 
     residuals = []
     objectives = []

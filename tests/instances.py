@@ -8,7 +8,8 @@ import numpy as np
 from buqo.credible_region import build_region, compute_epsilon_bound
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import LinearMap, PixelMask, db8_analysis, masked_dft
-from buqo.sim import add_noise, gaussian_random_pattern, phantom_layout
+from buqo.sim import (ExperimentSpec, add_noise, build_problem,
+                      gaussian_random_pattern, make_phantom, phantom_layout)
 from buqo.structure_sets import build_localized_set
 
 
@@ -93,3 +94,13 @@ def bright_source_mask(seed=0, rows=64, cols=64):
     sel = np.zeros((rows, cols), dtype=bool)
     sel[py - 4:py + 5, px - 4:px + 5] = True
     return PixelMask.from_boolean(sel)
+
+
+def workload_problem(seed=0, rows=64, cols=64):
+    """The benchmark's observation: a ``compact`` phantom sampled at ratio
+    1.0 with sigma2 0.01 and Db8 at 3 levels, the pattern and noise seeds
+    derived from ``seed`` as ``buqo simulate`` derives them."""
+    spec = ExperimentSpec(rows=rows, cols=cols, wavelet_levels=3)
+    truth = make_phantom("compact", rows, cols, seed)
+    seeds = np.random.SeedSequence([seed]).generate_state(2)
+    return build_problem(spec, truth, 1.0, 0.01, *map(int, seeds))

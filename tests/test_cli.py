@@ -68,6 +68,31 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     assert f"{path}:2: unknown key 'no_such_key'" in capsys.readouterr().err
 
 
+def test_command_key_in_a_config_is_exit_2(tmp_path, capsys):
+    # argv names the command: `command = grid` was read, then overwritten
+    path = tmp_path / "bad.cfg"
+    path.write_text("rows = 32\ncommand = grid\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{path}:2: unknown key 'command'" in capsys.readouterr().err
+
+
+def test_pattern_file_with_an_extra_index_is_exit_2(tmp_path, capsys):
+    sim = simulated(tmp_path, "sim")
+    pattern = sim / "pattern.freq"
+    lines = pattern.read_text().splitlines()
+    pattern.write_text("\n".join(lines + ["0"]) + "\n")
+    cfg = write_cfg(tmp_path, name="m.cfg",
+                    measurements=str(sim / "measurements.meas"),
+                    **{"pattern.file": str(pattern)})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["map", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{pattern}:{len(lines) + 1}:" in capsys.readouterr().err
+
+
 def test_bad_alpha_is_exit_2(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["simulate", "--config", str(cfg), "--alpha", "2.0"]) == 2

@@ -21,12 +21,13 @@ from buqo.engine import (
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import (PixelMask, SamplingPattern, build_inpainting,
                             db8_analysis, masked_dft)
-from buqo.sim import ExperimentSpec, add_noise, build_problem, make_phantom
+from buqo.sim import ExperimentSpec, add_noise
 from buqo.structure_sets import (BackgroundSet, LocalizedSet, background_mask,
                                  build_background_set, build_localized_set)
 
 from instances import (Disk, bright_source_mask, perfbench_spans,
-                       small_localized_set, small_map_problem, small_region)
+                       small_localized_set, small_map_problem, small_region,
+                       workload_problem)
 
 
 def pipeline_16(seed, bright=3.0, sigma2=1e-4, ratio=1.0):
@@ -455,13 +456,8 @@ def fb_runs(problem, mask, gamma, max_iters, inner=None, map_limits=None):
 def test_fb_momentum_takes_fewer_laps_for_the_same_rho():
     # the seed-0 64x64 bright test at the benchmark's solver settings;
     # the 16x16 instances converge in too few laps to show the gain
-    spec = ExperimentSpec(rows=64, cols=64, wavelet_levels=3)
-    truth = make_phantom("compact", 64, 64, 0)
-    seeds = np.random.SeedSequence([0]).generate_state(2)
-    problem = build_problem(spec, truth, 1.0, 0.01, *map(int, seeds))
-    runs, x_map, surrogate = fb_runs(problem, bright_source_mask(0, 64, 64),
-                                     0.5, 250, inner=dict(tol=1e-7,
-                                                          max_iters=3000))
+    runs, x_map, surrogate = fb_runs(workload_problem(), bright_source_mask(),
+                                     0.5, 250, inner=dict(tol=1e-7, max_iters=3000))
     results = []
     for x_region, x_set, laps, stop, _, projectors in runs:
         assert stop != "max_iters"
@@ -600,6 +596,10 @@ def test_run_buqo_bad_mode_raises_engine_stage():
     ("inner_tol", 0.0, "engine"),
     ("inner_tol", float("inf"), "engine"),
     ("inner_max_iters", 0, "engine"),
+    # a limit that is not an integer once failed only after the MAP solve
+    ("map_max_iters", True, "map"),
+    ("outer_max_iters", 1000.0, "engine"),
+    ("inner_max_iters", 2.5, "engine"),
 ])
 def test_run_buqo_rejects_bad_solver_settings_before_solving(
         monkeypatch, name, value, stage):

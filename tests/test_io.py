@@ -142,6 +142,28 @@ def test_index_list_header_counts_name_the_line(tmp_path, reader, magic, counts)
         reader(path)
 
 
+@pytest.mark.parametrize("reader, magic", [(bio.read_mask, "BUQOMASK1"),
+                                           (bio.read_pattern, "BUQOFREQ1")])
+def test_index_line_beyond_the_header_count_is_refused(tmp_path, reader, magic):
+    # the extra indices used to be dropped: this read as [1 2]
+    path = tmp_path / "extra.idx"
+    path.write_text(f"{magic} 4 4 2\n1\n2\n3\n4\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:4: "):
+        reader(path)
+
+
+@pytest.mark.parametrize("writer, reader, value", [
+    (lambda path, x: bio.write_image(path, x, 2, 2), bio.read_image, np.ones(4)),
+    (bio.write_measurements, bio.read_measurements, np.ones(3, dtype=complex))])
+def test_bytes_after_the_payload_are_refused(tmp_path, writer, reader, value):
+    path = tmp_path / "extra.bin"
+    writer(path, value)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: data after"):
+        reader(path)
+
+
 @pytest.mark.parametrize("count", [b"x", b"-1"])
 def test_measurement_header_count_names_the_line(tmp_path, count):
     path = tmp_path / "bad.meas"
@@ -163,7 +185,8 @@ def test_structure_spec_mask_header_counts_name_the_line(tmp_path, counts):
 def test_header_without_newline_is_refused(tmp_path, reader, header):
     path = tmp_path / "bad.bin"
     path.write_bytes(header)
-    with pytest.raises(ValueError, match="unexpected end of file in header"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: unexpected end of file in header")):
         reader(path)
     path.write_bytes(header.replace(b" ", b"\xff", 1) + b"\n")
     with pytest.raises(ValueError):
