@@ -202,7 +202,7 @@ def cmd_map(cfg: RunConfig) -> int:
         bio.write_config(writer.path("map_diagnostics.txt"), {
             "iterations": diag.iterations,
             "feasibility.gap": diag.feasibility_gap,
-            "objective": float(diag.objective_series[-1]),
+            "objective": diag.objective,
             "gamma": diag.gamma,
         })
     print(f"map: converged in {diag.iterations} iterations "

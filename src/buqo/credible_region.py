@@ -16,7 +16,7 @@ import numpy as np
 
 from ._pd import INNER_MAX_ITERS, INNER_TOL, DualBlock, WarmProjector, residual
 from .map_solver import FEASIBILITY_SLACK, MapProblem
-from .prox import NONNEGATIVE, IntervalBox, L1Levelset, L2Ball
+from .prox import NONNEGATIVE, IntervalBox, L1Levelset
 
 __all__ = [
     "CredibleRegion",
@@ -60,8 +60,8 @@ def compute_epsilon_bound(sigma: float, m: int) -> float:
 
 @dataclass
 class CredibleRegion:
-    """Convex credible region of the observation ``problem``: the box, the
-    data ball of its Phi, y and epsilon and the l1 level set of its Psi."""
+    """Convex credible region of the observation ``problem``: the box, its
+    data ball ``problem.fit`` and the l1 level set of its Psi."""
 
     alpha: float
     tau_alpha: float
@@ -73,10 +73,9 @@ class CredibleRegion:
 
     @property
     def blocks(self) -> list[DualBlock]:
-        """The l1 level set of Psi x and the data ball of Phi x."""
-        p = self.problem
-        return [DualBlock(p.psi, L1Levelset(self.eta_tilde / self.lam)),
-                DualBlock(p.phi, L2Ball(p.data, p.epsilon))]
+        """The l1 level set of Psi x and the problem's data ball ``fit``."""
+        return [DualBlock(self.problem.psi, L1Levelset(self.eta_tilde / self.lam)),
+                self.problem.fit]
 
     def residual(self, x: np.ndarray) -> float:
         """Worst violation of x of the box and of ``blocks`` (0 inside)."""

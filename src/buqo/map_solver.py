@@ -9,7 +9,7 @@ regularization weight is computed afterwards from the estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,15 @@ FEASIBILITY_SLACK = 1e-6
 @dataclass
 class MapProblem:
     """One observation: data-fit ball, analysis operator and the image
-    ``grid`` that Phi or Psi records (None when neither does)."""
+    ``grid`` that Phi or Psi records (None when neither does). ``fit``,
+    the solvers' data ball, is built here, folded when Phi has a ``fold``;
+    a changed observation is a new one (``dataclasses.replace``)."""
 
     phi: LinearMap
     psi: LinearMap
     data: np.ndarray
     epsilon: float
+    fit: DualBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex).ravel()
@@ -51,6 +54,13 @@ class MapProblem:
         if self.phi.grid and self.psi.grid and self.phi.grid != self.psi.grid:
             raise ValueError("phi is on a {}x{} grid, psi on {}x{}".format(
                 *self.phi.grid, *self.psi.grid))
+        op, center, offset = (self.phi.fold(self.data) if self.phi.fold
+                              else (self.phi, self.data, 0.0))
+        if offset > self.epsilon ** 2:
+            raise ValueError("no real image fits the data: its conjugate pairs "
+                             f"disagree by sqrt(c) = {math.sqrt(offset):.6g} > "
+                             f"epsilon = {self.epsilon:.6g}")
+        self.fit = DualBlock(op, L2Ball(center, self.epsilon, offset))
 
     @property
     def grid(self) -> tuple[int, int] | None:
@@ -62,10 +72,7 @@ class MapProblem:
 
     def feasibility_gap(self, x: np.ndarray) -> float:
         """max(0, ||Phi x - y|| - epsilon)."""
-        return self._gap_of_measurements(self.phi.forward(x))
-
-    def _gap_of_measurements(self, phi_x: np.ndarray) -> float:
-        r = np.linalg.norm(phi_x - self.data)
+        r = np.linalg.norm(self.phi.forward(x) - self.data)
         return max(0.0, float(r - self.epsilon))
 
 
@@ -74,7 +81,7 @@ class SolverDiagnostics:
     iterations: int
     primal_residuals: np.ndarray
     feasibility_gap: float
-    objective_series: np.ndarray
+    objective: float
     converged: bool
     gamma: float
 
@@ -91,12 +98,13 @@ def solve_map(problem: MapProblem, tol: float = MAP_TOL,
               l1_weight: float = 1.0) -> tuple[np.ndarray, SolverDiagnostics]:
     """Compute the MAP estimate of a ball-constrained analysis-l1 problem.
 
-    Iterates until the relative primal change drops below ``tol`` and the
-    feasibility gap is at most FEASIBILITY_SLACK * epsilon. If
-    ``max_iters`` is reached first, the best iterate seen (feasible with
-    lowest objective, else smallest gap) is returned with ``converged``
-    False. The output is nonnegative exactly. Raises ValueError for a
-    ``tol`` <= 0 or a ``max_iters`` not an integer >= 1.
+    Iterates on the data ball ``problem.fit`` until the relative primal
+    change drops below ``tol`` and the exact ``problem.feasibility_gap``,
+    computed only when the change passes, is at most FEASIBILITY_SLACK *
+    epsilon; at ``max_iters`` the last iterate is returned with
+    ``converged`` False. ``diag.objective`` is ||Psi x||_1 of the returned
+    x, which is nonnegative exactly. Raises ValueError for a ``tol`` <= 0
+    or a ``max_iters`` not an integer >= 1.
 
     ``l1_weight`` scales the objective; since the rest of the problem is
     a pair of hard constraints, the minimizer does not depend on it.
@@ -122,53 +130,29 @@ def solve_map(problem: MapProblem, tol: float = MAP_TOL,
     max(||y||, epsilon), which is positive and scales with the data too,
     so gamma stays finite. ``diag.gamma`` reports the step taken.
     """
-    blocks = [DualBlock(problem.psi, L1Norm(l1_weight)),
-              DualBlock(problem.phi, L2Ball(problem.data, problem.epsilon))]
     check_limits(tol, max_iters)
-    phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
-    x = project_box(phi.adjoint(y), NONNEGATIVE)
+    blocks = [DualBlock(problem.psi, L1Norm(l1_weight)), problem.fit]
+    x = project_box(problem.phi.adjoint(problem.data), NONNEGATIVE)
     gamma = _dual_step(x, problem, l1_weight)
-    gap_tol = FEASIBILITY_SLACK * eps
-
-    # x_new = (bar + x) / 2, so Psi x and Phi x follow by linearity
-    psi_x = psi.forward(x)
-    phi_x = phi.forward(x)
+    gap_tol = FEASIBILITY_SLACK * problem.epsilon
     steps = pd_steps(x, NONNEGATIVE, blocks, [b.zero_dual() for b in blocks],
                      pd_step_sizes(blocks, gamma, beta=0.0), gamma)
 
     residuals = []
-    objectives = []
-    best = (np.inf, np.inf, x)
     converged = False
-    it = 0
-    for it, (x, x_prev, (psi_bar, phi_bar)) in zip(range(1, max_iters + 1), steps):
+    for it, (x, x_prev, _) in zip(range(1, max_iters + 1), steps):
         change = np.linalg.norm(x - x_prev) / max(np.linalg.norm(x), 1e-300)
-        psi_x = 0.5 * (psi_bar + psi_x)
-        phi_x = 0.5 * (phi_bar + phi_x)
-        gap = problem._gap_of_measurements(phi_x)
-        objective = float(np.sum(np.abs(psi_x)))
         residuals.append(change)
-        objectives.append(objective)
-        score = (0.0, objective) if gap <= gap_tol else (gap, np.inf)
-        if score < best[:2]:
-            best = (*score, x)
         # iteration 1 cannot move the primal (duals start at zero)
-        if it >= 2 and change <= tol and gap <= gap_tol:
-            # the tracked Phi x carries rounding; certify on the exact gap
-            phi_x = phi.forward(x)
-            gap = problem._gap_of_measurements(phi_x)
-            if gap <= gap_tol:
-                converged = True
-                break
+        if it >= 2 and change <= tol and problem.feasibility_gap(x) <= gap_tol:
+            converged = True
+            break
 
-    if not converged:
-        x = best[2]
-        gap = problem.feasibility_gap(x)
     diag = SolverDiagnostics(
         iterations=it,
         primal_residuals=np.asarray(residuals),
-        feasibility_gap=gap,
-        objective_series=np.asarray(objectives),
+        feasibility_gap=problem.feasibility_gap(x),
+        objective=float(np.sum(np.abs(problem.psi.forward(x)))),
         converged=converged,
         gamma=gamma,
     )

@@ -44,6 +44,7 @@ class LinearMap:
     image. ``norm_bound`` is an upper bound on the spectral norm, used by
     the solvers' step-size conditions. ``grid`` is the (rows, cols) image
     grid of the input, for a map built on one (Fourier and Db8 maps).
+    ``fold`` maps data to a smaller data ball (see :func:`masked_dft`).
     """
 
     in_dim: int
@@ -53,6 +54,7 @@ class LinearMap:
     norm_bound: float | None = None
     complex_output: bool = False
     grid: tuple[int, int] | None = None
+    fold: Callable | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -211,12 +213,42 @@ def masked_dft(pattern: SamplingPattern) -> LinearMap:
     inner product Re<u, v>, is the real image Re(F* M* y): it folds y into
     the half spectrum as 0.5 * (y_k + conj(y_-k)) and applies the inverse
     real FFT. The spectral norm is at most 1 (restriction of a unitary map).
+
+    ``fold(y)`` gives (Phi_h, y_h, c) with ||Phi x - y||^2 =
+    ||Phi_h x - y_h||^2 + c for real x: Phi_h reads each half-spectrum slot
+    once, so k and -k of an interior column merge into one entry of weight
+    sqrt(2) and data (y_k + conj(y_-k)) / sqrt(2), and c sums
+    |y_k - conj(y_-k)|^2 / 2 over such pairs (n^2 bins fold to n (n/2 + 1)).
     """
     if pattern.n_selected == 0:
         raise ValueError("sampling pattern is empty")
     rows, cols, m = pattern.rows, pattern.cols, pattern.n_selected
+    forward, adjoint, read_at = _dft_reader(rows, cols, pattern.indices)
+    slots, entry = np.unique(read_at, return_inverse=True)
+    count = np.bincount(entry)
+    half_map = LinearMap(rows * cols, slots.size,
+                         *_dft_reader(rows, cols, slots, np.sqrt(count))[:2],
+                         norm_bound=1.0, complex_output=True, grid=(rows, cols))
+    stored = read_at == pattern.indices
+
+    def fold(y):
+        seen = np.where(stored, y, np.conj(y))  # each datum as read at its slot
+        total = np.bincount(entry, seen.real) + 1j * np.bincount(entry, seen.imag)
+        spread = seen - (total / count)[entry]
+        return half_map, total / np.sqrt(count), float(np.vdot(spread, spread).real)
+
+    return LinearMap(rows * cols, m, forward, adjoint, norm_bound=1.0,
+                     complex_output=True, grid=(rows, cols), fold=fold)
+
+
+def _dft_reader(rows: int, cols: int, bins: np.ndarray,
+                weight: np.ndarray | None = None) -> tuple:
+    """The forward and adjoint of x -> weight * (F x)[bins] (see
+    :func:`masked_dft`; weighted bins must lie in the stored half), and
+    the bin of the stored half that each bin is read at: k itself or -k."""
+    m = bins.size
     half_cols = cols // 2 + 1
-    ky, kx = np.divmod(pattern.indices, cols)
+    ky, kx = np.divmod(bins, cols)
     neg_ky, neg_kx = -ky % rows, -kx % cols
     # each bin k or its mirror -k (or both) lies in the stored half
     stored = kx < half_cols
@@ -230,6 +262,7 @@ def masked_dft(pattern: SamplingPattern) -> LinearMap:
     mirror = np.flatnonzero(neg_kx < half_cols)
     fold_mirror = np.full(rows * half_cols, m)
     fold_mirror[neg_ky[mirror] * half_cols + neg_kx[mirror]] = mirror
+    half_weight = 0.5 if weight is None else 0.5 * weight
 
     # rfft2 and irfft2 written as their two 1-D passes, so that the
     # complex pass runs in place on the half spectrum
@@ -238,12 +271,15 @@ def masked_dft(pattern: SamplingPattern) -> LinearMap:
                            norm="ortho")
         np.fft.fft(half, axis=0, norm="ortho", out=half)
         out = half.ravel()[gather]
-        out.imag *= imag_sign
+        if weight is None:
+            out.imag *= imag_sign
+        else:
+            out *= weight
         return out
 
     def adjoint(y):
         padded = np.empty(m + 1, dtype=complex)
-        np.multiply(y, 0.5, out=padded[:m])
+        np.multiply(y, half_weight, out=padded[:m])
         padded[m] = 0.0
         half = padded[fold_mirror]
         np.conjugate(half, out=half)
@@ -252,8 +288,7 @@ def masked_dft(pattern: SamplingPattern) -> LinearMap:
         np.fft.ifft(half, axis=0, norm="ortho", out=half)
         return np.fft.irfft(half, n=cols, axis=1, norm="ortho").ravel()
 
-    return LinearMap(rows * cols, m, forward, adjoint, norm_bound=1.0,
-                     complex_output=True, grid=(rows, cols))
+    return forward, adjoint, np.where(stored, bins, neg_ky * cols + neg_kx)
 
 
 def multicoil_map(patterns: Sequence[SamplingPattern],

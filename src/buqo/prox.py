@@ -18,6 +18,7 @@ its argument and return it; ``violation(z)`` is <= 0 on the set, > 0 off it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,19 +76,27 @@ def _excess(norm: float, size: float) -> float:
 
 @dataclass(frozen=True)
 class L2Ball:
-    """Euclidean ball of given center (vector or scalar) and radius."""
+    """The set of z with ||z - c||^2 + offset <= r^2: center c (vector or
+    scalar), radius r, and the energy ``offset`` that a fold of the data
+    takes out of the residual (see ``operators.masked_dft``)."""
 
     center: float | np.ndarray
     radius: float
+    offset: float = 0.0
 
     def __post_init__(self):
         if not self.radius >= 0:
             raise ValueError("ball radius must be nonnegative")
 
+    @property
+    def inner_radius(self) -> float:
+        """sqrt(r^2 - offset), the radius of the set around c."""
+        return math.sqrt(self.radius ** 2 - self.offset) if self.offset else self.radius
+
     def dual_prox(self, gamma: float) -> DualProx:
-        """vt -> d max(0, 1 - gamma r / ||d||) with d = vt - gamma c, the
-        dual step of the indicator of the ball B(c, r); real or complex."""
-        center, radius = gamma * np.asarray(self.center), gamma * self.radius
+        """vt -> d max(0, 1 - gamma r' / ||d||) with d = vt - gamma c, the dual
+        step of the indicator of B(c, r'), r' = ``inner_radius``; complex too."""
+        center, radius = gamma * np.asarray(self.center), gamma * self.inner_radius
 
         def prox(vt):
             vt -= center
@@ -101,8 +110,10 @@ class L2Ball:
         return prox
 
     def violation(self, z: np.ndarray) -> float:
-        """The excess ||z - c|| - r, relative to r (see ``_excess``)."""
-        return _excess(float(np.linalg.norm(z - self.center)), self.radius)
+        """The excess sqrt(||z - c||^2 + offset) - r, relative to r (see
+        ``_excess``)."""
+        norm = math.hypot(np.linalg.norm(z - self.center), math.sqrt(self.offset))
+        return _excess(norm, self.radius)
 
 
 @dataclass(frozen=True)
@@ -170,9 +181,9 @@ def project_l2_ball(x: np.ndarray, ball: L2Ball) -> np.ndarray:
     x = np.asarray(x)
     d = x - ball.center
     norm = np.linalg.norm(d)
-    if norm <= ball.radius:
+    if norm <= ball.inner_radius:
         return x.copy()
-    return ball.center + d * (ball.radius / norm)
+    return ball.center + d * (ball.inner_radius / norm)
 
 
 def _l1_threshold(mags: np.ndarray, level: float) -> float:

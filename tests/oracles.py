@@ -7,8 +7,9 @@ over the periodic filter bank; intersection projections by a per-instance
 projected-subgradient method on dense operators, optionally polished by
 a generic trust-region NLP solve (still independent of the package's
 primal-dual iterations). The MAP oracle is the opposite kind: the
-primal-dual iteration written out operation by operation, so that a
-refactoring of the solver can be held to the same iterates bit for bit.
+primal-dual iteration written out operation by operation, with its own
+bin-by-bin fold of the data ball, so that a refactoring of the solver
+can be held to the same iterates bit for bit.
 """
 
 import numpy as np
@@ -108,47 +109,99 @@ def filter_bank_2d(x, rows, cols, levels, lo, hi, adjoint=False):
     return a.ravel()
 
 
-def map_iterations(problem, iters):
+def fold_by_bins(pattern, y):
+    """The data-ball fold of a masked DFT, built bin by bin.
+
+    Bin k of a rows x cols grid lands on the half-spectrum slot k when
+    its column kx is at most cols // 2, else on the slot -k, read
+    conjugated. Each slot that bins land on is one entry, in slot order:
+    k and -k of an interior column land on one slot, whose entry has
+    weight sqrt(2) and center (y_k + conj y_-k) / sqrt(2), and add their
+    spread about their mean to the offset. Returns (read, unread, center,
+    offset): ``read`` takes the measurements Phi x to the folded ones,
+    and ``unread`` takes folded data v to u with Phi* u = Phi_h* v.
+    """
+    rows, cols, m = pattern.rows, pattern.cols, pattern.n_selected
+    slots = {}
+    for entry, k in enumerate(pattern.indices):
+        ky, kx = divmod(int(k), cols)
+        if kx <= cols // 2:
+            slots.setdefault((ky, kx), []).append((entry, False))
+        else:
+            slots.setdefault(((-ky) % rows, (-kx) % cols), []).append((entry, True))
+    order = sorted(slots)
+    # each slot is read at one bin: its own if selected, else its mirror
+    rep = np.array([min(slots[s], key=lambda e: e[1])[0] for s in order])
+    rep_conj = np.array([all(conj for _, conj in slots[s]) for s in order])
+    count = np.array([len(slots[s]) for s in order])
+    weight = np.sqrt(count)
+
+    def read(z):
+        return np.where(rep_conj, np.conj(z[rep]), z[rep]) * weight
+
+    def unread(v):
+        u = np.zeros(m, dtype=complex)
+        u[rep] = np.where(rep_conj, np.conj(v), v * weight)
+        return u
+
+    seen, slot_of, totals = np.zeros(m, dtype=complex), np.zeros(m, dtype=int), []
+    for j, s in enumerate(order):
+        total = 0j
+        for entry, conj in slots[s]:
+            seen[entry] = np.conj(y[entry]) if conj else y[entry]
+            slot_of[entry] = j
+            total += seen[entry]
+        totals.append(total)
+    totals = np.array(totals)
+    spread = seen - (totals / count)[slot_of]
+    return read, unread, totals / weight, float(np.vdot(spread, spread).real)
+
+
+def map_iterations(problem, iters, pattern=None):
     """``iters`` steps of the MAP's Condat–Vũ iteration, one loop.
 
     Starts, like ``solve_map``, from the box-clipped back-projection x0
     of the data with zero duals, takes the dual step
     gamma = 8 sqrt(len(Psi x)) / ||x0|| (unit l1 weight) and the primal
-    step 0.99 / (gamma (||Psi||^2 + ||Phi||^2)) (no smooth term), takes
-    both dual steps in closed form, and tracks Psi x and Phi x by
-    linearity (x_new = (bar + x) / 2). Returns per-iteration lists of the
-    iterates, relative primal changes, objectives ||Psi x||_1 and
-    feasibility gaps max(0, ||Phi x - y|| - epsilon).
+    step 0.99 / (gamma (||Psi||^2 + ||Phi||^2)) (no smooth term), and
+    takes both dual steps in closed form. Given the ``pattern`` of a
+    masked-DFT Phi, the data-ball dual lives on the folded data of
+    :func:`fold_by_bins`, whose ball has radius sqrt(epsilon^2 - offset);
+    else on y itself. Returns per-iteration lists of the iterates, the
+    relative primal changes and the exact feasibility gaps
+    max(0, ||Phi x - y|| - epsilon).
     """
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
+    read = unread = lambda z: z  # noqa: E731
+    center, radius = y, eps
+    if pattern is not None:
+        read, unread, center, offset = fold_by_bins(pattern, y)
+        radius = np.sqrt(eps ** 2 - offset)
     lo, hi = NONNEGATIVE.lo, NONNEGATIVE.hi
     x = np.clip(np.real(phi.adjoint(y)), lo, hi)
     gamma = 8.0 * np.sqrt(psi.out_dim) / np.linalg.norm(x)
     sigma = 0.99 / (gamma * (psi.norm_bound ** 2 + phi.norm_bound ** 2))
-    psi_x, phi_x = psi.forward(x), phi.forward(x)
     v_psi = np.zeros(psi.out_dim)
-    v_phi = np.zeros(phi.out_dim, dtype=complex)
-    xs, changes, objectives, gaps = [], [], [], []
+    v_fit = np.zeros(center.size, dtype=complex)
+    xs, changes, gaps = [], [], []
     for _ in range(iters):
-        grad = psi.adjoint(v_psi) + np.real(phi.adjoint(v_phi))
+        grad = psi.adjoint(v_psi) + np.real(phi.adjoint(unread(v_fit)))
         x_new = np.clip(x - sigma * grad, lo, hi)
         bar = 2.0 * x_new - x
-        psi_bar, phi_bar = psi.forward(bar), phi.forward(bar)
+        psi_bar, fit_bar = psi.forward(bar), read(phi.forward(bar))
         # closed-form dual steps: the l1 dual is clipped to the unit
         # l-inf ball; the data-ball dual is d shrunk radially by
-        # gamma * eps (0 inside), with d = v + gamma Phi bar - gamma y
+        # gamma * radius (0 inside), with d = v + gamma Phi bar - gamma y
         v_psi = np.clip(v_psi + gamma * psi_bar, -1.0, 1.0)
-        d = v_phi + gamma * phi_bar - gamma * y
+        d = v_fit + gamma * fit_bar - gamma * center
         r = np.linalg.norm(d)
-        v_phi = np.zeros_like(d) if r <= gamma * eps else d * (1.0 - gamma * eps / r)
+        v_fit = (np.zeros_like(d) if r <= gamma * radius
+                 else d * (1.0 - gamma * radius / r))
         changes.append(np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), 1e-300))
         x = x_new
-        psi_x = 0.5 * (psi_bar + psi_x)
-        phi_x = 0.5 * (phi_bar + phi_x)
         xs.append(x)
-        objectives.append(float(np.sum(np.abs(psi_x))))
-        gaps.append(max(0.0, float(np.linalg.norm(phi_x - y) - eps)))
-    return xs, changes, objectives, gaps
+        gaps.append(max(0.0, float(np.linalg.norm(phi.forward(x) - y) - eps)))
+    return xs, changes, gaps
 
 
 def dense_matrix(op):

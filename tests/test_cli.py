@@ -16,8 +16,10 @@ from buqo.cli import (
     load_config,
     main,
 )
-from buqo.operators import PixelMask
+from buqo.operators import PixelMask, db8_analysis
 from buqo.sim import make_phantom, phantom_layout, sample_noise
+
+from oracles import fold_by_bins
 
 
 def write_cfg(tmp_path, name="run.cfg", **overrides):
@@ -373,6 +375,46 @@ def test_nan_noise_level_is_exit_2(tmp_path, overrides):
     out = tmp_path / "map_out"
     assert main(["map", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_data_ball_without_real_images_is_exit_2(tmp_path, capsys):
+    # 0.05j added to every bin of a fully sampled 32x32 observation: its
+    # 480 interior conjugate pairs disagree by about 0.1 each, so no real
+    # image lies within epsilon = 0.8 of the data; refused before any
+    # iteration (at most 50 here) and before any output exists
+    sim = simulated(tmp_path, "sim")
+    shifted = tmp_path / "shifted.meas"
+    y = bio.read_measurements(sim / "measurements.meas") + 0.05j
+    bio.write_measurements(shifted, y)
+    pattern = bio.read_pattern(sim / "pattern.freq")
+    _, _, _, offset = fold_by_bins(pattern, y)
+    cfg = write_cfg(tmp_path, name="m.cfg", measurements=str(shifted),
+                    epsilon=0.8, **{"pattern.file": str(sim / "pattern.freq"),
+                                    "structure.file": str(bright_mask_file(tmp_path)),
+                                    "map.max.iters": 50})
+    capsys.readouterr()
+    for command in ("map", "test"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"sqrt(c) = {np.sqrt(offset):.6g} > epsilon = 0.8" in err
+        assert np.sqrt(offset) > 1.5
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5, 0.3])
+def test_map_diagnostics_objective_is_the_written_estimates(tmp_path, ratio):
+    # ||Psi x||_1 of the image written beside it, to the last bit
+    sim = simulated(tmp_path, "sim", ratio=ratio)
+    cfg = write_cfg(tmp_path, name="m.cfg", ratio=ratio,
+                    measurements=str(sim / "measurements.meas"),
+                    **{"pattern.file": str(sim / "pattern.freq")})
+    out = tmp_path / "map"
+    assert main(["map", "--config", str(cfg), "--out", str(out)]) == 0
+    x_map, rows, cols = bio.read_image(out / "x_map.img")
+    diag = bio.read_config(out / "map_diagnostics.txt")
+    psi = db8_analysis(rows, cols, 2)
+    assert float(diag["objective"]) == np.abs(psi.forward(x_map)).sum()
 
 
 def test_measurements_not_fitting_the_pattern_are_exit_2(tmp_path):

@@ -40,9 +40,8 @@ def test_solve_map_feasibility_with_loose_ball():
     assert diag.feasibility_gap == problem.feasibility_gap(x)
     assert np.linalg.norm(phi.forward(x) - y) <= 2.0 * (1 + 1e-6)
     assert x.min() >= 0.0
-    # the logged objective (tracked by linearity) is the one of x itself
-    exact = np.abs(psi.forward(x)).sum()
-    assert diag.objective_series[-1] == pytest.approx(exact, rel=1e-12)
+    # the logged objective is the one of x itself
+    assert diag.objective == np.abs(psi.forward(x)).sum()
 
 
 def test_solve_map_recovers_truth_noiseless_tiny_ball():
@@ -109,7 +108,7 @@ def test_solve_map_flags_nonconvergence():
     assert not diag.converged
     assert diag.iterations == 5
     assert len(diag.primal_residuals) == 5
-    assert len(diag.objective_series) == 5
+    assert diag.objective == np.abs(psi.forward(x)).sum()
 
 
 @pytest.mark.parametrize("iters", [5, 12])
@@ -124,32 +123,39 @@ def test_solve_map_operator_budget_per_iteration(iters):
     _, diag = solve_map(problem, tol=1e-12, max_iters=iters)
     assert not diag.converged and diag.iterations == iters
     # one adjoint and one forward (of the extrapolated point) per iteration;
-    # set-up: Phi* y, then Psi x0 and Phi x0; the end: the best iterate's gap
+    # set-up: Phi* y; the end: the last iterate's gap and objective
     assert psi_calls == {"forward": iters + 1, "adjoint": iters}
-    assert phi_calls == {"forward": iters + 2, "adjoint": iters + 1}
+    assert phi_calls == {"forward": iters + 1, "adjoint": iters + 1}
 
 
 @pytest.mark.parametrize("epsilon, tol, max_iters", [
     (1e-3, 1e-12, 5), (1e-3, 1e-12, 40), (0.5, 1e-8, 20000)])
 def test_solve_map_matches_loop_oracle(epsilon, tol, max_iters):
     rows = cols = 8
-    phi = full_dft(rows, cols)
+    pattern = SamplingPattern(rows, cols, np.arange(rows * cols))
+    phi = masked_dft(pattern)
     truth, psi = sparse_truth(rows, cols, seed=5)
-    problem = MapProblem(phi, psi, phi.forward(truth) + 0.3, epsilon=epsilon)
-    x, diag = solve_map(problem, tol=tol, max_iters=max_iters)
-    xs, changes, objectives, gaps = map_iterations(problem, diag.iterations)
-    np.testing.assert_array_equal(diag.primal_residuals, changes)
-    np.testing.assert_array_equal(diag.objective_series, objectives)
-    if diag.converged:
-        assert diag.iterations < max_iters
+    y = phi.forward(truth) + 0.3
+    # the counting wrapper has no fold: the plain ball on all 64 bins;
+    # the masked DFT itself folds them onto 40 half-spectrum slots
+    for op, folded in ((counting(phi)[0], None), (phi, pattern)):
+        problem = MapProblem(op, psi, y, epsilon=epsilon)
+        assert problem.fit.op.out_dim == (64 if folded is None else 40)
+        x, diag = solve_map(problem, tol=tol, max_iters=max_iters)
+        xs, changes, gaps = map_iterations(problem, diag.iterations, folded)
+        np.testing.assert_array_equal(diag.primal_residuals, changes)
+        # the last iterate, converged or not
         np.testing.assert_array_equal(x, xs[-1])
-    else:
-        # the first feasible iterate of lowest objective, else the first
-        # one of smallest gap
-        feasible = [k for k, gap in enumerate(gaps) if gap <= 1e-6 * epsilon]
-        best = (min(feasible, key=objectives.__getitem__) if feasible
-                else int(np.argmin(gaps)))
-        np.testing.assert_array_equal(x, xs[best])
+        assert diag.feasibility_gap == gaps[-1]
+        assert diag.objective == np.abs(psi.forward(x)).sum()
+        # the stop test: the first iteration from 2 on whose change and
+        # exact gap both pass
+        passing = [k + 1 for k in range(1, len(changes))
+                   if changes[k] <= tol and gaps[k] <= 1e-6 * epsilon]
+        if diag.converged:
+            assert diag.iterations < max_iters and passing == [diag.iterations]
+        else:
+            assert diag.iterations == max_iters and passing == []
 
 
 @pytest.mark.parametrize("limits", [
@@ -186,10 +192,14 @@ def test_solve_map_objective_bounded_and_running_min_monotone():
     truth, psi = sparse_truth(rows, cols, seed=11)
     y = add_noise(phi.forward(truth), 1e-3, seed=12)
     problem = MapProblem(phi, psi, y, epsilon=0.5)
-    _, diag = solve_map(problem, tol=1e-8, max_iters=5000)
-    assert np.isfinite(diag.objective_series).all()
-    running = np.minimum.accumulate(diag.objective_series)
+    x, diag = solve_map(problem, tol=1e-8, max_iters=5000)
+    xs, _, _ = map_iterations(problem, diag.iterations, pattern)
+    objectives = [np.abs(psi.forward(x_k)).sum() for x_k in xs]
+    assert np.isfinite(objectives).all()
+    running = np.minimum.accumulate(objectives)
     assert (np.diff(running) <= 0).all()
+    np.testing.assert_array_equal(x, xs[-1])
+    assert diag.objective == objectives[-1]
 
 
 def test_map_problem_validation():
@@ -227,6 +237,19 @@ def test_map_problem_refuses_nan():
     data[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         MapProblem(phi, psi, data, epsilon=1.0)
+
+
+def test_map_problem_refuses_a_ball_without_real_images():
+    # 0.05j on every bin of a real image's spectrum: each of the 24
+    # interior conjugate pairs of an 8x8 grid disagrees by 0.1, so
+    # ||Phi x - y||^2 >= c = 24 * 0.1^2 / 2 = 0.12 for every real x
+    phi = full_dft(8, 8)
+    truth, psi = sparse_truth(8, 8, seed=0)
+    y = phi.forward(truth) + 0.05j
+    with pytest.raises(ValueError, match=r"sqrt\(c\) = 0\.34641 > epsilon = 0\.3$"):
+        MapProblem(phi, psi, y, epsilon=0.3)
+    problem = MapProblem(phi, psi, y, epsilon=0.35)
+    assert problem.fit.term.offset == pytest.approx(0.12, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from buqo.operators import (
     residual_map,
 )
 from buqo.operators import _DB8_HI, _DB8_LO
-from buqo.sim import coil_sensitivities, gaussian_random_pattern
+from buqo.map_solver import MapProblem
+from buqo.sim import coil_sensitivities, gaussian_random_pattern, sampling_pattern
 
+from instances import counting
 from oracles import dense_matrix, filter_bank_2d
 
 
@@ -222,6 +224,79 @@ def test_dot_test_on_real_images_catches_a_missing_conj(conj):
         assert defect < 1e-10
     else:
         assert defect > 1e-3
+
+
+def fold_patterns():
+    rng = np.random.default_rng(17)
+    return {
+        "full-64x64": SamplingPattern(64, 64, np.arange(64 * 64)),
+        "full-15x21": SamplingPattern(15, 21, np.arange(15 * 21)),
+        "gaussian-0.5": gaussian_random_pattern(64, 64, 0.5, seed=3),
+        "cartesian": sampling_pattern("cartesian", 64, 64, 0.5, seed=0),
+        "random-16x10": SamplingPattern(16, 10, rng.choice(160, 70, replace=False)),
+        "gaussian-32x48": gaussian_random_pattern(32, 48, 0.5, seed=4),
+    }
+
+
+@pytest.mark.parametrize("name", list(fold_patterns()))
+def test_masked_dft_fold_keeps_the_data_misfit(name):
+    # ||Phi x - y||^2 = ||Phi_h x - y_h||^2 + c for real x, any data y
+    pattern = fold_patterns()[name]
+    op = masked_dft(pattern)
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+    half, center, offset = op.fold(y)
+    assert half.in_dim == op.in_dim and half.out_dim == center.size <= op.out_dim
+    assert half.grid == op.grid and half.complex_output and offset > 0.0
+    for _ in range(3):
+        x = rng.standard_normal(op.in_dim)
+        misfit = np.linalg.norm(op.forward(x) - y) ** 2
+        folded = np.linalg.norm(half.forward(x) - center) ** 2 + offset
+        assert abs(folded - misfit) <= 1e-12 * misfit
+    assert dot_test(half) <= 1e-12
+    # the back-projections agree: Phi_h* y_h = Phi* y
+    np.testing.assert_allclose(half.adjoint(center), op.adjoint(y),
+                               rtol=0, atol=1e-12 * np.linalg.norm(y))
+
+
+def test_masked_dft_fold_of_a_full_grid():
+    rows = cols = 64
+    op = masked_dft(SamplingPattern(rows, cols, np.arange(rows * cols)))
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(rows * cols)
+    y = op.forward(x)
+    half, center, offset = op.fold(y)
+    # one entry per slot of the 64 x 33 half spectrum
+    assert (op.out_dim, half.out_dim) == (4096, 2112)
+    # consistent data fold onto the measurements of x with no offset
+    np.testing.assert_allclose(half.forward(x), center, rtol=0, atol=1e-12)
+    assert offset <= 1e-24
+    full, folded = op.forward(x), half.forward(x)
+    for ky in range(rows):
+        for kx in range(cols // 2 + 1):
+            slot, k = ky * (cols // 2 + 1) + kx, ky * cols + kx
+            # bins k and -k merge unless they are one bin (self-conjugate)
+            # or both lie in column 0 or the Nyquist column
+            interior = 0 < kx < cols // 2
+            weight = np.sqrt(2.0) if interior else 1.0
+            assert folded[slot] == weight * full[k]
+    for ky, kx in ((0, 0), (0, 32), (32, 0), (32, 32)):
+        assert folded[ky * 33 + kx] == full[ky * 64 + kx]
+
+
+def test_maps_without_a_fold_keep_the_plain_ball():
+    pattern = gaussian_random_pattern(8, 8, 0.5, seed=2)
+    coils = multicoil_map([pattern, pattern], coil_sensitivities(8, 8)[:2])
+    counted, _ = counting(masked_dft(pattern))
+    psi = db8_analysis(8, 8, 1)
+    rng = np.random.default_rng(7)
+    for phi in (coils, counted):
+        assert phi.fold is None
+        y = rng.standard_normal(phi.out_dim) + 1j * rng.standard_normal(phi.out_dim)
+        fit = MapProblem(phi, psi, y, 1.0).fit
+        assert fit.op is phi
+        np.testing.assert_array_equal(fit.term.center, y)
+        assert fit.term.radius == 1.0 and fit.term.offset == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,29 @@ def test_violations_match_the_relative_excess_formulas():
         (np.abs(z).sum() - 0.5) / 0.5, rel=1e-14)
 
 
+def test_ball_offset_shrinks_the_set_not_the_measured_radius():
+    # ||z - c||^2 + offset <= r^2: the set is B(c, sqrt(r^2 - offset)),
+    # while the violation measures sqrt(||z - c||^2 + offset) against r
+    rng = np.random.default_rng(13)
+    center = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    ball = L2Ball(center, 5.0, offset=9.0)
+    assert ball.inner_radius == 4.0 and L2Ball(center, 5.0).inner_radius == 5.0
+    direction = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    direction /= np.linalg.norm(direction)
+    for dist, excess in ((4.0, 0.0), (0.0, -0.4), (np.sqrt(55.0), 0.6)):
+        assert ball.violation(center + dist * direction) == pytest.approx(
+            excess, abs=1e-15)
+    plain = L2Ball(center, 4.0)
+    np.testing.assert_array_equal(
+        project_l2_ball(center + 6.0 * direction, ball),
+        project_l2_ball(center + 6.0 * direction, plain))
+    for gamma in (0.25, 1.0, 4.0):
+        for scale in (0.1, 1.0, 10.0):
+            vt = gamma * center + scale * direction
+            np.testing.assert_array_equal(ball.dual_prox(gamma)(vt.copy()),
+                                          plain.dual_prox(gamma)(vt.copy()))
+
+
 def test_violation_is_absolute_at_size_zero_and_never_nan():
     z = np.array([3.0, -4.0])
     assert L2Ball(0.0, 0.0).violation(z) == 5.0

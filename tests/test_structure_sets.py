@@ -243,8 +243,12 @@ def test_projector_blocks_hold_their_sets():
     p = region.problem
     assert levelset.op is p.psi
     assert levelset.term == L1Levelset(region.eta_tilde / region.lam)
-    assert ball.op is p.phi
-    assert ball.term.center is p.data and ball.term.radius == p.epsilon
+    # the problem's data ball, folded by its masked DFT
+    assert ball is p.fit
+    op, center, offset = p.phi.fold(p.data)
+    assert ball.op is op
+    np.testing.assert_array_equal(ball.term.center, center)
+    assert ball.term.radius == p.epsilon and ball.term.offset == offset
 
 
 def test_project_background_idempotent_on_member():
