@@ -28,12 +28,13 @@ MAP_MAX_ITERS = 20000
 FEASIBILITY_SLACK = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapProblem:
     """One observation: data-fit ball, analysis operator and the image
     ``grid`` that Phi or Psi records (None when neither does). ``fit``,
     the solvers' data ball, is built here, folded when Phi has a ``fold``;
-    a changed observation is a new one (``dataclasses.replace``)."""
+    the fields cannot be assigned, so a changed observation is a new one
+    (``dataclasses.replace``), with its own ``fit``."""
 
     phi: LinearMap
     psi: LinearMap
@@ -42,7 +43,8 @@ class MapProblem:
     fit: DualBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex).ravel()
+        object.__setattr__(self, "data",
+                           np.asarray(self.data, dtype=complex).ravel())
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
         if not np.all(np.isfinite(self.data)):
@@ -60,7 +62,8 @@ class MapProblem:
             raise ValueError("no real image fits the data: its conjugate pairs "
                              f"disagree by sqrt(c) = {math.sqrt(offset):.6g} > "
                              f"epsilon = {self.epsilon:.6g}")
-        self.fit = DualBlock(op, L2Ball(center, self.epsilon, offset))
+        object.__setattr__(self, "fit",
+                           DualBlock(op, L2Ball(center, self.epsilon, offset)))
 
     @property
     def grid(self) -> tuple[int, int] | None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,7 +62,8 @@ def test_epsilon_bound_linear_in_sigma():
 
 def test_build_region_threshold_with_zero_l1_term():
     problem, _ = small_map_problem(seed=2)
-    problem.data = np.zeros(problem.phi.out_dim, dtype=complex)
+    problem = dataclasses.replace(
+        problem, data=np.zeros(problem.phi.out_dim, dtype=complex))
     x_map = np.zeros(16)
     region = build_region(x_map, lam=1.0, alpha=0.1, problem=problem)
     tau = compute_tau_alpha(0.1, 16)

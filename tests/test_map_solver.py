@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,17 @@ def test_solve_map_objective_bounded_and_running_min_monotone():
     assert (np.diff(running) <= 0).all()
     np.testing.assert_array_equal(x, xs[-1])
     assert diag.objective == objectives[-1]
+
+
+def test_map_problem_cannot_be_assigned_and_replace_rebuilds_its_ball():
+    phi = full_dft(4, 4)
+    problem = MapProblem(phi, db8_analysis(4, 4, 1), phi.forward(np.ones(16)), 1.0)
+    for name, value in (("data", np.zeros(16)), ("epsilon", 2.0), ("fit", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, name, value)
+    zero = dataclasses.replace(problem, data=np.zeros(16))
+    assert np.abs(problem.fit.term.center).max() > 0
+    np.testing.assert_array_equal(zero.fit.term.center, 0.0)
 
 
 def test_map_problem_validation():

@@ -404,11 +404,29 @@ def test_db8_dot_test():
     assert dot_test(op, n_probes=20, seed=3) < 1e-10
 
 
+@pytest.mark.parametrize("n", [128, 256])
+def test_db8_band_parseval_reconstruction_and_dot_test(n):
+    # 128 and 256 points per axis run the band, 64 and 32 the dense matrix
+    op = db8_analysis(n, n, 3)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        x = rng.standard_normal(n * n)
+        assert np.linalg.norm(op.forward(x)) == pytest.approx(
+            np.linalg.norm(x), abs=1e-10)
+        np.testing.assert_allclose(op.adjoint(op.forward(x)), x, atol=1e-10)
+    assert dot_test(op, n_probes=5, seed=3) < 1e-10
+
+
 @pytest.mark.parametrize("rows, cols, levels", [
     (2, 2, 1),     # the 16 taps wrap 8 times around each axis
     (8, 8, 3),
     (16, 32, 2),
     (32, 16, 3),
+    (128, 128, 3),   # banded level 0, dense levels 1 and 2
+    (256, 128, 2),   # banded rows at 256 and 128, banded then dense columns
+    (64, 256, 3),    # dense rows, banded columns at 256 and 128
+    (130, 130, 1),   # 65 outputs per half: blocks of one
+    (132, 128, 2),   # 66 outputs per half: blocks of three, then 66 dense
 ])
 def test_db8_matches_filter_bank_oracle(rows, cols, levels):
     op = db8_analysis(rows, cols, levels)
@@ -435,6 +453,28 @@ def test_db8_filters_moments_and_dc_gain():
 def test_db8_rejects_indivisible_dims():
     with pytest.raises(ValueError):
         db8_analysis(12, 16, 3)
+
+
+@pytest.mark.parametrize("rows, cols, levels", [(-8, -8, 3), (0, 0, 1), (16, 0, 1)])
+def test_db8_rejects_an_empty_or_negative_grid(rows, cols, levels):
+    with pytest.raises(ValueError, match=rf"grid \({rows}, {cols}\)"):
+        db8_analysis(rows, cols, levels)
+
+
+@pytest.mark.parametrize("rows, cols", [(16, 16), (256, 128), (64, 256)])
+def test_db8_returns_arrays_its_next_calls_leave_alone(rows, cols):
+    # a banded map reuses its scratch from call to call (a dense one has
+    # none); what it returned must not change with its next calls
+    op = db8_analysis(rows, cols, 2)
+    rng = np.random.default_rng(31)
+    x, w = rng.standard_normal((2, rows * cols))
+    fwd, adj = op.forward(x), op.adjoint(w)
+    kept_fwd, kept_adj = fwd.copy(), adj.copy()
+    op.forward(w)
+    op.adjoint(x)
+    np.testing.assert_array_equal(fwd, kept_fwd)
+    np.testing.assert_array_equal(adj, kept_adj)
+    np.testing.assert_array_equal(op.forward(x), kept_fwd)
 
 
 def test_db8_nonexpansive():
