@@ -32,8 +32,12 @@ FEASIBILITY_SLACK = 1e-6
 class MapProblem:
     """One observation: data-fit ball, analysis operator and the image
     ``grid`` that Phi or Psi records (None when neither does). ``fit``,
-    the solvers' data ball, is built here, folded when Phi has a ``fold``;
-    the fields cannot be assigned, so a changed observation is a new one
+    the solvers' data ball, is built here, folded when Phi has a ``fold``
+    (onto the half spectrum, or onto the image grid for a fully sampled
+    masked DFT; see ``operators.masked_dft``). Data that even the best
+    real image misses by more than epsilon raise ValueError naming that
+    distance; a Phi without a ``fold`` is not checked. The fields cannot
+    be assigned, so a changed observation is a new one
     (``dataclasses.replace``), with its own ``fit``."""
 
     phi: LinearMap
@@ -56,11 +60,11 @@ class MapProblem:
         if self.phi.grid and self.psi.grid and self.phi.grid != self.psi.grid:
             raise ValueError("phi is on a {}x{} grid, psi on {}x{}".format(
                 *self.phi.grid, *self.psi.grid))
-        op, center, offset = (self.phi.fold(self.data) if self.phi.fold
-                              else (self.phi, self.data, 0.0))
-        if offset > self.epsilon ** 2:
-            raise ValueError("no real image fits the data: its conjugate pairs "
-                             f"disagree by sqrt(c) = {math.sqrt(offset):.6g} > "
+        op, center, offset, floor = (self.phi.fold(self.data) if self.phi.fold
+                                     else (self.phi, self.data, 0.0, 0.0))
+        if floor > self.epsilon ** 2:
+            raise ValueError("no real image fits the data: the best real fit "
+                             f"misses it by {math.sqrt(floor):.6g} > "
                              f"epsilon = {self.epsilon:.6g}")
         object.__setattr__(self, "fit",
                            DualBlock(op, L2Ball(center, self.epsilon, offset)))

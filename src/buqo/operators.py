@@ -44,7 +44,8 @@ class LinearMap:
     image. ``norm_bound`` is an upper bound on the spectral norm, used by
     the solvers' step-size conditions. ``grid`` is the (rows, cols) image
     grid of the input, for a map built on one (Fourier and Db8 maps).
-    ``fold`` maps data to a smaller data ball (see :func:`masked_dft`).
+    ``fold`` maps data to an equivalent data ball with fewer entries or no
+    DFT, and to the least misfit of a real image (see :func:`masked_dft`).
     """
 
     in_dim: int
@@ -214,11 +215,23 @@ def masked_dft(pattern: SamplingPattern) -> LinearMap:
     the half spectrum as 0.5 * (y_k + conj(y_-k)) and applies the inverse
     real FFT. The spectral norm is at most 1 (restriction of a unitary map).
 
-    ``fold(y)`` gives (Phi_h, y_h, c) with ||Phi x - y||^2 =
-    ||Phi_h x - y_h||^2 + c for real x: Phi_h reads each half-spectrum slot
-    once, so k and -k of an interior column merge into one entry of weight
-    sqrt(2) and data (y_k + conj(y_-k)) / sqrt(2), and c sums
-    |y_k - conj(y_-k)|^2 / 2 over such pairs (n^2 bins fold to n (n/2 + 1)).
+    ``fold(y)`` gives (Phi_f, y_f, c, e) with ||Phi x - y||^2 =
+    ||Phi_f x - y_f||^2 + c for real x, and e the least ||Phi x - y||^2
+    over real x. It starts from the half-spectrum map Phi_h, which reads
+    each half-spectrum slot once: k and -k of an interior column merge
+    into one entry of weight sqrt(2) and data y_h = (y_k + conj(y_-k)) /
+    sqrt(2), and c sums |y_k - conj(y_-k)|^2 / 2 over such pairs (n^2 bins
+    fold to n (n/2 + 1)). No real image reaches the rest of e - c: a pair
+    k, -k of column 0 or of the Nyquist column keeps two entries and adds
+    |y_k - conj(y_-k)|^2 / 2, a self-conjugate bin adds |Im y_k|^2. An
+    undersampled pattern folds to (Phi_h, y_h). A full one, where Phi* Phi
+    = I and so Phi_h is an isometry on real images, folds onto the image
+    grid: Phi_f is the real map x -> (x, 0) from R^N to R^(N + 1), and y_f
+    = (Phi_h* y_h, ||r||), r = Phi_h Phi_h* y_h - y_h being the part of
+    y_h that no real image reaches (||r||^2 = e - c up to rounding). A
+    Condat-Vu dual on Phi_h stays of the form Phi_h p + beta r, the dual
+    on Phi_f is then (p, -beta ||r||), and the two take the same steps;
+    the iteration needs no DFT. Both maps return new arrays on every call.
     """
     if pattern.n_selected == 0:
         raise ValueError("sampling pattern is empty")
@@ -230,15 +243,48 @@ def masked_dft(pattern: SamplingPattern) -> LinearMap:
                          *_dft_reader(rows, cols, slots, np.sqrt(count))[:2],
                          norm_bound=1.0, complex_output=True, grid=(rows, cols))
     stored = read_at == pattern.indices
+    # the slots, in column 0 or the Nyquist column, whose mirror is a slot
+    # too (itself for a self-conjugate bin), and those mirrors' slots
+    ky, kx = np.divmod(slots, cols)
+    mirror = -ky % rows * cols + -kx % cols
+    at = np.minimum(np.searchsorted(slots, mirror), slots.size - 1)
+    paired = np.flatnonzero(slots[at] == mirror)
+    mirrored = at[paired]
+    image_map = _image_embedding(rows, cols) if m == rows * cols else None
 
     def fold(y):
         seen = np.where(stored, y, np.conj(y))  # each datum as read at its slot
         total = np.bincount(entry, seen.real) + 1j * np.bincount(entry, seen.imag)
         spread = seen - (total / count)[entry]
-        return half_map, total / np.sqrt(count), float(np.vdot(spread, spread).real)
+        folded, offset = total / np.sqrt(count), float(np.vdot(spread, spread).real)
+        # each pair appears from both ends, a self-conjugate bin once
+        gap = folded[paired] - np.conj(folded[mirrored])
+        unreached = float(np.vdot(gap, gap).real) / 4.0
+        if image_map is None:
+            return half_map, folded, offset, offset + unreached
+        image = half_map.adjoint(folded)
+        tail = np.linalg.norm(half_map.forward(image) - folded)
+        return image_map, np.append(image, tail), offset, offset + unreached
 
     return LinearMap(rows * cols, m, forward, adjoint, norm_bound=1.0,
                      complex_output=True, grid=(rows, cols), fold=fold)
+
+
+def _image_embedding(rows: int, cols: int) -> LinearMap:
+    """The real map x -> (x, 0) from a rows x cols image to N + 1 entries;
+    its adjoint reads the first N. Both return new arrays."""
+    n = rows * cols
+
+    def forward(x):
+        out = np.empty(n + 1)
+        out[:n] = x
+        out[n] = 0.0
+        return out
+
+    def adjoint(v):
+        return np.array(v[:n], dtype=float)
+
+    return LinearMap(n, n + 1, forward, adjoint, norm_bound=1.0, grid=(rows, cols))
 
 
 def _dft_reader(rows: int, cols: int, bins: np.ndarray,

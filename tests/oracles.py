@@ -157,7 +157,7 @@ def fold_by_bins(pattern, y):
     return read, unread, totals / weight, float(np.vdot(spread, spread).real)
 
 
-def map_iterations(problem, iters, pattern=None):
+def map_iterations(problem, iters, pattern=None, image=False):
     """``iters`` steps of the MAP's Condat–Vũ iteration, one loop.
 
     Starts, like ``solve_map``, from the box-clipped back-projection x0
@@ -165,30 +165,39 @@ def map_iterations(problem, iters, pattern=None):
     gamma = 8 sqrt(len(Psi x)) / ||x0|| (unit l1 weight) and the primal
     step 0.99 / (gamma (||Psi||^2 + ||Phi||^2)) (no smooth term), and
     takes both dual steps in closed form. Given the ``pattern`` of a
-    masked-DFT Phi, the data-ball dual lives on the folded data of
-    :func:`fold_by_bins`, whose ball has radius sqrt(epsilon^2 - offset);
-    else on y itself. Returns per-iteration lists of the iterates, the
-    relative primal changes and the exact feasibility gaps
-    max(0, ||Phi x - y|| - epsilon).
+    masked-DFT Phi, the data-ball dual lives on the folded data y_h of
+    :func:`fold_by_bins`, read by its Phi_h, whose ball has radius
+    sqrt(epsilon^2 - offset); else on y itself. With ``image`` as well (a
+    full pattern) it lives on the image grid: the ball's operator is
+    x -> (x, 0) and its center (z, ||Phi_h z - y_h||), z = Phi_h* y_h.
+    Returns per-iteration lists of the iterates, the relative primal
+    changes and the exact feasibility gaps max(0, ||Phi x - y|| - epsilon).
     """
     phi, psi, y, eps = problem.phi, problem.psi, problem.data, problem.epsilon
-    read = unread = lambda z: z  # noqa: E731
+    fit_forward, fit_adjoint = phi.forward, lambda v: np.real(phi.adjoint(v))  # noqa: E731
     center, radius = y, eps
     if pattern is not None:
         read, unread, center, offset = fold_by_bins(pattern, y)
         radius = np.sqrt(eps ** 2 - offset)
+        fit_forward = lambda x: read(phi.forward(x))  # noqa: E731
+        fit_adjoint = lambda v: np.real(phi.adjoint(unread(v)))  # noqa: E731
+        if image:
+            z = fit_adjoint(center)
+            center = np.append(z, np.linalg.norm(fit_forward(z) - center))
+            fit_forward = lambda x: np.append(x, 0.0)  # noqa: E731
+            fit_adjoint = lambda v: v[:-1]  # noqa: E731
     lo, hi = NONNEGATIVE.lo, NONNEGATIVE.hi
     x = np.clip(np.real(phi.adjoint(y)), lo, hi)
     gamma = 8.0 * np.sqrt(psi.out_dim) / np.linalg.norm(x)
     sigma = 0.99 / (gamma * (psi.norm_bound ** 2 + phi.norm_bound ** 2))
     v_psi = np.zeros(psi.out_dim)
-    v_fit = np.zeros(center.size, dtype=complex)
+    v_fit = np.zeros(center.size, dtype=center.dtype)
     xs, changes, gaps = [], [], []
     for _ in range(iters):
-        grad = psi.adjoint(v_psi) + np.real(phi.adjoint(unread(v_fit)))
+        grad = psi.adjoint(v_psi) + fit_adjoint(v_fit)
         x_new = np.clip(x - sigma * grad, lo, hi)
         bar = 2.0 * x_new - x
-        psi_bar, fit_bar = psi.forward(bar), read(phi.forward(bar))
+        psi_bar, fit_bar = psi.forward(bar), fit_forward(bar)
         # closed-form dual steps: the l1 dual is clipped to the unit
         # l-inf ball; the data-ball dual is d shrunk radially by
         # gamma * radius (0 inside), with d = v + gamma Phi bar - gamma y
@@ -202,6 +211,16 @@ def map_iterations(problem, iters, pattern=None):
         xs.append(x)
         gaps.append(max(0.0, float(np.linalg.norm(phi.forward(x) - y) - eps)))
     return xs, changes, gaps
+
+
+def best_real_misfit(op, y):
+    """min over real x of ||A x - y||^2, by least squares on the explicit
+    real matrix [Re A; Im A] of a complex-output map (test-scale only)."""
+    mat = dense_matrix(op)
+    stacked = np.vstack([mat.real, mat.imag])
+    data = np.concatenate([np.real(y), np.imag(y)])
+    x = np.linalg.lstsq(stacked, data, rcond=None)[0]
+    return float(np.sum((stacked @ x - data) ** 2))
 
 
 def dense_matrix(op):

@@ -16,10 +16,10 @@ from buqo.cli import (
     load_config,
     main,
 )
-from buqo.operators import PixelMask, db8_analysis
+from buqo.operators import PixelMask, db8_analysis, masked_dft
 from buqo.sim import make_phantom, phantom_layout, sample_noise
 
-from oracles import fold_by_bins
+from oracles import best_real_misfit
 
 
 def write_cfg(tmp_path, name="run.cfg", **overrides):
@@ -378,28 +378,33 @@ def test_nan_noise_level_is_exit_2(tmp_path, overrides):
 
 
 def test_data_ball_without_real_images_is_exit_2(tmp_path, capsys):
-    # 0.05j added to every bin of a fully sampled 32x32 observation: its
-    # 480 interior conjugate pairs disagree by about 0.1 each, so no real
-    # image lies within epsilon = 0.8 of the data; refused before any
-    # iteration (at most 50 here) and before any output exists
+    # 0.05j added to every bin of a fully sampled 32x32 observation, a
+    # purely imaginary constant of norm 32 * 0.05 = 1.6: with the noise's
+    # own share the best real image misses the data by 1.63, of which the
+    # 480 interior conjugate pairs, disagreeing by about 0.1 each, hold
+    # sqrt(c) = 1.58. Both epsilons are refused before any iteration (at
+    # most 50 here) and before any output exists, the one between sqrt(c)
+    # and the best fit too
     sim = simulated(tmp_path, "sim")
     shifted = tmp_path / "shifted.meas"
     y = bio.read_measurements(sim / "measurements.meas") + 0.05j
     bio.write_measurements(shifted, y)
-    pattern = bio.read_pattern(sim / "pattern.freq")
-    _, _, _, offset = fold_by_bins(pattern, y)
-    cfg = write_cfg(tmp_path, name="m.cfg", measurements=str(shifted),
-                    epsilon=0.8, **{"pattern.file": str(sim / "pattern.freq"),
-                                    "structure.file": str(bright_mask_file(tmp_path)),
-                                    "map.max.iters": 50})
+    phi = masked_dft(bio.read_pattern(sim / "pattern.freq"))
+    best = np.sqrt(best_real_misfit(phi, y))
+    assert np.sqrt(phi.fold(y)[2]) < 1.6 < best
     capsys.readouterr()
-    for command in ("map", "test"):
-        out = tmp_path / command
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert f"sqrt(c) = {np.sqrt(offset):.6g} > epsilon = 0.8" in err
-        assert np.sqrt(offset) > 1.5
+    for epsilon in (0.8, 1.6):
+        cfg = write_cfg(tmp_path, name="m.cfg", measurements=str(shifted),
+                        epsilon=epsilon,
+                        **{"pattern.file": str(sim / "pattern.freq"),
+                           "structure.file": str(bright_mask_file(tmp_path)),
+                           "map.max.iters": 50})
+        for command in ("map", "test"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert f"best real fit misses it by {best:.6g} > epsilon = {epsilon}" in err
 
 
 @pytest.mark.parametrize("ratio", [1.0, 0.5, 0.3])

@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from buqo import map_solver
+from buqo._pd import pd_steps
 from buqo.map_solver import MapProblem, compute_lambda, solve_map
 from buqo.operators import (LinearMap, SamplingPattern, db8_analysis,
                             masked_dft, multicoil_map)
 from buqo.sim import add_noise, gaussian_random_pattern
 
-from instances import counting
-from oracles import map_iterations
+from instances import counting, workload_problem
+from oracles import best_real_misfit, map_iterations
 
 
 def identity_map(n):
@@ -134,17 +136,21 @@ def test_solve_map_operator_budget_per_iteration(iters):
     (1e-3, 1e-12, 5), (1e-3, 1e-12, 40), (0.5, 1e-8, 20000)])
 def test_solve_map_matches_loop_oracle(epsilon, tol, max_iters):
     rows = cols = 8
-    pattern = SamplingPattern(rows, cols, np.arange(rows * cols))
-    phi = masked_dft(pattern)
+    full = SamplingPattern(rows, cols, np.arange(rows * cols))
+    # the grid minus one bin: its mirror (1, 1) keeps a slot of weight 1
+    short = SamplingPattern(rows, cols, np.arange(rows * cols - 1))
     truth, psi = sparse_truth(rows, cols, seed=5)
-    y = phi.forward(truth) + 0.3
-    # the counting wrapper has no fold: the plain ball on all 64 bins;
-    # the masked DFT itself folds them onto 40 half-spectrum slots
-    for op, folded in ((counting(phi)[0], None), (phi, pattern)):
-        problem = MapProblem(op, psi, y, epsilon=epsilon)
-        assert problem.fit.op.out_dim == (64 if folded is None else 40)
+    # the counting wrapper has no fold: the plain ball on all 64 bins; the
+    # full masked DFT folds them onto the 8x8 image and one entry, the
+    # short one its 63 bins onto 40 half-spectrum slots
+    cases = [(counting(masked_dft(full))[0], None, False, 64),
+             (masked_dft(full), full, True, 65),
+             (masked_dft(short), short, False, 40)]
+    for op, pattern, image, entries in cases:
+        problem = MapProblem(op, psi, op.forward(truth) + 0.3, epsilon=epsilon)
+        assert problem.fit.op.out_dim == entries
         x, diag = solve_map(problem, tol=tol, max_iters=max_iters)
-        xs, changes, gaps = map_iterations(problem, diag.iterations, folded)
+        xs, changes, gaps = map_iterations(problem, diag.iterations, pattern, image)
         np.testing.assert_array_equal(diag.primal_residuals, changes)
         # the last iterate, converged or not
         np.testing.assert_array_equal(x, xs[-1])
@@ -158,6 +164,42 @@ def test_solve_map_matches_loop_oracle(epsilon, tol, max_iters):
             assert diag.iterations < max_iters and passing == [diag.iterations]
         else:
             assert diag.iterations == max_iters and passing == []
+
+
+def full_pattern_problem(name):
+    """A fully sampled observation and its pattern: the 8x8 loop-oracle
+    instance, or the benchmark's 64x64 one."""
+    if name == "workload":
+        return workload_problem(), SamplingPattern(64, 64, np.arange(64 * 64))
+    full = SamplingPattern(8, 8, np.arange(64))
+    phi = masked_dft(full)
+    truth, psi = sparse_truth(8, 8, seed=5)
+    return MapProblem(phi, psi, phi.forward(truth) + 0.3, epsilon=0.5), full
+
+
+@pytest.mark.parametrize("name", ["8x8", "workload"])
+def test_solve_map_on_a_full_pattern_matches_the_half_fold(name, monkeypatch):
+    # the image fold takes the half fold's steps: solve_map's iterates
+    # stay within 1e-12 of the half-spectrum replay's, and the replay's
+    # stop test first passes at solve_map's count
+    problem, pattern = full_pattern_problem(name)
+    assert problem.fit.op.out_dim == problem.n_pixels + 1
+    iterates = []
+
+    def recording(*args):
+        for step in pd_steps(*args):
+            iterates.append(step[0])
+            yield step
+
+    monkeypatch.setattr(map_solver, "pd_steps", recording)
+    x, diag = solve_map(problem)
+    assert diag.converged and len(iterates) == diag.iterations
+    xs, changes, gaps = map_iterations(problem, diag.iterations, pattern)
+    for mine, theirs in zip(iterates, xs):
+        assert np.linalg.norm(mine - theirs) <= 1e-12 * np.linalg.norm(theirs)
+    passing = [k + 1 for k in range(1, len(changes))
+               if changes[k] <= 1e-6 and gaps[k] <= 1e-6 * problem.epsilon]
+    assert passing == [diag.iterations]
 
 
 @pytest.mark.parametrize("limits", [
@@ -253,16 +295,48 @@ def test_map_problem_refuses_nan():
 
 
 def test_map_problem_refuses_a_ball_without_real_images():
-    # 0.05j on every bin of a real image's spectrum: each of the 24
-    # interior conjugate pairs of an 8x8 grid disagrees by 0.1, so
-    # ||Phi x - y||^2 >= c = 24 * 0.1^2 / 2 = 0.12 for every real x
+    # 0.05j on every bin of a real image's spectrum: a purely imaginary
+    # constant, which no real image reaches, so ||Phi x - y||^2 >= 64 *
+    # 0.05^2 = 0.16 for every real x. The 24 interior conjugate pairs of
+    # an 8x8 grid, which disagree by 0.1 each, hold c = 24 * 0.1^2 / 2 =
+    # 0.12 of it; the pairs of column 0 and of the Nyquist column and the
+    # four self-conjugate bins hold the rest
     phi = full_dft(8, 8)
     truth, psi = sparse_truth(8, 8, seed=0)
     y = phi.forward(truth) + 0.05j
-    with pytest.raises(ValueError, match=r"sqrt\(c\) = 0\.34641 > epsilon = 0\.3$"):
-        MapProblem(phi, psi, y, epsilon=0.3)
-    problem = MapProblem(phi, psi, y, epsilon=0.35)
+    for epsilon in (0.3, 0.35):
+        with pytest.raises(ValueError,
+                           match=rf"misses it by 0\.4 > epsilon = {epsilon}$"):
+            MapProblem(phi, psi, y, epsilon=epsilon)
+    problem = MapProblem(phi, psi, y, epsilon=0.41)
     assert problem.fit.term.offset == pytest.approx(0.12, rel=1e-12)
+
+
+def real_fit_patterns():
+    rng = np.random.default_rng(3)
+    return {
+        "full": SamplingPattern(8, 8, np.arange(64)),
+        "random-32": SamplingPattern(8, 8, rng.choice(64, 32, replace=False)),
+        # the pair (1, 0) and (7, 0) of column 0, and nothing else
+        "column-0-pair": SamplingPattern(8, 8, [8, 56]),
+    }
+
+
+@pytest.mark.parametrize("name", list(real_fit_patterns()))
+def test_map_problem_refuses_data_beyond_the_best_real_fit(name):
+    # 0.05j on every sampled bin: the best real fit misses the data by
+    # more than the interior conjugate pairs' disagreement sqrt(c)
+    phi = masked_dft(real_fit_patterns()[name])
+    truth, psi = sparse_truth(8, 8, seed=0)
+    y = phi.forward(truth) + 0.05j
+    best = best_real_misfit(phi, y)
+    offset = phi.fold(y)[2]
+    assert best > offset + 1e-3
+    # refused just below the least misfit, built just above it
+    with pytest.raises(ValueError, match="best real fit misses it by"):
+        MapProblem(phi, psi, y, epsilon=0.999 * np.sqrt(best))
+    problem = MapProblem(phi, psi, y, epsilon=1.001 * np.sqrt(best))
+    assert problem.fit.term.offset == offset
 
 
 # ---------------------------------------------------------------------------

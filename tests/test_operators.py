@@ -20,7 +20,7 @@ from buqo.map_solver import MapProblem
 from buqo.sim import coil_sensitivities, gaussian_random_pattern, sampling_pattern
 
 from instances import counting
-from oracles import dense_matrix, filter_bank_2d
+from oracles import best_real_misfit, dense_matrix, filter_bank_2d
 
 
 def dense_from_map(op: LinearMap) -> np.ndarray:
@@ -240,48 +240,104 @@ def fold_patterns():
 
 @pytest.mark.parametrize("name", list(fold_patterns()))
 def test_masked_dft_fold_keeps_the_data_misfit(name):
-    # ||Phi x - y||^2 = ||Phi_h x - y_h||^2 + c for real x, any data y
+    # ||Phi x - y||^2 = ||Phi_f x - y_f||^2 + c for real x, any data y: a
+    # full pattern folds onto the image grid and one entry, x -> (x, 0),
+    # any other onto the half spectrum
     pattern = fold_patterns()[name]
     op = masked_dft(pattern)
+    n = op.in_dim
     rng = np.random.default_rng(5)
     y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
-    half, center, offset = op.fold(y)
-    assert half.in_dim == op.in_dim and half.out_dim == center.size <= op.out_dim
-    assert half.grid == op.grid and half.complex_output and offset > 0.0
+    fit, center, offset, floor = op.fold(y)
+    assert fit.in_dim == n and fit.out_dim == center.size and fit.grid == op.grid
+    assert 0.0 < offset <= floor
+    if name.startswith("full"):
+        assert fit.out_dim == n + 1 and not fit.complex_output
+        assert center.dtype == np.float64
+        x = rng.standard_normal(n)
+        np.testing.assert_array_equal(fit.forward(x), np.append(x, 0.0))
+        v = rng.standard_normal(n + 1)
+        np.testing.assert_array_equal(fit.adjoint(v), v[:n])
+        # the extra entry is the data no real image reaches
+        assert center[n] ** 2 == pytest.approx(floor - offset, rel=1e-12)
+    else:
+        assert fit.out_dim <= op.out_dim and fit.complex_output
     for _ in range(3):
-        x = rng.standard_normal(op.in_dim)
+        x = rng.standard_normal(n)
         misfit = np.linalg.norm(op.forward(x) - y) ** 2
-        folded = np.linalg.norm(half.forward(x) - center) ** 2 + offset
+        folded = np.linalg.norm(fit.forward(x) - center) ** 2 + offset
         assert abs(folded - misfit) <= 1e-12 * misfit
-    assert dot_test(half) <= 1e-12
-    # the back-projections agree: Phi_h* y_h = Phi* y
-    np.testing.assert_allclose(half.adjoint(center), op.adjoint(y),
+    assert dot_test(fit) <= 1e-12
+    # the back-projections agree: Phi_f* y_f = Phi* y
+    np.testing.assert_allclose(fit.adjoint(center), op.adjoint(y),
                                rtol=0, atol=1e-12 * np.linalg.norm(y))
+
+
+def test_masked_dft_fold_floor_is_the_best_real_fit():
+    # e = min over real x of ||Phi x - y||^2, against least squares on the
+    # explicit real matrix of Phi
+    rng = np.random.default_rng(8)
+    patterns = [SamplingPattern(8, 8, np.arange(64)),
+                SamplingPattern(7, 6, np.arange(42)),
+                SamplingPattern(8, 8, rng.choice(64, 32, replace=False)),
+                SamplingPattern(8, 8, [0, 4, 8, 56, 12, 60, 32, 36]),
+                gaussian_random_pattern(8, 10, 0.5, seed=6)]
+    for pattern in patterns:
+        op = masked_dft(pattern)
+        y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        floor = op.fold(y)[3]
+        assert floor == pytest.approx(best_real_misfit(op, y), rel=1e-10)
 
 
 def test_masked_dft_fold_of_a_full_grid():
     rows = cols = 64
-    op = masked_dft(SamplingPattern(rows, cols, np.arange(rows * cols)))
+    n = rows * cols
     rng = np.random.default_rng(6)
-    x = rng.standard_normal(rows * cols)
+    x = rng.standard_normal(n)
+    # the grid minus its last bin (63, 63): its mirror's slot (1, 1) keeps
+    # weight 1, and one entry per slot of the 64 x 33 half spectrum
+    op = masked_dft(SamplingPattern(rows, cols, np.arange(n - 1)))
     y = op.forward(x)
-    half, center, offset = op.fold(y)
-    # one entry per slot of the 64 x 33 half spectrum
-    assert (op.out_dim, half.out_dim) == (4096, 2112)
+    half, center, offset, floor = op.fold(y)
+    assert (op.out_dim, half.out_dim) == (4095, 2112) and half.complex_output
     # consistent data fold onto the measurements of x with no offset
     np.testing.assert_allclose(half.forward(x), center, rtol=0, atol=1e-12)
-    assert offset <= 1e-24
+    assert offset <= 1e-24 and floor <= 1e-24
     full, folded = op.forward(x), half.forward(x)
     for ky in range(rows):
         for kx in range(cols // 2 + 1):
             slot, k = ky * (cols // 2 + 1) + kx, ky * cols + kx
             # bins k and -k merge unless they are one bin (self-conjugate)
             # or both lie in column 0 or the Nyquist column
-            interior = 0 < kx < cols // 2
+            interior = 0 < kx < cols // 2 and (ky, kx) != (1, 1)
             weight = np.sqrt(2.0) if interior else 1.0
             assert folded[slot] == weight * full[k]
-    for ky, kx in ((0, 0), (0, 32), (32, 0), (32, 32)):
+    for ky, kx in ((0, 0), (0, 32), (32, 0), (32, 32), (1, 1)):
         assert folded[ky * 33 + kx] == full[ky * 64 + kx]
+    # the full grid folds onto the image: consistent data are x itself,
+    # with nothing left over
+    op = masked_dft(SamplingPattern(rows, cols, np.arange(n)))
+    image, center, offset, floor = op.fold(op.forward(x))
+    assert (image.out_dim, image.norm_bound, image.grid) == (n + 1, 1.0, (rows, cols))
+    np.testing.assert_allclose(center[:n], x, rtol=0, atol=1e-12)
+    assert abs(center[n]) <= 1e-12 and offset <= 1e-24 and floor <= 1e-24
+
+
+def test_masked_dft_image_fold_returns_new_arrays():
+    # the primal-dual loop yields the forward's result and reuses its
+    # argument, so neither map's result may share memory with its input
+    # or with an earlier result
+    op = masked_dft(SamplingPattern(4, 6, np.arange(24)))
+    image = op.fold(np.zeros(24, dtype=complex))[0]
+    x, v = np.arange(24.0), np.arange(25.0)
+    for f, arg in ((image.forward, x), (image.adjoint, v)):
+        first, second = f(arg), f(arg)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, arg)
+        snapshot = first.copy()
+        arg += 1.0
+        second += 1.0
+        np.testing.assert_array_equal(first, snapshot)
 
 
 def test_maps_without_a_fold_keep_the_plain_ball():

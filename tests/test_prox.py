@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from buqo import prox
+from buqo.engine import run_buqo
+from buqo.map_solver import solve_map
 from buqo.prox import (
     IntervalBox,
     L1Levelset,
@@ -12,6 +15,7 @@ from buqo.prox import (
     project_l2_ball,
 )
 
+from instances import bright_source_mask, workload_problem
 from oracles import l1_projection_bisection
 
 NONNEG = IntervalBox(0.0, np.inf)
@@ -198,6 +202,41 @@ def test_l1_threshold_matches_sort_rule_and_bisection():
         np.testing.assert_allclose(project_l1_levelset(mags, L1Levelset(level)),
                                    l1_projection_bisection(mags, level),
                                    atol=1e-12 * mags.max())
+
+
+def test_l1_threshold_is_the_same_from_any_start():
+    # one pivot step from the start, then the loop: the same theta, to the
+    # bit, as from 0, whether the start lies below, at or above the root,
+    # at 0 or above the largest entry
+    for mags, level in threshold_cases():
+        root = _l1_threshold(mags, level)
+        top = mags.max()
+        for start in (0.0, 0.5 * root, np.nextafter(root, 0.0), root,
+                      np.nextafter(root, np.inf), 0.5 * (root + top), top, 2.0 * top):
+            assert _l1_threshold(mags, level, start) == root
+
+
+def test_l1_levelset_dual_step_warm_starts_to_the_cold_threshold(monkeypatch):
+    # the seed-0 64x64 bright POCS test: each region dual step starts its
+    # threshold search at the previous step's threshold, and lands on the
+    # threshold a search from 0 gives, to the bit
+    calls = []   # (warm start, same theta as from 0)
+
+    def recording(mags, level, start=0.0):
+        theta = _l1_threshold(mags, level, start)
+        calls.append((start > 0.0, theta == _l1_threshold(mags, level)))
+        return theta
+
+    problem = workload_problem()
+    x_map, _ = solve_map(problem)
+    monkeypatch.setattr(prox, "_l1_threshold", recording)
+    run_buqo(problem, bright_source_mask(), alpha=0.01, eta=0.03, mode="pocs",
+             x_map=x_map, outer_max_iters=250, inner_tol=1e-7, inner_max_iters=3000)
+    monkeypatch.undo()
+    # a cold start only at the first dual step of each projection
+    warm = sum(w for w, _ in calls)
+    assert len(calls) > 500 and warm > 0.95 * len(calls)
+    assert all(same for _, same in calls)
 
 
 # ---------------------------------------------------------------------------

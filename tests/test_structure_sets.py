@@ -245,7 +245,7 @@ def test_projector_blocks_hold_their_sets():
     assert levelset.term == L1Levelset(region.eta_tilde / region.lam)
     # the problem's data ball, folded by its masked DFT
     assert ball is p.fit
-    op, center, offset = p.phi.fold(p.data)
+    op, center, offset, _ = p.phi.fold(p.data)
     assert ball.op is op
     np.testing.assert_array_equal(ball.term.center, center)
     assert ball.term.radius == p.epsilon and ball.term.offset == offset
