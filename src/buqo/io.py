@@ -10,6 +10,7 @@ header. All writers are deterministic given identical inputs.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,8 +63,9 @@ def _read_binary(path, magic: str, n_counts: int, what: str,
                  width: int = 1) -> tuple[list[int], np.ndarray]:
     """The header counts of a binary ``magic`` file and the float64 payload,
     ``width`` values per counted item, that ends it. A header line without
-    a newline, a non-ASCII byte in it, a short payload and a byte after it
-    raise ValueError."""
+    a newline, a non-ASCII byte in it, a payload longer than the rest of
+    the file (refused before it is read) and a byte after it raise
+    ValueError."""
     with open(path, "rb") as fh:
         header = fh.readline()
         if not header.endswith(b"\n"):
@@ -72,10 +74,10 @@ def _read_binary(path, magic: str, n_counts: int, what: str,
         if len(header) != 1 + n_counts or header[0] != magic:
             raise ValueError(f"{path}: not a {magic} {what} file")
         counts = _header_counts(path, header[1:])
-        size = width * int(np.prod(counts))
-        data = np.frombuffer(fh.read(8 * size), dtype="<f8")
-        if data.size != size:
+        size = width * math.prod(counts)
+        if 8 * size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError(f"{path}: truncated {what} payload")
+        data = np.frombuffer(fh.read(8 * size), dtype="<f8")
         if fh.read(1):
             raise ValueError(f"{path}: data after the {what} payload")
     return counts, data
@@ -95,21 +97,24 @@ def _read_index_block(fh, path, magic: str, line: int = 1,
     at line ``line`` of ``path``. A header that is not a ``magic`` block
     raises ValueError saying the file is not ``expected`` (by default
     "a <magic> file"); a bad count, and a missing or non-integer index
-    line, name ``path:line``."""
+    line, name ``path:line``. The index array grows as its lines are read,
+    so a count the file cannot hold allocates nothing for it."""
     header = fh.readline().split()
     if len(header) != 4 or header[0] != magic:
         raise ValueError(f"{path}: expected {expected or f'a {magic} file'}")
     rows, cols, n = _header_counts(path, header[1:], line=line)
-    indices = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        text = fh.readline()
-        try:
-            indices[k] = int(text)
-        except ValueError:
-            what = repr(text.strip()) if text else "end of file"
-            raise ValueError(f"{path}:{line + 1 + k}: expected a pixel index, "
-                             f"got {what}") from None
-    return rows, cols, indices
+
+    def read_indices():
+        for k in range(n):
+            text = fh.readline()
+            try:
+                yield int(text)
+            except ValueError:
+                what = repr(text.strip()) if text else "end of file"
+                raise ValueError(f"{path}:{line + 1 + k}: expected a pixel "
+                                 f"index, got {what}") from None
+
+    return rows, cols, np.fromiter(read_indices(), dtype=np.int64)
 
 
 def _header_counts(path, fields, line: int = 1) -> list[int]:

@@ -439,7 +439,7 @@ def _dwt_level(n: int) -> np.ndarray:
 # an axis of at least BAND_MIN points is filtered over the 16-tap band, in
 # blocks of up to _BAND_BLOCK outputs; a shorter one by its dense matrix
 # (at least 16, so that the taps wrap at most once)
-BAND_MIN = 128
+BAND_MIN = 96
 _BAND_BLOCK = 4
 _WRAP = _DB8_LO.size - 2   # input rows a block of b outputs reads past its 2b
 
@@ -453,22 +453,15 @@ def _band_blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Outputs k0 .. k0 + b - 1 of either half read the input rows 2 k0 ..
     2 k0 + 2b + 13. Synthesis rows 2 k0 .. 2 k0 + 2b - 1 read the
     coefficients interleaved as (lowpass k, highpass k), for k from k0 - 7
-    to k0 + b - 1.
+    to k0 + b - 1. All three are windows of the level matrix of 2b + 14
+    points where none of the taps they hold wraps.
     """
     b = max(d for d in range(1, _BAND_BLOCK + 1) if n // 2 % d == 0)
-    taps = np.stack([_DB8_LO, _DB8_HI])
-    i, t = np.arange(b)[:, None], np.arange(taps.shape[1])
-    analysis = np.zeros((2, b, 2 * b + _WRAP))
-    analysis[:, i, 2 * i + t] = taps[:, None, :]
-    # synthesis row i reads tap i + 14 - 2q of coefficient pair q
-    tap = np.arange(2 * b)[:, None] + _WRAP - 2 * np.arange(b + _WRAP // 2)
-    inside = (tap >= 0) & (tap < taps.shape[1])
-    synthesis = np.zeros((2 * b, b + _WRAP // 2, 2))
-    synthesis[inside] = taps.T[tap[inside]]
-    blocks = analysis[0], analysis[1], synthesis.reshape(2 * b, -1)
-    for block in blocks:
-        block.flags.writeable = False
-    return blocks
+    w, half = _dwt_level(2 * b + _WRAP), b + _WRAP // 2
+    pairs = np.stack([np.arange(half), half + np.arange(half)], axis=1).ravel()
+    synthesis = w.T[_WRAP:, pairs]
+    synthesis.flags.writeable = False
+    return w[:b], w[half:half + b], synthesis
 
 
 class _AxisPass:
@@ -534,24 +527,25 @@ def db8_analysis(rows: int, cols: int, levels: int) -> LinearMap:
 
     Both dimensions must be divisible by 2**levels. Each level applies
     one orthogonal matrix per axis to the current r x c block,
-    W_r @ block @ W_c.T. An axis of fewer than ``BAND_MIN`` points takes
-    its dense matrix, built on first use and cached per axis size. A
-    longer axis is filtered over its 16-tap band: b lowpass and b
+    W_r @ block @ W_c.T, as one pass down the rows and one across them.
+    Each axis of each level picks its own kernel: fewer than ``BAND_MIN``
+    points take the dense matrix, built on first use and cached per axis
+    size; a longer axis is filtered over its 16-tap band: b lowpass and b
     highpass outputs (b = 4 when it divides n/2) read 2b + 14 consecutive
     inputs, so each half of the level is one batched product of a small
     block over overlapping windows of the axis, extended by its 14 wrap
     rows. One forward level of n x n points took 23 us dense and 25-29 us
-    banded at n = 64, 60-64 and 40-47 us at 96, and 152 and 60 us at 128
-    (one BLAS thread), so the band pays from about 96 points; with the
-    threshold at 128 every 64x64 grid keeps the dense code. The band
-    matches the dense matrices to about 3e-15. The adjoint equals the inverse (synthesis), so the
-    spectral norm is exactly 1. The coefficient layout is the usual
+    banded at n = 64, 59 and 40 us at 96, and 152 and 60 us at 128 (one
+    BLAS thread); the two tie at 98 points, so the band pays from 96 and
+    every 64x64 grid keeps the dense code. The band matches the dense
+    matrices to about 3e-15. The adjoint equals the inverse (synthesis),
+    so the spectral norm is exactly 1. The coefficient layout is the usual
     in-place quadrant nesting, flattened row-major.
 
-    A map with a banded axis keeps its extension buffers and one level
-    temporary across calls, shared by its forward and adjoint, so one map
-    must not be applied from two threads at once. The returned arrays are
-    always new.
+    Every map keeps one level temporary per level across calls, and a map
+    with a banded axis its extension buffers too, shared by its forward
+    and adjoint, so one map must not be applied from two threads at once.
+    The returned arrays are always new.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"image grid ({rows}, {cols}) must be at least 1x1")
@@ -563,32 +557,22 @@ def db8_analysis(rows: int, cols: int, levels: int) -> LinearMap:
         )
     n = rows * cols
     sizes = [(rows >> lv, cols >> lv) for lv in range(levels)]
-    # per level: None when both axes are dense (the two matrices' product),
-    # else the level temporary and the passes down the rows and across them
-    passes = [None if max(r, c) < BAND_MIN else
-              (np.empty((r, c)), _AxisPass((r, c), 0), _AxisPass((r, c), 1))
+    # per level: its temporary and the passes down the rows and across them
+    passes = [(np.empty((r, c)), _AxisPass((r, c), 0), _AxisPass((r, c), 1))
               for r, c in sizes]
 
     def forward(x):
         a = np.array(np.asarray(x, dtype=float).reshape(rows, cols))
-        for (r, c), level in zip(sizes, passes):
-            if level is None:
-                a[:r, :c] = _dwt_level(r) @ a[:r, :c] @ _dwt_level(c).T
-            else:
-                tmp, down, across = level
-                down(a[:r, :c], tmp, False)
-                across(tmp, a[:r, :c], False)
+        for (r, c), (tmp, down, across) in zip(sizes, passes):
+            down(a[:r, :c], tmp, False)
+            across(tmp, a[:r, :c], False)
         return a.ravel()
 
     def adjoint(w):
         a = np.array(np.asarray(w, dtype=float).reshape(rows, cols))
-        for (r, c), level in zip(reversed(sizes), reversed(passes)):
-            if level is None:
-                a[:r, :c] = _dwt_level(r).T @ a[:r, :c] @ _dwt_level(c)
-            else:
-                tmp, down, across = level
-                down(a[:r, :c], tmp, True)
-                across(tmp, a[:r, :c], True)
+        for (r, c), (tmp, down, across) in zip(reversed(sizes), reversed(passes)):
+            down(a[:r, :c], tmp, True)
+            across(tmp, a[:r, :c], True)
         return a.ravel()
 
     return LinearMap(n, n, forward, adjoint, norm_bound=1.0, grid=(rows, cols))

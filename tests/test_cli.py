@@ -95,6 +95,26 @@ def test_pattern_file_with_an_extra_index_is_exit_2(tmp_path, capsys):
     assert f"{pattern}:{len(lines) + 1}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, header", [
+    ("pattern.file", b"BUQOFREQ1 8 8 99999999999999\n0\n"),
+    ("measurements", b"BUQOMEAS1 99999999999999\n" + b"\x00" * 16)])
+def test_a_header_count_the_file_cannot_hold_is_exit_2(tmp_path, capsys, key,
+                                                       header):
+    # the reader refuses the count before it allocates for it
+    sim = simulated(tmp_path, "sim")
+    huge = tmp_path / "huge"
+    huge.write_bytes(header)
+    inputs = {"measurements": str(sim / "measurements.meas"),
+              "pattern.file": str(sim / "pattern.freq")}
+    inputs[key] = str(huge)
+    cfg = write_cfg(tmp_path, name="h.cfg", **inputs)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["map", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert str(huge) in capsys.readouterr().err
+
+
 def test_bad_alpha_is_exit_2(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["simulate", "--config", str(cfg), "--alpha", "2.0"]) == 2

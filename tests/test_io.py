@@ -164,6 +164,30 @@ def test_bytes_after_the_payload_are_refused(tmp_path, writer, reader, value):
         reader(path)
 
 
+# a count of 10^14 items: a reader that sized its arrays by the header
+# ran out of memory at once instead of refusing the file
+@pytest.mark.parametrize("reader, header", [
+    (bio.read_image, b"BUQO1 10000000 10000000"),
+    (bio.read_measurements, b"BUQOMEAS1 100000000000000")])
+def test_a_payload_longer_than_the_file_is_refused_unread(tmp_path, reader,
+                                                          header):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(header + b"\n" + b"\x00" * 32)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated"):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader, magic", [(bio.read_mask, "BUQOMASK1"),
+                                           (bio.read_pattern, "BUQOFREQ1")])
+def test_an_index_count_longer_than_the_file_is_refused_unread(tmp_path,
+                                                               reader, magic):
+    path = tmp_path / "huge.idx"
+    path.write_text(f"{magic} 8 8 {10 ** 14}\n0\n1\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:4: expected "
+                       "a pixel index, got end of file"):
+        reader(path)
+
+
 @pytest.mark.parametrize("count", [b"x", b"-1"])
 def test_measurement_header_count_names_the_line(tmp_path, count):
     path = tmp_path / "bad.meas"

@@ -15,7 +15,7 @@ from buqo.operators import (
     op_norm,
     residual_map,
 )
-from buqo.operators import _DB8_HI, _DB8_LO
+from buqo.operators import _DB8_HI, _DB8_LO, _dwt_level
 from buqo.map_solver import MapProblem
 from buqo.sim import coil_sensitivities, gaussian_random_pattern, sampling_pattern
 
@@ -460,9 +460,9 @@ def test_db8_dot_test():
     assert dot_test(op, n_probes=20, seed=3) < 1e-10
 
 
-@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("n", [96, 128, 256])
 def test_db8_band_parseval_reconstruction_and_dot_test(n):
-    # 128 and 256 points per axis run the band, 64 and 32 the dense matrix
+    # 96 points and more per axis run the band, 64 and fewer the dense matrix
     op = db8_analysis(n, n, 3)
     rng = np.random.default_rng(23)
     for _ in range(3):
@@ -483,6 +483,8 @@ def test_db8_band_parseval_reconstruction_and_dot_test(n):
     (64, 256, 3),    # dense rows, banded columns at 256 and 128
     (130, 130, 1),   # 65 outputs per half: blocks of one
     (132, 128, 2),   # 66 outputs per half: blocks of three, then 66 dense
+    (96, 96, 3),     # banded level 0 at 96 points, dense 48 and 24
+    (192, 96, 2),    # banded rows at 192 and 96, banded then dense columns
 ])
 def test_db8_matches_filter_bank_oracle(rows, cols, levels):
     op = db8_analysis(rows, cols, levels)
@@ -494,6 +496,25 @@ def test_db8_matches_filter_bank_oracle(rows, cols, levels):
                               adjoint=True)
     np.testing.assert_allclose(op.forward(x), want_fwd, rtol=0, atol=1e-12)
     np.testing.assert_allclose(op.adjoint(w), want_adj, rtol=0, atol=1e-12)
+
+
+def test_db8_64x64_levels_are_the_dense_products_bit_for_bit():
+    # a 64x64 grid runs the dense level matrix on every axis of every level:
+    # each level gives the bits of W_r @ block @ W_c.T (and of its transpose)
+    rows = cols = 64
+    levels = 3
+    op = db8_analysis(rows, cols, levels)
+    rng = np.random.default_rng(32)
+    x, w = rng.standard_normal((2, rows, cols))
+    fwd, adj = x.copy(), w.copy()
+    for lv in range(levels):
+        r, c = rows >> lv, cols >> lv
+        fwd[:r, :c] = _dwt_level(r) @ fwd[:r, :c] @ _dwt_level(c).T
+    for lv in reversed(range(levels)):
+        r, c = rows >> lv, cols >> lv
+        adj[:r, :c] = _dwt_level(r).T @ adj[:r, :c] @ _dwt_level(c)
+    np.testing.assert_array_equal(op.forward(x.ravel()), fwd.ravel())
+    np.testing.assert_array_equal(op.adjoint(w.ravel()), adj.ravel())
 
 
 def test_db8_filters_moments_and_dc_gain():
@@ -519,8 +540,8 @@ def test_db8_rejects_an_empty_or_negative_grid(rows, cols, levels):
 
 @pytest.mark.parametrize("rows, cols", [(16, 16), (256, 128), (64, 256)])
 def test_db8_returns_arrays_its_next_calls_leave_alone(rows, cols):
-    # a banded map reuses its scratch from call to call (a dense one has
-    # none); what it returned must not change with its next calls
+    # a map reuses its level temporaries (a banded one its buffers too)
+    # from call to call; what it returned must not change with its next calls
     op = db8_analysis(rows, cols, 2)
     rng = np.random.default_rng(31)
     x, w = rng.standard_normal((2, rows * cols))
